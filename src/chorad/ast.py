@@ -19,10 +19,6 @@ from typing import Union
 Value = Union[int, bool, str]
 Role = str
 
-#: Operations a rule condition may combine; also the binary operators of the
-#: expression language.
-BINARY_OPS = ("or", "and", "==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/")
-
 
 @dataclass(frozen=True)
 class NodeId:

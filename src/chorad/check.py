@@ -34,6 +34,7 @@ from .ast import (
     Call,
     Expr,
     If,
+    Include,
     Interaction,
     Lit,
     NodeId,

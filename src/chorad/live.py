@@ -5,7 +5,9 @@ runs here under real concurrency.  Each role is a thread that advances its
 executor whenever a task is ready and sleeps on a condition variable
 otherwise; message deliveries wake it.  Sends, external calls and
 adaptation lookups all happen outside the executor lock, so a slow peer or
-service never blocks intake.
+service never blocks intake.  Calls and lookups go to the
+:class:`~chorad.services.Router` the simulator uses, handed ``net.request``
+as its transport.
 
 Two deployment shapes:
 
@@ -24,13 +26,13 @@ matching client stubs.
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Union
+from functools import partial
+from typing import Callable
 
 from .adapt import AdaptationManager, AdaptationServer, Environment
-from .ast import Program, Value
+from .ast import Value
 from .net import (
     DEFAULT_TIMEOUT,
     JsonLineServer,
@@ -39,19 +41,14 @@ from .net import (
     send_line,
     start_server,
 )
-from .project import ProjectedApp, project
-from .runtime import INPUT_FUNCTION, ExtRequest, Message, RoleExecutor
-from .services import FunctionTable, ServiceError, handle_call_request
-
-log = logging.getLogger("chorad.live")
-
-ManagerRef = Union[AdaptationManager, str, None]
-
-
-def _as_app(target: Union[Program, ProjectedApp]) -> ProjectedApp:
-    if isinstance(target, ProjectedApp):
-        return target
-    return project(target)
+from .project import Target, _as_app
+from .runtime import Message, RoleExecutor
+from .services import (
+    FunctionTable,
+    ManagerRef,
+    Router,
+    handle_call_request,
+)
 
 
 # =========================================================================
@@ -63,14 +60,11 @@ class _LiveRole:
     """Drives one executor on the calling thread; wakes on deliveries."""
 
     def __init__(self, executor: RoleExecutor, *,
-                 send: Callable[[Message], None],
-                 call: Callable[[str, str, list[Value]], Value],
-                 match: Callable[[dict], dict],
+                 send: Callable[[Message], None], router: Router,
                  stall_timeout: float):
         self.executor = executor
         self._send = send
-        self._call = call
-        self._match = match
+        self._router = router
         self.stall_timeout = stall_timeout
         self.cv = threading.Condition()
         self.error: str | None = None
@@ -112,109 +106,13 @@ class _LiveRole:
                 for msg in outcome.outbound:
                     self._send(msg)
                 if outcome.ext is not None:
-                    self._service(outcome.ext)
+                    reply, error = self._router.answer(ex, outcome.ext)
+                    with self.cv:
+                        ex.settle_ext(outcome.ext.tid, reply, error)
+                        self.cv.notify_all()
             except NetError as exc:
                 self.stop(str(exc))
                 return
-
-    def _service(self, ext: ExtRequest) -> None:
-        ex = self.executor
-        if ext.kind == "call":
-            fn, args = ext.payload
-            try:
-                value = self._call(ex.role, fn, list(args))
-            except ServiceError as exc:
-                with self.cv:
-                    ex.fail_ext(ext.tid, str(exc))
-                    self.cv.notify_all()
-                return
-            with self.cv:
-                ex.complete_ext(ext.tid, value)
-                self.cv.notify_all()
-        elif ext.kind == "match":
-            (req,) = ext.payload
-            response = self._match(req)
-            with self.cv:
-                ex.complete_ext(ext.tid, response)
-                self.cv.notify_all()
-        else:
-            with self.cv:
-                ex.fail_ext(ext.tid, f"unknown request kind '{ext.kind}'")
-                self.cv.notify_all()
-
-
-# =========================================================================
-# Shared service plumbing
-# =========================================================================
-
-
-class _CallRouter:
-    """Answers function calls from scripts, local tables, or the network."""
-
-    def __init__(self, services: dict[str, FunctionTable] | None,
-                 inputs: dict[str, list[Value]] | None,
-                 input_fn: Callable[[str, list[Value]], Value] | None,
-                 timeout: float,
-                 dynamic_includes: Callable[[str], dict[str, tuple[str, Any]]]):
-        self.services = services or {}
-        self.inputs = {r: list(v) for r, v in (inputs or {}).items()}
-        self.input_fn = input_fn
-        self.timeout = timeout
-        self.dynamic_includes = dynamic_includes
-        self._lock = threading.Lock()
-
-    def __call__(self, role: str, fn: str, args: list[Value]) -> Value:
-        if fn == INPUT_FUNCTION:
-            return self._input(role, args)
-        includes = self.dynamic_includes(role)
-        try:
-            address, _proto = includes[fn]
-        except KeyError:
-            raise ServiceError(f"function '{fn}' is not included") from None
-        table = self.services.get(address)
-        if table is not None:
-            return table.call(fn, args)
-        reply = request(address, {"kind": "call", "fn": fn, "args": args},
-                        timeout=self.timeout)
-        if reply.get("kind") == "result":
-            value = reply.get("value")
-            if isinstance(value, (int, bool, str)):
-                return value
-            raise ServiceError(f"'{fn}' answered with a non-value")
-        raise ServiceError(str(reply.get("message", f"'{fn}' failed remotely")))
-
-    def _input(self, role: str, args: list[Value]) -> Value:
-        with self._lock:
-            queue = self.inputs.get(role)
-            if queue:
-                return queue.pop(0)
-        if self.input_fn is not None:
-            return self.input_fn(role, args)
-        raise ServiceError(f"no input left for role '{role}'")
-
-
-def _make_matcher(manager: ManagerRef, timeout: float) -> Callable[[dict], dict]:
-    warned = [False]
-
-    def match(req: dict) -> dict:
-        if manager is None:
-            return {"matched": False}
-        if isinstance(manager, AdaptationManager):
-            return manager.handle_match(req)
-        try:
-            reply = request(manager, {"kind": "matchReq", "request": req},
-                            timeout=timeout)
-        except NetError as exc:
-            if not warned[0]:
-                log.warning("adaptation manager unreachable, running defaults: %s",
-                            exc)
-                warned[0] = True
-            return {"matched": False}
-        if reply.get("kind") == "matchResp":
-            return reply
-        return {"matched": False}
-
-    return match
 
 
 # =========================================================================
@@ -232,7 +130,7 @@ class LiveReport:
         return not self.errors
 
 
-def run_all(target: Union[Program, ProjectedApp], *,
+def run_all(target: Target, *,
             inputs: dict[str, list[Value]] | None = None,
             services: dict[str, FunctionTable] | None = None,
             manager: ManagerRef = None,
@@ -249,14 +147,13 @@ def run_all(target: Union[Program, ProjectedApp], *,
             raise NetError(f"no role '{msg.to}' in this deployment")
         peer.deliver(msg)
 
-    router = _CallRouter(services, inputs, input_fn, timeout,
-                         lambda role: table[role].executor.includes)
-    match = _make_matcher(manager, timeout)
+    router = Router(services=services, manager=manager, inputs=inputs,
+                    input_fn=input_fn, request=partial(request, timeout=timeout))
     for role in app.roles:
         ex = RoleExecutor(role, app.per_role[role], starter=app.starter,
                           roles=app.roles, address=role, includes=app.includes)
         ex.start()
-        table[role] = _LiveRole(ex, send=send, call=router, match=match,
+        table[role] = _LiveRole(ex, send=send, router=router,
                                 stall_timeout=stall_timeout)
     threads = {
         role: threading.Thread(target=live.run, name=f"role-{role}", daemon=True)
@@ -284,7 +181,7 @@ def run_all(target: Union[Program, ProjectedApp], *,
 # =========================================================================
 
 
-def run_role(target: Union[Program, ProjectedApp], role: str, *,
+def run_role(target: Target, role: str, *,
              address: str,
              starter_address: str | None = None,
              manager: ManagerRef = None,
@@ -312,11 +209,8 @@ def run_role(target: Union[Program, ProjectedApp], role: str, *,
     def on_wire(obj: dict) -> dict | None:
         if obj.get("kind") == "ping":
             return {"kind": "pong", "role": role}
-        msg = Message(kind=obj.get("kind", ""), op=obj.get("op", ""),
-                      frm=obj.get("from", ""), to=obj.get("to", ""),
-                      data=obj.get("data"), seq=obj.get("seq", 0))
         assert live is not None
-        live.deliver(msg)
+        live.deliver(Message.from_dict(obj))
         return None
 
     server = start_server(address, on_wire)
@@ -327,13 +221,11 @@ def run_role(target: Union[Program, ProjectedApp], role: str, *,
         peer = ex.locations.get(msg.to)
         if peer is None:
             raise NetError(f"no known address for role '{msg.to}'")
-        send_line(peer, _wire_dict(msg), timeout=timeout)
+        send_line(peer, msg.to_dict(), timeout=timeout)
 
-    router = _CallRouter(services, inputs, input_fn, timeout,
-                         lambda _role: ex.includes)
-    live = _LiveRole(ex, send=send, call=router,
-                     match=_make_matcher(manager, timeout),
-                     stall_timeout=stall_timeout)
+    router = Router(services=services, manager=manager, inputs=inputs,
+                    input_fn=input_fn, request=partial(request, timeout=timeout))
+    live = _LiveRole(ex, send=send, router=router, stall_timeout=stall_timeout)
     try:
         live.run()
     finally:
@@ -342,11 +234,6 @@ def run_role(target: Union[Program, ProjectedApp], role: str, *,
     if live.error:
         raise RuntimeError(f"role '{role}' failed: {live.error}")
     return ex.snapshot()
-
-
-def _wire_dict(msg: Message) -> dict:
-    return {"kind": msg.kind, "op": msg.op, "from": msg.frm, "to": msg.to,
-            "data": msg.data, "seq": msg.seq}
 
 
 # =========================================================================

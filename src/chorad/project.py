@@ -320,6 +320,16 @@ def project(program: Program) -> ProjectedApp:
     )
 
 
+Target = Program | ProjectedApp
+
+
+def _as_app(target: Target) -> ProjectedApp:
+    """What every driver runs: an application, projected here if need be."""
+    if isinstance(target, ProjectedApp):
+        return target
+    return project(target)
+
+
 def _scopes_of(b: Behaviour) -> list[Scope]:
     out: list[Scope] = []
     stack = [b]  # pre-order, children pushed in reverse for source order

@@ -13,10 +13,12 @@ service:
     ("match", request)         -> dict      adaptation lookup for a scope
 
 The executor is a passive state machine: drivers decide which ready task to
-advance (a seeded scheduler in simulation, one thread per role live), feed
-delivered messages in with :meth:`RoleExecutor.deliver`, and service
-``call``/``match`` requests out-of-band.  This keeps one semantics for both
-execution modes; only scheduling and transport differ.
+advance (a seeded scheduler in simulation, one thread per role live) and
+feed delivered messages in with :meth:`RoleExecutor.deliver`.  ``call`` and
+``match`` surface as an :class:`ExtRequest`, which both drivers hand to one
+:class:`~chorad.services.Router` and settle with
+:meth:`~RoleExecutor.settle_ext`.  This keeps one semantics for both execution modes; only
+scheduling and transport differ.
 
 Message-for-message protocol, common to every driver:
 
@@ -230,18 +232,22 @@ class Message:
     data: Any
     seq: int
 
+    def to_dict(self) -> dict[str, Any]:
+        """The wire form; the sender is spelled ``from``."""
+        return {"kind": self.kind, "op": self.op, "from": self.frm,
+                "to": self.to, "data": self.data, "seq": self.seq}
+
+    @staticmethod
+    def from_dict(d: dict[str, Any]) -> "Message":
+        return Message(kind=d["kind"], op=d.get("op", ""), frm=d["from"],
+                       to=d["to"], data=d.get("data"), seq=d.get("seq", 0))
+
     def to_wire(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "op": self.op, "from": self.frm,
-             "to": self.to, "data": self.data, "seq": self.seq},
-            separators=(",", ":"),
-        )
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @staticmethod
     def from_wire(line: str) -> "Message":
-        d = json.loads(line)
-        return Message(kind=d["kind"], op=d.get("op", ""), frm=d["from"],
-                       to=d["to"], data=d.get("data"), seq=d.get("seq", 0))
+        return Message.from_dict(json.loads(line))
 
 
 def classify_message(m: Message) -> str:
@@ -271,7 +277,6 @@ def classify_message(m: Message) -> str:
 # Tasks
 # =========================================================================
 
-NEW = "new"
 READY = "ready"
 WAIT_RECV = "wait_recv"
 WAIT_JOIN = "wait_join"
@@ -362,16 +367,9 @@ class RoleExecutor:
     def finished(self) -> bool:
         return all(self._tasks[t].state == DONE for t in self._order)
 
-    def blocked(self) -> bool:
-        states = [self._tasks[t].state for t in self._order]
-        return all(s != READY for s in states) and any(s != DONE for s in states)
-
     def waiting_keys(self) -> list[MailKey]:
         return [self._tasks[t].wait_key for t in self._order
                 if self._tasks[t].state == WAIT_RECV and self._tasks[t].wait_key]
-
-    def pending_message_count(self) -> int:
-        return sum(len(q) for q in self._queues.values())
 
     def pending_by_key(self) -> dict[MailKey, int]:
         return {k: len(q) for k, q in self._queues.items() if q}
@@ -395,18 +393,14 @@ class RoleExecutor:
 
     # -- external completions ----------------------------------------------
 
-    def complete_ext(self, tid: int, value: Any) -> None:
+    def settle_ext(self, tid: int, value: Any, error: str | None = None) -> None:
+        """Resume a task waiting on a request: with ``value``, or, when
+        ``error`` is set, by raising it as a :class:`RoleError`."""
         task = self._tasks[tid]
         if task.state != WAIT_EXT:
             raise RuntimeError(f"task {tid} is not waiting on a request")
         task.resume_value = value
-        task.state = READY
-
-    def fail_ext(self, tid: int, message: str) -> None:
-        task = self._tasks[tid]
-        if task.state != WAIT_EXT:
-            raise RuntimeError(f"task {tid} is not waiting on a request")
-        task.resume_error = message
+        task.resume_error = error
         task.state = READY
 
     # -- stepping ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""External function services.
+"""External function services and the router that answers role requests.
 
 Programs call functions that live outside any role (``include ... from``).
 A :class:`FunctionTable` is one service's worth of named behaviours; the
@@ -11,15 +11,30 @@ reply sequences, integer addition, string prefixing, alphabet shifting
 (whole strings or single-character successor steps) and shared buffers
 (named text buffers, a positional character store) cover every bundled
 scenario.
+
+A :class:`Router` answers the ``call`` and ``match`` requests a
+:class:`~chorad.runtime.RoleExecutor` yields.  Both drivers use it; they
+differ only in the transport they hand it (none in the simulator, so runs
+stay hermetic, ``net.request`` live).
 """
 
 from __future__ import annotations
 
+import logging
 import threading
-from typing import Callable, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 from .ast import Value
-from .runtime import render
+from .runtime import INPUT_FUNCTION, ExtRequest, RoleExecutor, render
+
+if TYPE_CHECKING:
+    from .adapt import AdaptationManager
+
+log = logging.getLogger("chorad.services")
+
+Transport = Callable[[str, dict], dict]
+ManagerRef = Union["AdaptationManager", str, None]
 
 
 class ServiceError(Exception):
@@ -192,3 +207,119 @@ def handle_call_request(table: FunctionTable, request: dict) -> dict:
     if not isinstance(value, (int, bool, str)):
         return {"kind": "error", "message": f"'{fn}' produced a non-value"}
     return {"kind": "result", "value": value}
+
+
+def _offline(address: str, obj: dict) -> dict:
+    raise OSError(f"no service at '{address}'")
+
+
+class Router:
+    """Answers one run's function calls, input requests and scope matches.
+
+    ``getInput`` reads the role's scripted inputs, then ``input_fn``.  Other
+    functions resolve through the calling executor's own ``includes``: to an
+    in-process table in ``services``, else through ``request`` to a remote
+    service.  Matches go to an in-process manager, or through ``request``
+    to a manager address.  The default transport reaches nothing, which
+    keeps a simulation inside the process.  Local and remote calls share
+    one envelope, :func:`handle_call_request`, so a failing service fails
+    the calling task with the same message everywhere.
+
+    Given ``counts``, tallies there the middleware messages it exchanges: a
+    request and a reply per service call or match.
+    """
+
+    def __init__(self, *, services: dict[str, FunctionTable] | None = None,
+                 manager: ManagerRef = None,
+                 inputs: dict[str, list[Value]] | None = None,
+                 input_fn: Callable[[str, list[Value]], Value] | None = None,
+                 request: Transport = _offline,
+                 counts: Counter[str] | None = None):
+        self.services = services or {}
+        self.manager = manager
+        self.inputs = inputs or {}
+        self.input_fn = input_fn
+        self.request = request
+        self.counts = counts
+        self._inputs_taken: dict[str, int] = {}
+        self._warned = False
+        self._lock = threading.Lock()
+
+    def answer(self, ex: RoleExecutor, ext: ExtRequest) -> tuple[Any, str | None]:
+        """``(reply, None)``, or ``(None, why)`` when the request fails; the
+        pair is what :meth:`RoleExecutor.settle_ext` takes."""
+        try:
+            if ext.kind == "call":
+                fn, args = ext.payload
+                return self._call(ex, fn, list(args)), None
+            return self._match(ext.payload[0]), None
+        except ServiceError as exc:
+            return None, str(exc)
+
+    def _call(self, ex: RoleExecutor, fn: str, args: list[Value]) -> Value:
+        if fn == INPUT_FUNCTION:
+            return self._input(ex.role, args)
+        try:
+            address, _proto = ex.includes[fn]
+        except KeyError:
+            raise ServiceError(f"function '{fn}' is not included") from None
+        call = {"kind": "call", "fn": fn, "args": args}
+        table = self.services.get(address)
+        if table is not None:
+            reply = handle_call_request(table, call)
+        else:
+            try:
+                reply = self.request(address, call)
+            except OSError as exc:
+                raise ServiceError(str(exc)) from None
+        self._tally()
+        if reply.get("kind") != "result":
+            raise ServiceError(str(reply.get("message", f"'{fn}' failed")))
+        value = reply.get("value")
+        if not isinstance(value, (int, bool, str)):
+            raise ServiceError(f"'{fn}' produced a non-value")
+        return value
+
+    def _input(self, role: str, args: list[Value]) -> Value:
+        with self._lock:
+            script = self.inputs.get(role, ())
+            taken = self._inputs_taken.get(role, 0)
+            if taken < len(script):
+                self._inputs_taken[role] = taken + 1
+                return script[taken]
+        if self.input_fn is None:
+            raise ServiceError(f"no input left for role '{role}'")
+        try:
+            return self.input_fn(role, args)
+        except Exception as exc:  # e.g. a closed console: fail the asking task
+            raise ServiceError(f"{type(exc).__name__}: {exc}") from exc
+
+    def _match(self, request: dict) -> dict:
+        manager = self.manager
+        if manager is None:
+            self._warn_once(logging.INFO,
+                            "no adaptation manager; scopes run their defaults")
+            return {"matched": False}
+        if isinstance(manager, str):
+            try:
+                response = self.request(
+                    manager, {"kind": "matchReq", "request": request})
+            except OSError as exc:
+                self._warn_once(logging.WARNING, "adaptation manager "
+                                f"unreachable, running defaults: {exc}")
+                return {"matched": False}
+            if response.get("kind") != "matchResp":
+                response = {"matched": False}
+        else:
+            response = manager.handle_match(request)
+        self._tally()
+        return response
+
+    def _tally(self) -> None:
+        if self.counts is not None:
+            self.counts["middleware"] += 2  # request and reply
+
+    def _warn_once(self, level: int, message: str) -> None:
+        if not self._warned:
+            self._warned = True
+            log.log(level, message)

@@ -3,8 +3,10 @@
 One process hosts every role executor; a seeded scheduler picks which ready
 task advances next, so a (program, config, seed) triple always produces the
 identical run — same trace hash, same final stores, same message tallies.
-Function calls and adaptation lookups are serviced synchronously in the
-step that issues them, which keeps them inside the deterministic order.
+Function calls and adaptation lookups go to the same
+:class:`~chorad.services.Router` the live driver uses, given no transport:
+they are answered in the step that issues them, from in-process tables and
+managers only, which keeps them inside the deterministic order.
 
 Besides single seeded runs, the module can exhaustively enumerate schedules
 for small applications by replaying choice prefixes (generators cannot be
@@ -23,20 +25,13 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Union
+from typing import Callable
 
 from .adapt import AdaptationManager
-from .ast import Program, Value
-from .project import ProjectedApp, project
-from .runtime import (
-    KIND_MSG,
-    KIND_ACK,
-    INPUT_FUNCTION,
-    Message,
-    RoleExecutor,
-    classify_message,
-)
-from .services import FunctionTable, ServiceError
+from .ast import Value
+from .project import ProjectedApp, Target, _as_app
+from .runtime import KIND_MSG, KIND_ACK, Message, RoleExecutor, classify_message
+from .services import FunctionTable, Router
 
 log = logging.getLogger("chorad.sim")
 
@@ -92,15 +87,6 @@ class SimReport:
         return self.outcome == TERMINATED and not self.leaks
 
 
-Target = Union[Program, ProjectedApp]
-
-
-def _as_app(target: Target) -> ProjectedApp:
-    if isinstance(target, ProjectedApp):
-        return target
-    return project(target)
-
-
 class _World:
     """One run's mutable state; built fresh for every (re)execution."""
 
@@ -115,16 +101,16 @@ class _World:
                               includes=app.includes)
             ex.start()
             self.executors[role] = ex
-        self.inputs = {r: list(v) for r, v in config.inputs.items()}
-        self.services = config.services_factory() if config.services_factory else {}
         self.manager = config.manager_factory() if config.manager_factory else None
-        self._warned_no_manager = False
+        self.counts: Counter[str] = Counter()
+        self.router = Router(
+            services=config.services_factory() if config.services_factory else None,
+            manager=self.manager, inputs=config.inputs, counts=self.counts)
+        self.applied_rules: list[tuple[str, str]] = []
         self.timeline = sorted(config.timeline, key=lambda e: e.at_step)
         self._timeline_pos = 0
         self.steps = 0
-        self.counts: Counter[str] = Counter()
         self.op_ledger: dict[str, dict[str, int]] = {}
-        self.applied: list[tuple[str, str]] = []
         self.trace: list[str] | None = [] if config.collect_trace else None
         self._hashing = config.hash_trace or config.collect_trace
         self._hash = hashlib.sha256()
@@ -201,60 +187,15 @@ class _World:
                 self.failure = f"{role}: message addressed to unknown role '{msg.to}'"
                 return
             target.deliver(msg)
-        if outcome.ext is not None:
-            self._service(ex, outcome.ext.tid, outcome.ext.kind, outcome.ext.payload)
+        ext = outcome.ext
+        if ext is not None:
+            reply, why = self.router.answer(ex, ext)
+            if ext.kind == "match" and reply and reply.get("matched"):
+                self.applied_rules.append(
+                    (str(ext.payload[0].get("scope")), reply.get("rule")))
+            ex.settle_ext(ext.tid, reply, why)
         if ex.failure and self.failure is None:
             self.failure = f"{role}: {ex.failure}"
-
-    # -- out-of-band requests --------------------------------------------------
-
-    def _service(self, ex: RoleExecutor, tid: int, kind: str, payload) -> None:
-        if kind == "call":
-            fn, args = payload
-            self._service_call(ex, tid, fn, list(args))
-        elif kind == "match":
-            (request,) = payload
-            self._service_match(ex, tid, request)
-        else:
-            ex.fail_ext(tid, f"unknown request kind '{kind}'")
-
-    def _service_call(self, ex: RoleExecutor, tid: int, fn: str, args: list) -> None:
-        if fn == INPUT_FUNCTION:
-            queue = self.inputs.get(ex.role)
-            if not queue:
-                ex.fail_ext(tid, f"no input left for role '{ex.role}'")
-                return
-            ex.complete_ext(tid, queue.pop(0))
-            return
-        try:
-            address, _proto = ex.includes[fn]
-        except KeyError:
-            ex.fail_ext(tid, f"function '{fn}' is not included")
-            return
-        table = self.services.get(address)
-        if table is None:
-            ex.fail_ext(tid, f"no service at '{address}'")
-            return
-        self.counts["middleware"] += 2  # request and reply
-        try:
-            value = table.call(fn, args)
-        except ServiceError as exc:
-            ex.fail_ext(tid, str(exc))
-            return
-        ex.complete_ext(tid, value)
-
-    def _service_match(self, ex: RoleExecutor, tid: int, request: dict) -> None:
-        if self.manager is None:
-            if not self._warned_no_manager:
-                log.info("no adaptation manager; scopes run their defaults")
-                self._warned_no_manager = True
-            ex.complete_ext(tid, {"matched": False})
-            return
-        self.counts["middleware"] += 2  # request and reply
-        response = self.manager.handle_match(request)
-        if response.get("matched"):
-            self.applied.append((str(request.get("scope")), response.get("rule")))
-        ex.complete_ext(tid, response)
 
     # -- verdicts ---------------------------------------------------------------
 
@@ -281,7 +222,7 @@ class _World:
             message_counts=dict(self.counts),
             trace_hash=self._hash.hexdigest(),
             trace=self.trace,
-            applied_rules=self.applied,
+            applied_rules=self.applied_rules,
             op_ledger=self.op_ledger,
             leaks=leaks,
             error=error,
@@ -290,27 +231,24 @@ class _World:
 
 def _execute(app: ProjectedApp, config: SimConfig,
              choose: Callable[[list[tuple[str, int]]], int | None],
-             ) -> tuple[SimReport | None, _World, int]:
-    """Run until done or until ``choose`` declines (returns None).
-
-    Returns (report, world, open_choices); report is None iff the chooser
-    declined while ``open_choices`` schedules were still available.
-    """
+             ) -> SimReport | None:
+    """Run until done or until ``choose`` declines (returns None); the
+    report is None iff the chooser declined."""
     world = _World(app, config)
     while True:
         if world.failure:
-            return world.finish(ERROR, world.failure), world, 0
+            return world.finish(ERROR, world.failure)
         world.fire_due_events()
         entries = world.ready_entries()
         if not entries:
             if all(world.executors[r].finished() for r in app.roles):
-                return world.finish(TERMINATED), world, 0
-            return world.finish(DEADLOCK), world, 0
+                return world.finish(TERMINATED)
+            return world.finish(DEADLOCK)
         if world.steps >= config.max_steps:
-            return world.finish(STEP_LIMIT, "step budget exhausted"), world, 0
+            return world.finish(STEP_LIMIT, "step budget exhausted")
         pick = choose(entries)
         if pick is None:
-            return None, world, len(entries)
+            return None
         role, tid = entries[pick]
         world.advance(role, tid)
 
@@ -320,8 +258,7 @@ def simulate(target: Target, config: SimConfig | None = None) -> SimReport:
     config = config or SimConfig()
     app = _as_app(target)
     rng = random.Random(config.seed)
-    report, _world, _open = _execute(app, config,
-                                     lambda entries: rng.randrange(len(entries)))
+    report = _execute(app, config, lambda entries: rng.randrange(len(entries)))
     assert report is not None
     return report
 
@@ -394,7 +331,7 @@ def explore(target: Target, config: SimConfig | None = None, *,
                 return None
             return sub[k]
 
-        report, _world, _open = _execute(app, config, choose)
+        report = _execute(app, config, choose)
         if report is None:
             # Ran past the prefix: fan out one branch per available choice.
             for i in range(pending[0] - 1, -1, -1):
@@ -409,10 +346,6 @@ def explore(target: Target, config: SimConfig | None = None, *,
     return ExplorationReport(paths=paths, outcomes=dict(outcomes),
                              deadlocks=deadlocks, complete=complete,
                              finals=dict(finals))
-
-
-def count_categories(report: SimReport, *names: str) -> int:
-    return sum(report.message_counts.get(n, 0) for n in names)
 
 
 def count_overhead(target: Target, config: SimConfig | None = None) -> dict[str, int]:

@@ -19,7 +19,7 @@ from chorad.live import (
 from chorad.net import NetError, request
 from chorad.parser import parse_program
 from chorad.services import FunctionTable
-from chorad.sim import SimConfig, simulate
+from chorad.sim import ERROR, SimConfig, simulate
 
 
 def _free_port() -> int:
@@ -47,13 +47,95 @@ def test_run_all_adapts_with_inprocess_manager():
     assert report.final_states["display"] == {"msg": "Ciao Mondo"}
 
 
-def test_run_all_matches_the_simulator_on_appointment():
-    sc = corpus.scenario_by_name("appointment")
-    simulated = simulate(sc.app, SimConfig(inputs=dict(sc.inputs),
-                                           services_factory=sc.services))
-    live = run_all(sc.app, inputs=dict(sc.inputs), services=sc.services())
-    assert live.ok
+def _assert_run_all_matches_simulate(name, adapted=None):
+    sc = corpus.scenario_by_name(name)
+    inputs, manager_factory = dict(sc.inputs), None
+    if adapted:
+        recipe = sc.adapted[adapted]
+        if recipe.inputs is not None:
+            inputs = dict(recipe.inputs)
+        manager_factory = sc.manager_factory(*recipe.labels)
+    simulated = simulate(sc.app, SimConfig(inputs=inputs,
+                                           services_factory=sc.services,
+                                           manager_factory=manager_factory))
+    live = run_all(sc.app, inputs=inputs,
+                   services=sc.services() if sc.services else None,
+                   manager=manager_factory() if manager_factory else None)
+    assert simulated.ok and live.ok
     assert live.final_states == simulated.final_states
+
+
+def test_run_all_matches_the_simulator_on_appointment():
+    _assert_run_all_matches_simulate("appointment")
+
+
+def _corpus_runs():
+    """Every standard scenario, plain and under each adapted recipe, except
+    the plain appointment run tested above."""
+    for sc in corpus.standard_scenarios():
+        if sc.name != "appointment":
+            yield pytest.param(sc.name, None, id=sc.name)
+        for label in sc.adapted:
+            yield pytest.param(sc.name, label, id=f"{sc.name}-{label}")
+
+
+@pytest.mark.parametrize("name, adapted", list(_corpus_runs()))
+def test_run_all_matches_the_simulator(name, adapted):
+    _assert_run_all_matches_simulate(name, adapted)
+
+
+ONE_CALL = """
+include f from "socket://localhost:9"
+
+preamble { starter: a }
+
+aioc {
+  x@a = CALL;
+  hi: a( x ) -> b( y )
+}
+"""
+
+
+def _one_call(call: str):
+    return parse_program(ONE_CALL.replace("CALL", call))
+
+
+def _simulated_error(table: FunctionTable) -> str:
+    report = simulate(_one_call("f( 1 )"), SimConfig(
+        services_factory=lambda: {"socket://localhost:9": table}))
+    assert report.outcome == ERROR
+    role, _, error = (report.error or "").partition(": ")
+    return error if role == "a" else ""
+
+
+def _live_error(table: FunctionTable) -> str:
+    # b waits on a forever; keep its give-up window short
+    report = run_all(_one_call("f( 1 )"),
+                     services={"socket://localhost:9": table}, stall_timeout=2)
+    return report.errors.get("a", "")
+
+
+def _buggy(args):
+    raise ValueError("bug in service")
+
+
+@pytest.mark.parametrize("driver", [_simulated_error, _live_error],
+                         ids=["simulate", "run_all"])
+@pytest.mark.parametrize("fn, message", [
+    (_buggy, "ValueError: bug in service"),
+    (lambda args: None, "'f' produced a non-value"),
+], ids=["raises", "non-value"])
+def test_a_failing_inprocess_service_fails_the_calling_role(driver, fn, message):
+    assert message in driver(FunctionTable().register("f", fn))
+
+
+def test_a_failing_input_prompt_fails_the_asking_role():
+    def closed_console(role, args):
+        raise EOFError("stdin closed")
+
+    report = run_all(_one_call('getInput( "x?" )'), input_fn=closed_console,
+                     stall_timeout=2)
+    assert "EOFError: stdin closed" in report.errors["a"]
 
 
 def test_run_all_reports_role_failures():

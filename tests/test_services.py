@@ -1,13 +1,19 @@
-"""Function tables and the call request/response protocol."""
+"""Function tables, the call request/response protocol, and the router."""
 
 from __future__ import annotations
+
+import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chorad.runtime import ExtRequest
 from chorad.services import (
     FunctionTable,
+    Router,
     ServiceError,
     TIMER_NAMES,
     handle_call_request,
@@ -140,3 +146,38 @@ def test_non_value_results_are_rejected():
     t = FunctionTable().register("listy", lambda args: [1, 2])
     got = handle_call_request(t, {"kind": "call", "fn": "listy", "args": []})
     assert got["kind"] == "error" and "non-value" in got["message"]
+
+
+# ---------------------------------------------------------------------
+# Router shared by role threads
+# ---------------------------------------------------------------------
+
+
+def test_router_loses_no_input_under_threads():
+    threads_n, rounds = 8, 200
+    total = threads_n * rounds
+    router = Router(services={"addr": FunctionTable().fixed("f", 1)},
+                    inputs={"r": list(range(total))})
+    ex = SimpleNamespace(role="r", includes={"f": ("addr", None)})
+    read: list[list] = [[] for _ in range(threads_n)]
+
+    def work(out: list) -> None:
+        for _ in range(rounds):
+            out.append(router.answer(ex, ExtRequest(0, "call", ("getInput", []))))
+            router.answer(ex, ExtRequest(0, "call", ("f", [])))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in read]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    answers = sorted(value for out in read for value, error in out)
+    assert answers == list(range(total))
+    assert router.answer(ex, ExtRequest(0, "call", ("getInput", []))) \
+        == (None, "no input left for role 'r'")
