@@ -26,7 +26,7 @@ import logging
 import threading
 from typing import Any, Protocol
 
-from .ast import Rule, Value, pretty_print, roles_of
+from .ast import Rule, Value, pretty_print
 from .check import check_rule, has_errors
 from .parser import parse_rules
 from .runtime import RoleError, eval_expr
@@ -77,7 +77,7 @@ def evaluate_condition(rule: Rule, *, props: dict[str, Value],
 def rule_applies(rule: Rule, request: dict[str, Any],
                  env: dict[str, Value]) -> bool:
     allowed = set(request.get("involved", ())) | {request.get("coordinator")}
-    if not roles_of(rule.body) <= allowed:
+    if not rule.roles <= allowed:
         return False
     return evaluate_condition(
         rule,

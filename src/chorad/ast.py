@@ -9,11 +9,18 @@ Node ids are child-index paths from the behaviour root, assigned in
 pre-order.  They are stable across reparses of identical source and seed the
 deterministic names of the auxiliary operations inserted by projection, so
 every participant of a deployment derives the same names independently.
+
+Every pass finds a behaviour's children through one table built from the
+dataclass fields: ``walk`` visits a tree in source order and ``chain_items``
+lists the statements of a ``;`` or ``|`` chain, both without recursion, so
+long programs and wide blocks stay clear of the recursion limit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Union
 
 Value = Union[int, bool, str]
@@ -160,6 +167,15 @@ class Scope(Behaviour):
     props: dict[str, Value] = field(default_factory=dict)
 
 
+#: Per behaviour class, the names of its sub-behaviour fields and of its
+#: role fields, in declaration order: the one table every tree walk uses.
+_CHILD_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "Behaviour")
+                 for cls in Behaviour.__subclasses__()}
+_CHILD_FIELDS_REVERSED = {cls: names[::-1] for cls, names in _CHILD_FIELDS.items()}
+_ROLE_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "Role")
+                for cls in Behaviour.__subclasses__()}
+
+
 # =========================================================================
 # Programs and rules
 # =========================================================================
@@ -197,6 +213,11 @@ class Rule:
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
+    @cached_property
+    def roles(self) -> frozenset[Role]:
+        """``roles_of(body)``, computed once: rule matching tests it per scope."""
+        return frozenset(roles_of(self.body))
+
 
 # =========================================================================
 # Operations
@@ -206,38 +227,22 @@ class Rule:
 def assign_ids(b: Behaviour, base: NodeId = NodeId()) -> Behaviour:
     """Return a copy of ``b`` with path-based node ids assigned in pre-order.
 
-    Child indices: Seq first=0 second=1, Par left=0 right=1, If then=0
-    else=1, While body=0, Scope body=0.
+    A child's index is its field's position in the class: Seq first=0
+    second=1, Par left=0 right=1, If then=0 else=1, While body=0, Scope
+    body=0.
     """
-    if isinstance(b, (Seq, Par)):
-        # iterative along the right spine: sequential programs nest deep
-        spine: list[tuple[Behaviour, NodeId]] = []
-        node, nb = b, base
-        while isinstance(node, (Seq, Par)):
-            spine.append((node, nb))
-            node = node.second if isinstance(node, Seq) else node.right
-            nb = nb.child(1)
-        out = assign_ids(node, nb)
-        for node, nb in reversed(spine):
-            if isinstance(node, Seq):
-                out = replace(node, nid=nb, second=out,
-                              first=assign_ids(node.first, nb.child(0)))
-            else:
-                out = replace(node, nid=nb, right=out,
-                              left=assign_ids(node.left, nb.child(0)))
-        return out
-    if isinstance(b, If):
-        return replace(
-            b,
-            nid=base,
-            then_branch=assign_ids(b.then_branch, base.child(0)),
-            else_branch=assign_ids(b.else_branch, base.child(1)),
-        )
-    if isinstance(b, While):
-        return replace(b, nid=base, body=assign_ids(b.body, base.child(0)))
-    if isinstance(b, Scope):
-        return replace(b, nid=base, body=assign_ids(b.body, base.child(0)))
-    return replace(b, nid=base)
+    # iterative along the right spine: sequential programs nest deep
+    spine: list[tuple[Behaviour, NodeId]] = []
+    while isinstance(b, (Seq, Par)):
+        spine.append((b, base))
+        b, base = getattr(b, _CHILD_FIELDS[type(b)][1]), base.child(1)
+    out = replace(b, nid=base, **{name: assign_ids(getattr(b, name), base.child(i))
+                                  for i, name in enumerate(_CHILD_FIELDS[type(b)])})
+    for node, nb in reversed(spine):
+        first, second = _CHILD_FIELDS[type(node)]
+        out = replace(node, nid=nb, **{first: assign_ids(getattr(node, first), nb.child(0)),
+                                       second: out})
+    return out
 
 
 def reroot_ids(b: Behaviour, prefix: tuple[int, ...]) -> Behaviour:
@@ -246,57 +251,55 @@ def reroot_ids(b: Behaviour, prefix: tuple[int, ...]) -> Behaviour:
     Used when a rule body replaces a scope: re-rooting the body at the scope's
     id makes every role derive identical auxiliary names for it.
     """
-    kids = {}
-    for f in fields(b):
-        v = getattr(b, f.name)
-        if isinstance(v, Behaviour):
-            kids[f.name] = reroot_ids(v, prefix)
-    return replace(b, nid=b.nid.prefixed(prefix), **kids)
+    return replace(b, nid=b.nid.prefixed(prefix),
+                   **{name: reroot_ids(getattr(b, name), prefix)
+                      for name in _CHILD_FIELDS[type(b)]})
+
+
+def walk(b: Behaviour) -> Iterator[Behaviour]:
+    """Every node of ``b`` in source order (pre-order), without recursion."""
+    stack = [b]
+    while stack:
+        x = stack.pop()
+        yield x
+        for name in _CHILD_FIELDS_REVERSED[type(x)]:
+            stack.append(getattr(x, name))
+
+
+def chain_items(b: Behaviour) -> list[Behaviour]:
+    """The statements of the ``;`` or ``|`` chain rooted at ``b``, in source
+    order, however the chain nests; ``[b]`` for any other node."""
+    cls = type(b)
+    if cls is not Seq and cls is not Par:
+        return [b]
+    out: list[Behaviour] = []
+    stack = [b]
+    while stack:
+        x = stack.pop()
+        if type(x) is cls:
+            for name in _CHILD_FIELDS_REVERSED[cls]:
+                stack.append(getattr(x, name))
+        else:
+            out.append(x)
+    return out
+
+
+def join_chain(cls: type, items: list[Behaviour], nid: NodeId = NodeId()) -> Behaviour:
+    """``items`` joined by ``cls`` (Seq or Par) and nested to the right, the
+    normal form; every interior node gets ``nid``."""
+    out = items[-1]
+    for item in reversed(items[:-1]):
+        out = cls(item, out, nid=nid, line=item.line, col=item.col)
+    return out
 
 
 def roles_of(b: Behaviour) -> set[Role]:
     """Every role occurring in ``b`` as annotation, sender, receiver,
     evaluator, or coordinator."""
     out: set[Role] = set()
-    _collect_roles(b, out)
-    return out
-
-
-def _collect_roles(b: Behaviour, out: set[Role]) -> None:
-    stack = [b]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Assign):
-            out.add(x.role)
-        elif isinstance(x, Interaction):
-            out.add(x.sender)
-            out.add(x.receiver)
-        elif isinstance(x, Seq):
-            stack += (x.first, x.second)
-        elif isinstance(x, Par):
-            stack += (x.left, x.right)
-        elif isinstance(x, If):
-            out.add(x.evaluator)
-            stack += (x.then_branch, x.else_branch)
-        elif isinstance(x, While):
-            out.add(x.evaluator)
-            stack.append(x.body)
-        elif isinstance(x, Scope):
-            out.add(x.coordinator)
-            stack.append(x.body)
-
-
-def _flatten(b: Behaviour, cls: type) -> list[Behaviour]:
-    out: list[Behaviour] = []
-    stack = [b]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, cls):
-            pair = (x.first, x.second) if cls is Seq else (x.left, x.right)
-            stack.append(pair[1])
-            stack.append(pair[0])
-        else:
-            out.append(normalize(x))
+    for x in walk(b):
+        for name in _ROLE_FIELDS[type(x)]:
+            out.add(getattr(x, name))
     return out
 
 
@@ -310,29 +313,14 @@ def normalize(b: Behaviour) -> Behaviour:
     a guard evaluation is still an observable event and a scope with an empty
     default body is still an adaptation point.
     """
-    if isinstance(b, (Seq, Par)):
-        cls = Seq if isinstance(b, Seq) else Par
-        items = [x for x in _flatten(b, cls) if not isinstance(x, Skip)]
+    cls = type(b)
+    if cls is Seq or cls is Par:
+        items = [x for x in map(normalize, chain_items(b)) if not isinstance(x, Skip)]
         if not items:
             return Skip(nid=b.nid, line=b.line, col=b.col)
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            if cls is Seq:
-                out = Seq(item, out, nid=b.nid, line=item.line, col=item.col)
-            else:
-                out = Par(item, out, nid=b.nid, line=item.line, col=item.col)
-        return out
-    if isinstance(b, If):
-        return replace(
-            b,
-            then_branch=normalize(b.then_branch),
-            else_branch=normalize(b.else_branch),
-        )
-    if isinstance(b, While):
-        return replace(b, body=normalize(b.body))
-    if isinstance(b, Scope):
-        return replace(b, body=normalize(b.body))
-    return b
+        return join_chain(cls, items, nid=b.nid)
+    kids = _CHILD_FIELDS[cls]
+    return replace(b, **{name: normalize(getattr(b, name)) for name in kids}) if kids else b
 
 
 # =========================================================================
@@ -379,28 +367,6 @@ def pretty_print_expr(e: Expr, parent_level: int = 0, right: bool = False) -> st
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _chain_items(b: Behaviour, cls: type) -> list[Behaviour]:
-    out: list[Behaviour] = []
-    stack = [b]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, cls):
-            pair = (x.first, x.second) if cls is Seq else (x.left, x.right)
-            stack.append(pair[1])
-            stack.append(pair[0])
-        else:
-            out.append(x)
-    return out
-
-
-def _seq_items(b: Behaviour) -> list[Behaviour]:
-    return _chain_items(b, Seq)
-
-
-def _par_items(b: Behaviour) -> list[Behaviour]:
-    return _chain_items(b, Par)
-
-
 def pretty_print(b: Behaviour, indent: int = 0) -> str:
     """Render ``b`` as canonical source.
 
@@ -419,10 +385,10 @@ def pretty_print(b: Behaviour, indent: int = 0) -> str:
             f" -> {b.receiver}( {b.var} )"
         )
     if isinstance(b, Seq):
-        return ";\n".join(pretty_print(x, indent) for x in _seq_items(b))
+        return ";\n".join(pretty_print(x, indent) for x in chain_items(b))
     if isinstance(b, Par):
         parts = []
-        for x in _par_items(b):
+        for x in chain_items(b):
             if isinstance(x, Seq):  # `;` binds looser than `|`: brace the chain
                 inner = pretty_print(x, indent + 2)
                 parts.append(f"{pad}{{\n{inner}\n{pad}}}")

@@ -36,7 +36,6 @@ from .ast import (
     If,
     Include,
     Interaction,
-    Lit,
     NodeId,
     Par,
     Program,
@@ -47,7 +46,9 @@ from .ast import (
     Unary,
     Var,
     While,
+    chain_items,
     roles_of,
+    walk,
 )
 
 #: Protocol names that parse and are retained on includes.  Only the JSON
@@ -110,7 +111,7 @@ def trans_initial(b: Behaviour) -> frozenset[EventSignature]:
             node = node.second
         return trans_initial(node)
     if isinstance(b, Par):
-        return trans_initial(b.left) | trans_initial(b.right)
+        return frozenset().union(*map(trans_initial, chain_items(b)))
     if isinstance(b, (If, While)):
         return frozenset({_sig(b, b.evaluator)})
     if isinstance(b, Scope):
@@ -135,7 +136,7 @@ def trans_final(b: Behaviour) -> frozenset[EventSignature]:
             out = trans_final(spine.pop().first)
         return out
     if isinstance(b, Par):
-        return trans_final(b.left) | trans_final(b.right)
+        return frozenset().union(*map(trans_final, chain_items(b)))
     if isinstance(b, If):
         out = set()
         for branch in (b.then_branch, b.else_branch):
@@ -153,19 +154,9 @@ def trans_final(b: Behaviour) -> frozenset[EventSignature]:
 
 def _interaction_keys(b: Behaviour, out: dict[tuple[str, str, str], Interaction]) -> None:
     """First occurrence of each (op, sender, receiver) key, scopes included."""
-    stack = [b]
-    while stack:
-        x = stack.pop()
+    for x in walk(b):
         if isinstance(x, Interaction):
             out.setdefault((x.op, x.sender, x.receiver), x)
-        elif isinstance(x, Seq):
-            stack += (x.second, x.first)
-        elif isinstance(x, Par):
-            stack += (x.right, x.left)
-        elif isinstance(x, If):
-            stack += (x.else_branch, x.then_branch)
-        elif isinstance(x, (While, Scope)):
-            stack.append(x.body)
 
 
 def check_connectedness(b: Behaviour) -> list[Violation]:
@@ -173,19 +164,11 @@ def check_connectedness(b: Behaviour) -> list[Violation]:
     violations: list[Violation] = []
     implicated: set[tuple[int, ...]] = set()
 
-    stack = [b]  # pre-order, children pushed in reverse for source order
-    while stack:
-        node = stack.pop()
+    for node in walk(b):
         if isinstance(node, Seq):
             _check_seq(node, violations, implicated)
-            stack += (node.second, node.first)
         elif isinstance(node, Par):
             _check_par(node, violations)
-            stack += (node.right, node.left)
-        elif isinstance(node, If):
-            stack += (node.else_branch, node.then_branch)
-        elif isinstance(node, (While, Scope)):
-            stack.append(node.body)
     return violations
 
 
@@ -260,26 +243,9 @@ def _walk_expr(e: Expr):
             yield from _walk_expr(a)
 
 
-def _walk_behaviour(b: Behaviour):
-    stack = [b]
-    while stack:
-        x = stack.pop()
-        yield x
-        if isinstance(x, Seq):
-            stack += (x.second, x.first)
-        elif isinstance(x, Par):
-            stack += (x.right, x.left)
-        elif isinstance(x, If):
-            stack += (x.else_branch, x.then_branch)
-        elif isinstance(x, (While, Scope)):
-            stack.append(x.body)
-
-
 def _behaviour_exprs(b: Behaviour):
-    for node in _walk_behaviour(b):
-        if isinstance(node, Assign):
-            yield node, node.expr
-        elif isinstance(node, Interaction):
+    for node in walk(b):
+        if isinstance(node, (Assign, Interaction)):
             yield node, node.expr
         elif isinstance(node, (If, While)):
             yield node, node.guard
@@ -341,7 +307,7 @@ def _assigned_vars(b: Behaviour) -> dict[str, set[str]]:
     """role -> variables the program binds at that role (assignments and
     interaction targets)."""
     out: dict[str, set[str]] = {}
-    for node in _walk_behaviour(b):
+    for node in walk(b):
         if isinstance(node, Assign):
             out.setdefault(node.role, set()).add(node.var)
         elif isinstance(node, Interaction):
@@ -392,7 +358,7 @@ def validate_program(p: Program) -> list[Violation]:
     violations.extend(_check_calls(p.body, declared))
 
     assigned = _assigned_vars(p.body)
-    for node in _walk_behaviour(p.body):
+    for node in walk(p.body):
         if isinstance(node, (If, While)):
             known = assigned.get(node.evaluator, set())
             for e in _walk_expr(node.guard):

@@ -14,7 +14,7 @@ values with one-based line/column positions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast import (
     Assign,
@@ -38,6 +38,7 @@ from .ast import (
     Var,
     While,
     assign_ids,
+    join_chain,
     normalize,
 )
 
@@ -267,17 +268,15 @@ class _Parser:
             if nxt.kind == "op" and nxt.text == "}":
                 break
             items.append(self.par_chain())
-        chain = items[-1]
-        for item in reversed(items[:-1]):
-            chain = Seq(item, chain, line=item.line, col=item.col)
-        return chain
+        return join_chain(Seq, items)
 
     def par_chain(self) -> Behaviour:
-        left = self.unit()
-        if self.peek().text == "|":
+        # iterative too: a `|` block may have many branches
+        items = [self.unit()]
+        while self.peek().text == "|":
             self.next()
-            return Par(left, self.par_chain(), line=left.line, col=left.col)
-        return left
+            items.append(self.unit())
+        return join_chain(Par, items)
 
     def unit(self) -> Behaviour:
         t = self.peek()

@@ -21,7 +21,7 @@ scope they replace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .ast import (
     Assign,
@@ -42,9 +42,11 @@ from .ast import (
     Value,
     Var,
     While,
+    chain_items,
     pretty_print,
     reroot_ids,
     roles_of,
+    walk,
 )
 
 
@@ -167,6 +169,11 @@ class ScopeFollow(ProcessCode):
     default_p: ProcessCode
 
 
+#: Per process-code class, the names of its branch-body fields.
+_BRANCH_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "ProcessCode")
+                  for cls in ProcessCode.__subclasses__()}
+
+
 @dataclass(frozen=True)
 class ScopeInfo:
     coordinator: str
@@ -211,24 +218,9 @@ def normalize_proc(p: ProcessCode) -> ProcessCode:
         if len(items) == 1:
             return items[0]
         return cls(tuple(items))
-    if isinstance(p, IfLocal):
-        return IfLocal(p.guard, p.involved, p.guard_op,
-                       normalize_proc(p.then_p), normalize_proc(p.else_p))
-    if isinstance(p, IfFollow):
-        return IfFollow(p.guard_op, p.evaluator,
-                        normalize_proc(p.then_p), normalize_proc(p.else_p))
-    if isinstance(p, WhileLocal):
-        return WhileLocal(p.guard, p.involved, p.guard_op, p.ack_op,
-                          normalize_proc(p.body))
-    if isinstance(p, WhileFollow):
-        return WhileFollow(p.guard_op, p.ack_op, p.evaluator, normalize_proc(p.body))
-    if isinstance(p, ScopeCoord):
-        return ScopeCoord(p.scope_id, p.props, p.involved, p.directive_op,
-                          p.done_op, normalize_proc(p.default_p))
-    if isinstance(p, ScopeFollow):
-        return ScopeFollow(p.scope_id, p.coordinator, p.directive_op, p.done_op,
-                           normalize_proc(p.default_p))
-    return p
+    branches = _BRANCH_FIELDS[type(p)]
+    return replace(p, **{name: normalize_proc(getattr(p, name)) for name in branches}) \
+        if branches else p
 
 
 def _proj(b: Behaviour, role: str) -> ProcessCode:
@@ -246,21 +238,12 @@ def _proj(b: Behaviour, role: str) -> ProcessCode:
         if role == b.receiver:
             return RecvFrom(b.op, b.sender, b.var)
         return Nop()
-    if isinstance(b, Seq):
-        # spine-iterative: long programs are long Seq chains
-        items: list[ProcessCode] = []
-        node: Behaviour = b
-        while isinstance(node, Seq):
-            items.append(_proj(node.first, role))
-            node = node.second
-        items.append(_proj(node, role))
-        return SeqP(tuple(items))
-    if isinstance(b, Par):
-        return ParP((_proj(b.left, role), _proj(b.right, role)))
+    if isinstance(b, (Seq, Par)):
+        # chain-iterative: long programs are long `;` (or `|`) chains
+        items = tuple([_proj(x, role) for x in chain_items(b)])
+        return SeqP(items) if isinstance(b, Seq) else ParP(items)
     if isinstance(b, If):
-        involved = tuple(sorted(
-            (roles_of(b.then_branch) | roles_of(b.else_branch)) - {b.evaluator}
-        ))
+        involved = tuple(sorted(roles_of(b) - {b.evaluator}))
         op = aux_op(b.nid, "guard")
         if role == b.evaluator:
             return IfLocal(b.guard, involved, op,
@@ -303,14 +286,15 @@ def project(program: Program) -> ProjectedApp:
     for inc in program.includes:
         for fn in inc.functions:
             includes[fn] = (inc.address, inc.protocol)
-    scopes: dict[str, ScopeInfo] = {}
-    for node in _scopes_of(program.body):
-        scopes[str(node.nid)] = ScopeInfo(
+    scopes = {
+        str(node.nid): ScopeInfo(
             coordinator=node.coordinator,
             involved=tuple(sorted(roles_of(node.body) - {node.coordinator})),
             props=dict(node.props),
             body_source=pretty_print(node.body),
         )
+        for node in walk(program.body) if isinstance(node, Scope)
+    }
     return ProjectedApp(
         per_role=per_role,
         starter=program.preamble.starter,
@@ -328,25 +312,6 @@ def _as_app(target: Target) -> ProjectedApp:
     if isinstance(target, ProjectedApp):
         return target
     return project(target)
-
-
-def _scopes_of(b: Behaviour) -> list[Scope]:
-    out: list[Scope] = []
-    stack = [b]  # pre-order, children pushed in reverse for source order
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Scope):
-            out.append(node)
-            stack.append(node.body)
-        elif isinstance(node, Seq):
-            stack += (node.second, node.first)
-        elif isinstance(node, Par):
-            stack += (node.right, node.left)
-        elif isinstance(node, If):
-            stack += (node.else_branch, node.then_branch)
-        elif isinstance(node, While):
-            stack.append(node.body)
-    return out
 
 
 def project_rule_body(body: Behaviour, scope_id: NodeId, target_role: str,
@@ -372,119 +337,91 @@ def project_rule_body(body: Behaviour, scope_id: NodeId, target_role: str,
 # =========================================================================
 
 
+#: Wire tag of every node class: expressions carry theirs under ``"k"``,
+#: process code under ``"t"``.
+_TAGS: dict[type, str] = {
+    Lit: "lit", Var: "var", Unary: "unary", Binary: "binary", Call: "call",
+    Nop: "nop", LocalAssign: "assign", CallExternal: "call", SendTo: "send",
+    RecvFrom: "recv", SeqP: "seq", ParP: "par", IfLocal: "ifLocal",
+    IfFollow: "ifFollow", WhileLocal: "whileLocal", WhileFollow: "whileFollow",
+    ScopeCoord: "scopeCoord", ScopeFollow: "scopeFollow",
+}
+
+_TAG_KEY = {Expr: "k", ProcessCode: "t"}
+_CLASSES = {base: {tag: cls for cls, tag in _TAGS.items() if issubclass(cls, base)}
+            for base in _TAG_KEY}
+
+#: Wire key of every field whose key is not its name.
+_WIRE_KEYS = {"value": "v", "function": "fn", "guard_op": "guardOp",
+              "ack_op": "ackOp", "then_p": "then", "else_p": "else",
+              "scope_id": "scopeId", "directive_op": "directiveOp",
+              "done_op": "doneOp", "default_p": "default"}
+
+
 def expr_to_data(e: Expr):
-    if isinstance(e, Lit):
-        return {"k": "lit", "v": e.value}
-    if isinstance(e, Var):
-        return {"k": "var", "name": e.name}
-    if isinstance(e, Unary):
-        return {"k": "unary", "op": e.op, "operand": expr_to_data(e.operand)}
-    if isinstance(e, Binary):
-        return {"k": "binary", "op": e.op,
-                "left": expr_to_data(e.left), "right": expr_to_data(e.right)}
-    if isinstance(e, Call):
-        return {"k": "call", "fn": e.function, "args": [expr_to_data(a) for a in e.args]}
-    raise TypeError(f"not an expression node: {e!r}")
+    return _to_data(e, Expr)
 
 
 def expr_from_data(d) -> Expr:
-    k = d["k"]
-    if k == "lit":
-        return Lit(d["v"])
-    if k == "var":
-        return Var(d["name"])
-    if k == "unary":
-        return Unary(d["op"], expr_from_data(d["operand"]))
-    if k == "binary":
-        return Binary(d["op"], expr_from_data(d["left"]), expr_from_data(d["right"]))
-    if k == "call":
-        return Call(d["fn"], tuple(expr_from_data(a) for a in d["args"]))
-    raise ValueError(f"unknown expression tag {k!r}")
+    return _from_data(d, Expr)
 
 
 def proc_to_data(p: ProcessCode):
-    if isinstance(p, Nop):
-        return {"t": "nop"}
-    if isinstance(p, LocalAssign):
-        return {"t": "assign", "var": p.var, "expr": expr_to_data(p.expr)}
-    if isinstance(p, CallExternal):
-        return {"t": "call", "fn": p.function, "args": [expr_to_data(a) for a in p.args],
-                "var": p.var}
-    if isinstance(p, SendTo):
-        return {"t": "send", "op": p.op, "peer": p.peer, "expr": expr_to_data(p.expr)}
-    if isinstance(p, RecvFrom):
-        return {"t": "recv", "op": p.op, "peer": p.peer, "var": p.var}
-    if isinstance(p, SeqP):
-        return {"t": "seq", "items": [proc_to_data(x) for x in p.items]}
-    if isinstance(p, ParP):
-        return {"t": "par", "items": [proc_to_data(x) for x in p.items]}
-    if isinstance(p, IfLocal):
-        return {"t": "ifLocal", "guard": expr_to_data(p.guard),
-                "involved": list(p.involved), "guardOp": p.guard_op,
-                "then": proc_to_data(p.then_p), "else": proc_to_data(p.else_p)}
-    if isinstance(p, IfFollow):
-        return {"t": "ifFollow", "guardOp": p.guard_op, "evaluator": p.evaluator,
-                "then": proc_to_data(p.then_p), "else": proc_to_data(p.else_p)}
-    if isinstance(p, WhileLocal):
-        return {"t": "whileLocal", "guard": expr_to_data(p.guard),
-                "involved": list(p.involved), "guardOp": p.guard_op,
-                "ackOp": p.ack_op, "body": proc_to_data(p.body)}
-    if isinstance(p, WhileFollow):
-        return {"t": "whileFollow", "guardOp": p.guard_op, "ackOp": p.ack_op,
-                "evaluator": p.evaluator, "body": proc_to_data(p.body)}
-    if isinstance(p, ScopeCoord):
-        return {"t": "scopeCoord", "scopeId": str(p.scope_id), "props": p.props,
-                "involved": list(p.involved), "directiveOp": p.directive_op,
-                "doneOp": p.done_op, "default": proc_to_data(p.default_p)}
-    if isinstance(p, ScopeFollow):
-        return {"t": "scopeFollow", "scopeId": str(p.scope_id),
-                "coordinator": p.coordinator, "directiveOp": p.directive_op,
-                "doneOp": p.done_op, "default": proc_to_data(p.default_p)}
-    raise TypeError(f"not process code: {p!r}")
-
-
-def _nid_from_str(s: str) -> NodeId:
-    if not s:
-        return NodeId()
-    return NodeId(tuple(int(x) for x in s.split("_")))
+    return _to_data(p, ProcessCode)
 
 
 def proc_from_data(d) -> ProcessCode:
-    t = d["t"]
-    if t == "nop":
-        return Nop()
-    if t == "assign":
-        return LocalAssign(d["var"], expr_from_data(d["expr"]))
-    if t == "call":
-        return CallExternal(d["fn"], tuple(expr_from_data(a) for a in d["args"]), d["var"])
-    if t == "send":
-        return SendTo(d["op"], d["peer"], expr_from_data(d["expr"]))
-    if t == "recv":
-        return RecvFrom(d["op"], d["peer"], d["var"])
-    if t == "seq":
-        return SeqP(tuple(proc_from_data(x) for x in d["items"]))
-    if t == "par":
-        return ParP(tuple(proc_from_data(x) for x in d["items"]))
-    if t == "ifLocal":
-        return IfLocal(expr_from_data(d["guard"]), tuple(d["involved"]), d["guardOp"],
-                       proc_from_data(d["then"]), proc_from_data(d["else"]))
-    if t == "ifFollow":
-        return IfFollow(d["guardOp"], d["evaluator"],
-                        proc_from_data(d["then"]), proc_from_data(d["else"]))
-    if t == "whileLocal":
-        return WhileLocal(expr_from_data(d["guard"]), tuple(d["involved"]),
-                          d["guardOp"], d["ackOp"], proc_from_data(d["body"]))
-    if t == "whileFollow":
-        return WhileFollow(d["guardOp"], d["ackOp"], d["evaluator"],
-                           proc_from_data(d["body"]))
-    if t == "scopeCoord":
-        return ScopeCoord(_nid_from_str(d["scopeId"]), dict(d["props"]),
-                          tuple(d["involved"]), d["directiveOp"], d["doneOp"],
-                          proc_from_data(d["default"]))
-    if t == "scopeFollow":
-        return ScopeFollow(_nid_from_str(d["scopeId"]), d["coordinator"],
-                           d["directiveOp"], d["doneOp"], proc_from_data(d["default"]))
-    raise ValueError(f"unknown process tag {t!r}")
+    return _from_data(d, ProcessCode)
+
+
+def _to_data(node, base: type):
+    if not isinstance(node, base) or type(node) not in _TAGS:
+        raise TypeError(f"not a {base.__name__} node: {node!r}")
+    out = {_TAG_KEY[base]: _TAGS[type(node)]}
+    for name, key, _ in _LAYOUT[type(node)]:
+        out[key] = _value_to_data(getattr(node, name))
+    return out
+
+
+def _value_to_data(v):
+    if isinstance(v, Expr):
+        return _to_data(v, Expr)
+    if isinstance(v, ProcessCode):
+        return _to_data(v, ProcessCode)
+    if isinstance(v, tuple):
+        return [_value_to_data(x) for x in v]
+    if isinstance(v, NodeId):
+        return str(v)
+    return v
+
+
+def _from_data(d, base: type):
+    tag = d[_TAG_KEY[base]]
+    cls = _CLASSES[base].get(tag)
+    if cls is None:
+        raise ValueError(f"unknown {base.__name__} tag {tag!r}")
+    return cls(*(decode(d[key]) for _, key, decode in _LAYOUT[cls]))
+
+
+#: How a field's wire value is read back, by the field's declared type;
+#: every other field is stored as is.
+_DECODERS = {
+    "Expr": expr_from_data,
+    "ProcessCode": proc_from_data,
+    "tuple[Expr, ...]": lambda v: tuple(map(expr_from_data, v)),
+    "tuple[ProcessCode, ...]": lambda v: tuple(map(proc_from_data, v)),
+    "tuple[str, ...]": tuple,
+    "NodeId": lambda s: NodeId(tuple(int(i) for i in s.split("_") if i)),
+    "dict[str, Value]": dict,
+}
+
+#: Per class: (field, wire key, decoder) for every compared field, in
+#: declaration order (source positions are not shipped).
+_LAYOUT = {
+    cls: tuple((f.name, _WIRE_KEYS.get(f.name, f.name), _DECODERS.get(f.type, lambda v: v))
+               for f in fields(cls) if f.compare)
+    for cls in _TAGS
+}
 
 
 def app_manifest(app: ProjectedApp) -> dict:

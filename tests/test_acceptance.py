@@ -266,22 +266,31 @@ def test_criterion_07_first_match_selection(capsys):
 
 
 def test_criterion_08_checker_scales_polynomially(capsys):
+    # A shared host's speed drifts by up to 2x for 0.1-1 s at a time, so each
+    # size's time is taken relative to n=100 runs right before and after it,
+    # and the fit uses the median of that ratio over the rounds.
     with verdict(capsys, "8: check time fits a cubic over n=100..1000") as note:
         sizes = list(range(100, 1001, 100))
-        timings = []
-        for n in sizes:
-            program = corpus.pipe_unrolled(n).program
-            best = min(_timed(check_program, program) for _ in range(3))
-            timings.append(best)
+        programs = {n: corpus.pipe_unrolled(n).program for n in sizes}
+        relative: dict[int, list[float]] = {n: [] for n in sizes}
+        raw: dict[int, list[float]] = {n: [] for n in sizes}
+        for _ in range(12):
+            for n in sizes:
+                before = _timed(check_program, programs[100])
+                raw[n].append(_timed(check_program, programs[n]))
+                after = _timed(check_program, programs[100])
+                relative[n].append(raw[n][-1] / ((before + after) / 2))
+        timings = [float(np.median(relative[n])) for n in sizes]
         coeffs = np.polyfit(sizes, timings, 3)
         predicted = np.polyval(coeffs, sizes)
         residual = np.sum((np.array(timings) - predicted) ** 2)
         total = np.sum((np.array(timings) - np.mean(timings)) ** 2)
         r_squared = 1.0 - residual / total
-        assert r_squared >= 0.99, (r_squared, timings)
-        assert timings[-1] < 5.0
+        best_1000 = min(raw[1000][:3])
         note["detail"] = (f"R²={r_squared:.4f}, "
-                          f"n=1000 in {timings[-1] * 1000:.0f} ms")
+                          f"n=1000 in {best_1000 * 1000:.0f} ms")
+        assert r_squared >= 0.99, (r_squared, timings)
+        assert best_1000 < 5.0
 
 
 def _timed(fn, *args):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
+from chorad import ast
 from chorad.ast import NodeId, Lit
 from chorad.parser import parse_behaviour, parse_program, parse_rules
 from chorad.project import (
@@ -13,6 +17,7 @@ from chorad.project import (
     LocalAssign,
     Nop,
     ParP,
+    ProcessCode,
     ProjectionError,
     RecvFrom,
     ScopeCoord,
@@ -23,6 +28,8 @@ from chorad.project import (
     WhileLocal,
     app_manifest,
     aux_op,
+    expr_from_data,
+    expr_to_data,
     normalize_proc,
     proc_from_data,
     proc_to_data,
@@ -30,6 +37,8 @@ from chorad.project import (
     project_rule_body,
 )
 from chorad import corpus
+
+import progen
 
 
 def _app(text: str):
@@ -225,12 +234,19 @@ def test_rule_body_for_idle_coordinator_is_nop():
 # ---------------------------------------------------------------------
 
 
-def test_proc_codec_round_trips_the_corpus():
-    for sc in corpus.standard_scenarios():
-        app = project(sc.program)
+@pytest.mark.parametrize(
+    "source", ["corpus"] + [f"progen-{seed}" for seed in range(50)])
+def test_proc_codec_round_trips_the_corpus(source):
+    if source == "corpus":
+        programs = [(sc.name, sc.program) for sc in corpus.standard_scenarios()]
+    else:
+        seed = int(source.split("-")[1])
+        programs = [(source, progen.random_connected_program(seed))]
+    for name, program in programs:
+        app = project(program)
         for role, code in app.per_role.items():
             data = proc_to_data(code)
-            assert proc_from_data(data) == code, (sc.name, role)
+            assert proc_from_data(data) == code, (name, role)
 
 
 def test_manifest_lists_roles_and_scopes():
@@ -240,3 +256,103 @@ def test_manifest_lists_roles_and_scopes():
     assert sorted(m["roles"]) == app.roles
     assert m["starter"] == app.starter
     assert set(m["scopes"]) == set(app.scopes)
+
+
+_PINNED_SOURCE = """include f from "socket://localhost:9"
+preamble { starter: a }
+aioc {
+  n@a = 2;
+  while( n > 0 )@a {
+    go: a( n ) -> b( m );
+    n@a = n - 1
+  };
+  if( !( n > 0 ) )@a {
+    scope @a {
+      { ok: a( true ) -> b( z ) | x@a = f( n, "s" ) }
+    } prop { N.kind = "pin" }
+  }
+}
+"""
+
+_N = {"k": "var", "name": "n"}
+
+_PINNED_CODE = {
+    "a": {"t": "seq", "items": [
+        {"t": "assign", "var": "n", "expr": {"k": "lit", "v": 2}},
+        {"t": "whileLocal",
+         "guard": {"k": "binary", "op": ">", "left": _N, "right": {"k": "lit", "v": 0}},
+         "involved": ["b"], "guardOp": "_aux_guard_1_0", "ackOp": "_aux_ack_1_0",
+         "body": {"t": "seq", "items": [
+             {"t": "send", "op": "go", "peer": "b", "expr": _N},
+             {"t": "assign", "var": "n",
+              "expr": {"k": "binary", "op": "-", "left": _N,
+                       "right": {"k": "lit", "v": 1}}}]}},
+        {"t": "ifLocal",
+         "guard": {"k": "unary", "op": "!",
+                   "operand": {"k": "binary", "op": ">", "left": _N,
+                               "right": {"k": "lit", "v": 0}}},
+         "involved": ["b"], "guardOp": "_aux_guard_1_1",
+         "then": {"t": "scopeCoord", "scopeId": "1_1_0", "props": {"kind": "pin"},
+                  "involved": ["b"], "directiveOp": "_aux_directive_1_1_0",
+                  "doneOp": "_aux_done_1_1_0",
+                  "default": {"t": "par", "items": [
+                      {"t": "send", "op": "ok", "peer": "b",
+                       "expr": {"k": "lit", "v": True}},
+                      {"t": "call", "fn": "f",
+                       "args": [_N, {"k": "lit", "v": "s"}], "var": "x"}]}},
+         "else": {"t": "nop"}}]},
+    "b": {"t": "seq", "items": [
+        {"t": "whileFollow", "guardOp": "_aux_guard_1_0", "ackOp": "_aux_ack_1_0",
+         "evaluator": "a",
+         "body": {"t": "recv", "op": "go", "peer": "a", "var": "m"}},
+        {"t": "ifFollow", "guardOp": "_aux_guard_1_1", "evaluator": "a",
+         "then": {"t": "scopeFollow", "scopeId": "1_1_0", "coordinator": "a",
+                  "directiveOp": "_aux_directive_1_1_0",
+                  "doneOp": "_aux_done_1_1_0",
+                  "default": {"t": "recv", "op": "ok", "peer": "a", "var": "z"}},
+         "else": {"t": "nop"}}]},
+}
+
+
+def test_compile_format_is_pinned():
+    # json.dumps keeps key order, so this pins the bytes `chorad compile` writes
+    app = _app(_PINNED_SOURCE)
+    assert sorted(app.per_role) == ["a", "b"]
+    for role, code in app.per_role.items():
+        assert json.dumps(proc_to_data(code)) == json.dumps(_PINNED_CODE[role]), role
+        assert proc_from_data(_PINNED_CODE[role]) == code, role
+
+
+def _concrete_subclasses(base):
+    out = []
+    for cls in base.__subclasses__():
+        out += [cls] + _concrete_subclasses(cls)
+    return out
+
+
+# one sample value per declared field type of the node classes
+_SAMPLES = {
+    "Expr": Lit(1), "ProcessCode": Nop(), "NodeId": NodeId((1, 2)),
+    "tuple[Expr, ...]": (Lit(2), Lit("s")), "tuple[ProcessCode, ...]": (Nop(), Nop()),
+    "tuple[str, ...]": ("r",), "dict[str, Value]": {"k": 1, "t": True},
+    "str": "s", "Value": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "cls", _concrete_subclasses(ast.Expr) + _concrete_subclasses(ProcessCode),
+    ids=lambda cls: cls.__name__)
+def test_every_node_class_has_a_wire_tag(cls):
+    node = cls(*(_SAMPLES[f.type] for f in dataclasses.fields(cls) if f.compare))
+    to_data, from_data, key = (expr_to_data, expr_from_data, "k") \
+        if isinstance(node, ast.Expr) else (proc_to_data, proc_from_data, "t")
+    data = to_data(node)
+    assert isinstance(data[key], str)
+    assert from_data(json.loads(json.dumps(data))) == node
+
+
+def test_unknown_wire_tags_are_rejected():
+    with pytest.raises(ValueError):
+        proc_from_data({"t": "teleport"})
+    with pytest.raises(ValueError):
+        expr_from_data({"k": "teleport"})

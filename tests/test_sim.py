@@ -8,7 +8,9 @@ from dataclasses import replace
 import pytest
 
 from chorad.adapt import AdaptationManager, AdaptationServer, Environment
+from chorad.check import check_program
 from chorad.parser import parse_behaviour, parse_program
+from chorad.project import project
 from chorad.sim import (
     DEADLOCK,
     ERROR,
@@ -147,6 +149,16 @@ def test_steps_grow_linearly_with_pipe_length():
         r = _run(f"pipe-{n}")
         assert r.ok
         assert r.steps == 23 * n + 20, n
+
+
+def test_a_thousand_branch_par_block_runs_without_recursion():
+    n = 1000
+    branches = "\n  | ".join(f"m{i}: a( {i} ) -> b( x{i} )" for i in range(n))
+    program = parse_program(f"preamble {{ starter: a }}\naioc {{\n  {{ {branches} }}\n}}\n")
+    assert check_program(program) == []
+    r = simulate(project(program), SimConfig())
+    assert r.outcome == TERMINATED
+    assert r.final_states["b"] == {f"x{i}": i for i in range(n)}
 
 
 # ---------------------------------------------------------------------
