@@ -5,8 +5,11 @@ node ids and source positions (those fields carry ``compare=False``), so two
 parses of the same text compare equal while each node still knows where it
 came from for diagnostics.
 
-Node ids are child-index paths from the behaviour root, assigned in
-pre-order.  They are stable across reparses of identical source and seed the
+Node ids are paths of positions from the behaviour root: the statements of
+a ``;`` or ``|`` chain are numbered by their position in the chain, and the
+branches or body of an ``if``, ``while`` or ``scope`` by their field.  An id
+is therefore as deep as the node is syntactically nested, however long the
+program.  Ids are stable across reparses of identical source and seed the
 deterministic names of the auxiliary operations inserted by projection, so
 every participant of a deployment derives the same names independently.
 
@@ -29,10 +32,11 @@ Role = str
 
 @dataclass(frozen=True)
 class NodeId:
-    """Path of child indices from the behaviour root.
+    """Path of positions from the behaviour root (see :func:`assign_ids`).
 
-    ``str()`` renders the path digits joined by underscores, the exact form
-    embedded in auxiliary operation names.
+    Lexicographic order of paths is source pre-order.  ``str()`` renders
+    the path digits joined by underscores, the exact form embedded in
+    auxiliary operation names.
     """
 
     path: tuple[int, ...] = ()
@@ -225,35 +229,38 @@ class Rule:
 
 
 def assign_ids(b: Behaviour, base: NodeId = NodeId()) -> Behaviour:
-    """Return a copy of ``b`` with path-based node ids assigned in pre-order.
+    """Return a copy of ``b`` with position-based node ids.
 
-    A child's index is its field's position in the class: Seq first=0
-    second=1, Par left=0 right=1, If then=0 else=1, While body=0, Scope
-    body=0.
+    Item i of a ``;`` or ``|`` chain at ``base`` gets ``base.child(i)``; the
+    chain's interior Seq/Par nodes all keep ``base`` and come back nested to
+    the right, the normal form.  Any other node's children are numbered by
+    field: If then=0 else=1, While body=0, Scope body=0.  A path is thus as
+    long as the node's syntactic nesting, and paths in lexicographic order
+    are in source pre-order.
     """
-    # iterative along the right spine: sequential programs nest deep
-    spine: list[tuple[Behaviour, NodeId]] = []
-    while isinstance(b, (Seq, Par)):
-        spine.append((b, base))
-        b, base = getattr(b, _CHILD_FIELDS[type(b)][1]), base.child(1)
-    out = replace(b, nid=base, **{name: assign_ids(getattr(b, name), base.child(i))
-                                  for i, name in enumerate(_CHILD_FIELDS[type(b)])})
-    for node, nb in reversed(spine):
-        first, second = _CHILD_FIELDS[type(node)]
-        out = replace(node, nid=nb, **{first: assign_ids(getattr(node, first), nb.child(0)),
-                                       second: out})
-    return out
+    cls = type(b)
+    if cls is Seq or cls is Par:
+        return join_chain(cls, [assign_ids(x, base.child(i))
+                                for i, x in enumerate(chain_items(b))], nid=base)
+    return replace(b, nid=base, **{name: assign_ids(getattr(b, name), base.child(i))
+                                   for i, name in enumerate(_CHILD_FIELDS[cls])})
 
 
 def reroot_ids(b: Behaviour, prefix: tuple[int, ...]) -> Behaviour:
     """Prefix every node id in ``b`` with ``prefix``.
 
     Used when a rule body replaces a scope: re-rooting the body at the scope's
-    id makes every role derive identical auxiliary names for it.
+    id makes every role derive identical auxiliary names for it.  Chains come
+    back nested to the right, each sharing its root's id, as ``normalize``
+    leaves them.
     """
+    cls = type(b)
+    if cls is Seq or cls is Par:
+        return join_chain(cls, [reroot_ids(x, prefix) for x in chain_items(b)],
+                          nid=b.nid.prefixed(prefix))
     return replace(b, nid=b.nid.prefixed(prefix),
                    **{name: reroot_ids(getattr(b, name), prefix)
-                      for name in _CHILD_FIELDS[type(b)]})
+                      for name in _CHILD_FIELDS[cls]})
 
 
 def walk(b: Behaviour) -> Iterator[Behaviour]:

@@ -163,12 +163,15 @@ def check_connectedness(b: Behaviour) -> list[Violation]:
     """All sequence/parallel violations in ``b``, in source order."""
     violations: list[Violation] = []
     implicated: set[tuple[int, ...]] = set()
+    par_found: dict[int, list[Violation]] = {}  # id(Par node) -> its violations
 
     for node in walk(b):
         if isinstance(node, Seq):
             _check_seq(node, violations, implicated)
         elif isinstance(node, Par):
-            _check_par(node, violations)
+            if id(node) not in par_found:
+                par_found.update(_check_par_chain(node))
+            violations.extend(par_found.pop(id(node)))
     return violations
 
 
@@ -206,24 +209,39 @@ def _check_seq(node: Seq, violations: list[Violation],
         )
 
 
-def _check_par(node: Par, violations: list[Violation]) -> None:
-    left_keys: dict[tuple[str, str, str], Interaction] = {}
-    right_keys: dict[tuple[str, str, str], Interaction] = {}
-    _interaction_keys(node.left, left_keys)
-    _interaction_keys(node.right, right_keys)
-    for key in sorted(left_keys.keys() & right_keys.keys()):
-        a, b = left_keys[key], right_keys[key]
-        op, sender, receiver = key
-        violations.append(
-            Violation(
-                "parallel",
-                f"operation '{op}' from '{sender}' to '{receiver}' is used in both"
-                f" parallel branches (lines {a.line} and {b.line})",
-                nodes=(a.nid, b.nid),
-                line=b.line,
-                col=b.col,
+def _check_par_chain(node: Par) -> dict[int, list[Violation]]:
+    """The violations of every Par node on the right spine from ``node``.
+
+    Each spine node compares the keys of its left branch with those of its
+    right branch, the rest of the spine.  Walking the branches right to left
+    with one running dict of the rest's first occurrences checks a k-branch
+    block in one pass over it instead of k.
+    """
+    spine = [node]
+    while isinstance(spine[-1].right, Par):
+        spine.append(spine[-1].right)
+    rest: dict[tuple[str, str, str], Interaction] = {}
+    _interaction_keys(spine[-1].right, rest)
+    out: dict[int, list[Violation]] = {}
+    for par in reversed(spine):
+        left: dict[tuple[str, str, str], Interaction] = {}
+        _interaction_keys(par.left, left)
+        found = out[id(par)] = []
+        for key in sorted(k for k in left if k in rest):
+            a, b = left[key], rest[key]
+            op, sender, receiver = key
+            found.append(
+                Violation(
+                    "parallel",
+                    f"operation '{op}' from '{sender}' to '{receiver}' is used in both"
+                    f" parallel branches (lines {a.line} and {b.line})",
+                    nodes=(a.nid, b.nid),
+                    line=b.line,
+                    col=b.col,
+                )
             )
-        )
+        rest.update(left)  # the left branch's occurrences come first
+    return out
 
 
 # =========================================================================
@@ -232,15 +250,18 @@ def _check_par(node: Par, violations: list[Violation]) -> None:
 
 
 def _walk_expr(e: Expr):
-    yield e
-    if isinstance(e, Unary):
-        yield from _walk_expr(e.operand)
-    elif isinstance(e, Binary):
-        yield from _walk_expr(e.left)
-        yield from _walk_expr(e.right)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from _walk_expr(a)
+    """Every node of ``e`` in pre-order, without recursion: a long ``+``
+    chain nests as deep as it has terms."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Unary):
+            stack.append(e.operand)
+        elif isinstance(e, Binary):
+            stack += (e.right, e.left)
+        elif isinstance(e, Call):
+            stack += reversed(e.args)
 
 
 def _behaviour_exprs(b: Behaviour):

@@ -223,7 +223,18 @@ def normalize_proc(p: ProcessCode) -> ProcessCode:
         if branches else p
 
 
-def _proj(b: Behaviour, role: str) -> ProcessCode:
+def _involved(b: If | While | Scope, memo: dict[int, tuple[str, ...]]) -> tuple[str, ...]:
+    """The roles ``b`` coordinates: every role in it but its evaluator or
+    coordinator.  ``memo`` (keyed by ``id(b)``) computes it once per node for
+    all the roles a program is projected onto."""
+    out = memo.get(id(b))
+    if out is None:
+        lead = b.coordinator if isinstance(b, Scope) else b.evaluator
+        out = memo[id(b)] = tuple(sorted(roles_of(b) - {lead}))
+    return out
+
+
+def _proj(b: Behaviour, role: str, memo: dict[int, tuple[str, ...]]) -> ProcessCode:
     if isinstance(b, Skip):
         return Nop()
     if isinstance(b, Assign):
@@ -240,36 +251,36 @@ def _proj(b: Behaviour, role: str) -> ProcessCode:
         return Nop()
     if isinstance(b, (Seq, Par)):
         # chain-iterative: long programs are long `;` (or `|`) chains
-        items = tuple([_proj(x, role) for x in chain_items(b)])
+        items = tuple([_proj(x, role, memo) for x in chain_items(b)])
         return SeqP(items) if isinstance(b, Seq) else ParP(items)
     if isinstance(b, If):
-        involved = tuple(sorted(roles_of(b) - {b.evaluator}))
+        involved = _involved(b, memo)
         op = aux_op(b.nid, "guard")
         if role == b.evaluator:
-            return IfLocal(b.guard, involved, op,
-                           _proj(b.then_branch, role), _proj(b.else_branch, role))
+            return IfLocal(b.guard, involved, op, _proj(b.then_branch, role, memo),
+                           _proj(b.else_branch, role, memo))
         if role in involved:
-            return IfFollow(op, b.evaluator,
-                            _proj(b.then_branch, role), _proj(b.else_branch, role))
+            return IfFollow(op, b.evaluator, _proj(b.then_branch, role, memo),
+                            _proj(b.else_branch, role, memo))
         return Nop()
     if isinstance(b, While):
-        involved = tuple(sorted(roles_of(b.body) - {b.evaluator}))
+        involved = _involved(b, memo)
         g_op = aux_op(b.nid, "guard")
         a_op = aux_op(b.nid, "ack")
         if role == b.evaluator:
-            return WhileLocal(b.guard, involved, g_op, a_op, _proj(b.body, role))
+            return WhileLocal(b.guard, involved, g_op, a_op, _proj(b.body, role, memo))
         if role in involved:
-            return WhileFollow(g_op, a_op, b.evaluator, _proj(b.body, role))
+            return WhileFollow(g_op, a_op, b.evaluator, _proj(b.body, role, memo))
         return Nop()
     if isinstance(b, Scope):
-        involved = tuple(sorted(roles_of(b.body) - {b.coordinator}))
+        involved = _involved(b, memo)
         d_op = aux_op(b.nid, "directive")
         f_op = aux_op(b.nid, "done")
         if role == b.coordinator:
             return ScopeCoord(b.nid, dict(b.props), involved, d_op, f_op,
-                              _proj(b.body, role))
+                              _proj(b.body, role, memo))
         if role in involved:
-            return ScopeFollow(b.nid, b.coordinator, d_op, f_op, _proj(b.body, role))
+            return ScopeFollow(b.nid, b.coordinator, d_op, f_op, _proj(b.body, role, memo))
         return Nop()
     raise TypeError(f"not a behaviour node: {b!r}")
 
@@ -281,7 +292,8 @@ def project(program: Program) -> ProjectedApp:
     the body: it anchors the readiness barrier.
     """
     roles = sorted(roles_of(program.body) | {program.preamble.starter})
-    per_role = {r: normalize_proc(_proj(program.body, r)) for r in roles}
+    memo: dict[int, tuple[str, ...]] = {}
+    per_role = {r: normalize_proc(_proj(program.body, r, memo)) for r in roles}
     includes: dict[str, tuple[str, str | None]] = {}
     for inc in program.includes:
         for fn in inc.functions:
@@ -289,7 +301,7 @@ def project(program: Program) -> ProjectedApp:
     scopes = {
         str(node.nid): ScopeInfo(
             coordinator=node.coordinator,
-            involved=tuple(sorted(roles_of(node.body) - {node.coordinator})),
+            involved=_involved(node, memo),
             props=dict(node.props),
             body_source=pretty_print(node.body),
         )
@@ -329,7 +341,7 @@ def project_rule_body(body: Behaviour, scope_id: NodeId, target_role: str,
             f"role '{target_role}' does not occur in the replacement body"
         )
     rerooted = reroot_ids(body, scope_id.path)
-    return normalize_proc(_proj(rerooted, target_role))
+    return normalize_proc(_proj(rerooted, target_role, {}))
 
 
 # =========================================================================
@@ -375,50 +387,84 @@ def proc_from_data(d) -> ProcessCode:
 
 
 def _to_data(node, base: type):
-    if not isinstance(node, base) or type(node) not in _TAGS:
-        raise TypeError(f"not a {base.__name__} node: {node!r}")
-    out = {_TAG_KEY[base]: _TAGS[type(node)]}
-    for name, key, _ in _LAYOUT[type(node)]:
-        out[key] = _value_to_data(getattr(node, name))
-    return out
+    """``node`` as plain data, built top down with an explicit stack:
+    expressions nest as deep as a ``+`` chain is long."""
+    root: dict = {}
+    todo = [(node, base, root)]
+    while todo:
+        node, base, out = todo.pop()
+        if not isinstance(node, base) or type(node) not in _TAGS:
+            raise TypeError(f"not a {base.__name__} node: {node!r}")
+        out[_TAG_KEY[base]] = _TAGS[type(node)]
+        for name, key, _, _ in _LAYOUT[type(node)]:
+            out[key] = _value_to_data(getattr(node, name), todo)
+    return root
 
 
-def _value_to_data(v):
-    if isinstance(v, Expr):
-        return _to_data(v, Expr)
-    if isinstance(v, ProcessCode):
-        return _to_data(v, ProcessCode)
+def _value_to_data(v, todo: list):
+    """``v`` as plain data; a node becomes an empty dict queued on ``todo``
+    to be filled in."""
+    if isinstance(v, (Expr, ProcessCode)):
+        out: dict = {}
+        todo.append((v, Expr if isinstance(v, Expr) else ProcessCode, out))
+        return out
     if isinstance(v, tuple):
-        return [_value_to_data(x) for x in v]
+        return [_value_to_data(x, todo) for x in v]
     if isinstance(v, NodeId):
         return str(v)
     return v
 
 
 def _from_data(d, base: type):
-    tag = d[_TAG_KEY[base]]
-    cls = _CLASSES[base].get(tag)
-    if cls is None:
-        raise ValueError(f"unknown {base.__name__} tag {tag!r}")
-    return cls(*(decode(d[key]) for _, key, decode in _LAYOUT[cls]))
+    """The node ``d`` encodes, built bottom up with an explicit stack."""
+    built: list = []  # finished nodes; a node's children end on top, first child topmost
+    todo: list = [(d, base, None)]
+    while todo:
+        d, base, cls = todo.pop()
+        if cls is None:  # first visit: queue the node again, after its children
+            tag = d[_TAG_KEY[base]]
+            cls = _CLASSES[base].get(tag)
+            if cls is None:
+                raise ValueError(f"unknown {base.__name__} tag {tag!r}")
+            todo.append((d, base, cls))
+            for _, key, kind, _ in _LAYOUT[cls]:
+                if kind is not None:
+                    kid_base, many = kind
+                    todo += [(x, kid_base, None) for x in (d[key] if many else (d[key],))]
+            continue
+        args = []
+        for _, key, kind, decode in _LAYOUT[cls]:
+            if kind is None:
+                args.append(decode(d[key]))
+            elif kind[1]:
+                args.append(tuple(built.pop() for _ in d[key]))
+            else:
+                args.append(built.pop())
+        built.append(cls(*args))
+    return built[0]
 
 
-#: How a field's wire value is read back, by the field's declared type;
-#: every other field is stored as is.
+#: Declared field types that hold nodes: (node base class, a tuple of them?).
+_NODE_KINDS = {
+    "Expr": (Expr, False),
+    "ProcessCode": (ProcessCode, False),
+    "tuple[Expr, ...]": (Expr, True),
+    "tuple[ProcessCode, ...]": (ProcessCode, True),
+}
+
+#: How any other field's wire value is read back, by the field's declared
+#: type; the rest are stored as is.
 _DECODERS = {
-    "Expr": expr_from_data,
-    "ProcessCode": proc_from_data,
-    "tuple[Expr, ...]": lambda v: tuple(map(expr_from_data, v)),
-    "tuple[ProcessCode, ...]": lambda v: tuple(map(proc_from_data, v)),
     "tuple[str, ...]": tuple,
     "NodeId": lambda s: NodeId(tuple(int(i) for i in s.split("_") if i)),
     "dict[str, Value]": dict,
 }
 
-#: Per class: (field, wire key, decoder) for every compared field, in
-#: declaration order (source positions are not shipped).
+#: Per class: (field, wire key, node kind, decoder) for every compared field,
+#: in declaration order (source positions are not shipped).
 _LAYOUT = {
-    cls: tuple((f.name, _WIRE_KEYS.get(f.name, f.name), _DECODERS.get(f.type, lambda v: v))
+    cls: tuple((f.name, _WIRE_KEYS.get(f.name, f.name), _NODE_KINDS.get(f.type),
+                _DECODERS.get(f.type, lambda v: v))
                for f in fields(cls) if f.compare)
     for cls in _TAGS
 }

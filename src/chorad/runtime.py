@@ -7,7 +7,7 @@ service:
     ("send", msg)              -> None      queue an outbound message
     ("recv", kind, op, frm)    -> Message   block until a matching message
     ("spawn", [gen, ...])      -> [tid]     start parallel branches
-    ("join", [tid, ...])       -> None      block until the branches finish
+    ("join", [tid, ...])       -> None      block until the last spawn's branches finish
     ("local", verb, detail)    -> None      bookkeeping step (assignments)
     ("call", fn, [val, ...])   -> Value     external function / input request
     ("match", request)         -> dict      adaptation lookup for a scope
@@ -281,7 +281,6 @@ READY = "ready"
 WAIT_RECV = "wait_recv"
 WAIT_JOIN = "wait_join"
 WAIT_EXT = "wait_ext"
-DONE = "done"
 FAILED = "failed"
 
 MailKey = tuple[str, str, str]  # (kind, op, from-role)
@@ -316,7 +315,7 @@ class _Task:
         self.resume_value: Any = None
         self.resume_error: str | None = None
         self.wait_key: MailKey | None = None
-        self.join_remaining: set[int] | None = None
+        self.join_remaining = 0  # children this task's join still waits for
         self.parent: int | None = None
 
 
@@ -340,8 +339,8 @@ class RoleExecutor:
         self.includes = dict(includes or {})
         self.variables: dict[str, Value] = {}
         self.failure: str | None = None
+        # live tasks in tid order; a task is dropped when it ends
         self._tasks: dict[int, _Task] = {}
-        self._order: list[int] = []
         self._next_tid = 0
         self._queues: dict[MailKey, list[Message]] = {}
         self._waiters: dict[MailKey, list[int]] = {}
@@ -358,18 +357,17 @@ class RoleExecutor:
         task = _Task(tid, gen)
         task.parent = parent
         self._tasks[tid] = task
-        self._order.append(tid)
         return tid
 
     def ready_tids(self) -> list[int]:
-        return [t for t in self._order if self._tasks[t].state == READY]
+        return [tid for tid, t in self._tasks.items() if t.state == READY]
 
     def finished(self) -> bool:
-        return all(self._tasks[t].state == DONE for t in self._order)
+        return not self._tasks
 
     def waiting_keys(self) -> list[MailKey]:
-        return [self._tasks[t].wait_key for t in self._order
-                if self._tasks[t].state == WAIT_RECV and self._tasks[t].wait_key]
+        return [t.wait_key for t in self._tasks.values()
+                if t.state == WAIT_RECV and t.wait_key]
 
     def pending_by_key(self) -> dict[MailKey, int]:
         return {k: len(q) for k, q in self._queues.items() if q}
@@ -419,10 +417,9 @@ class RoleExecutor:
             else:
                 effect = task.gen.send(value)
         except StopIteration:
-            task.state = DONE
             out.task_finished = True
             out.trace = f"{self.role}:{tid}:end"
-            self._on_task_done(tid)
+            self._on_task_done(task)
             return out
         except RoleError as exc:
             task.state = FAILED
@@ -459,8 +456,8 @@ class RoleExecutor:
             task.resume_value = tids
             out.trace = f"{self.role}:{tid}:spawn:{len(tids)}"
         elif verb == "join":
-            ids = effect[1]
-            remaining = {c for c in ids if self._tasks[c].state != DONE}
+            # the children of this task's last spawn; finished ones are gone
+            remaining = sum(c in self._tasks for c in effect[1])
             if remaining:
                 task.state = WAIT_JOIN
                 task.join_remaining = remaining
@@ -478,14 +475,15 @@ class RoleExecutor:
             out.trace = f"{self.role}:{tid}:fail"
         return out
 
-    def _on_task_done(self, tid: int) -> None:
-        for other in self._order:
-            t = self._tasks[other]
-            if t.state == WAIT_JOIN and t.join_remaining and tid in t.join_remaining:
-                t.join_remaining.discard(tid)
-                if not t.join_remaining:
-                    t.join_remaining = None
-                    t.state = READY
+    def _on_task_done(self, task: _Task) -> None:
+        """Reclaim ``task`` and wake its parent if this was the last child
+        the parent's join waits for."""
+        del self._tasks[task.tid]
+        parent = self._tasks.get(task.parent)
+        if parent is not None and parent.state == WAIT_JOIN:
+            parent.join_remaining -= 1
+            if not parent.join_remaining:
+                parent.state = READY
 
     # -- message construction ----------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from chorad.ast import Interaction, Par, walk
 from chorad.check import (
     check_connectedness,
     check_program,
@@ -180,6 +181,39 @@ def test_parallel_check_sees_into_scopes():
         '{ scope @a { ping: a( 1 ) -> b( x ) } prop { N.t = 1 }'
         ' | ping: a( 2 ) -> b( y ) }'))
     assert len(vs) == 1 and vs[0].kind == "parallel"
+
+
+def _par_violations_per_node(b):
+    """Reference for the chain check: every Par node on its own compares the
+    first occurrences of interaction keys in its two branches."""
+    def keys(x):
+        out = {}
+        for y in walk(x):
+            if isinstance(y, Interaction):
+                out.setdefault((y.op, y.sender, y.receiver), y)
+        return out
+    found = []
+    for node in walk(b):
+        if isinstance(node, Par):
+            left, right = keys(node.left), keys(node.right)
+            found += [(left[k].nid, right[k].nid, right[k].line)
+                      for k in sorted(left.keys() & right.keys())]
+    return found
+
+
+def test_par_chain_check_matches_the_per_node_definition():
+    # `op` recurs in branches 1, 3 and 7; branch 2 holds a sequence break,
+    # whose report falls between the two parallel ones in source order
+    branches = [f"m{i}: a( {i} ) -> b( v{i} )" for i in range(9)]
+    for i in (1, 3, 7):
+        branches[i] = f"op: a( {i} ) -> b( v{i} )"
+    branches[2] = "{ s1: a( 1 ) -> b( w ); s2: c( 1 ) -> d( u ) }"
+    body = parse_behaviour("{ " + "\n| ".join(branches) + " }")
+    vs = check_connectedness(body)
+    assert [v.kind for v in vs] == ["parallel", "sequence", "parallel"]
+    parallel = [(v.nodes[0], v.nodes[1], v.line) for v in vs if v.kind == "parallel"]
+    assert parallel == _par_violations_per_node(body)
+    assert [(a.path, b.path) for a, b, _ in parallel] == [((1,), (3,)), ((3,), (7,))]
 
 
 # ---------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from chorad import ast
 from chorad.ast import NodeId, Lit
+from chorad.check import check_program
 from chorad.parser import parse_behaviour, parse_program, parse_rules
 from chorad.project import (
     CallExternal,
@@ -230,23 +231,116 @@ def test_rule_body_for_idle_coordinator_is_nop():
 
 
 # ---------------------------------------------------------------------
+# Node ids and auxiliary names
+# ---------------------------------------------------------------------
+
+
+_SOURCES = ["corpus"] + [f"progen-{seed}" for seed in range(50)]
+
+
+def _programs(source: str) -> list:
+    """(name, program) pairs: the standard corpus, or one progen seed."""
+    if source == "corpus":
+        return [(sc.name, sc.program) for sc in corpus.standard_scenarios()]
+    return [(source, progen.random_connected_program(int(source.split("-")[1])))]
+
+
+def _aux_ops(code: ProcessCode) -> list[str]:
+    """Every auxiliary operation name in ``code``."""
+    out, stack = [], [code]
+    while stack:
+        p = stack.pop()
+        for f in dataclasses.fields(p):
+            v = getattr(p, f.name)
+            if f.name.endswith("_op"):
+                out.append(v)
+            elif isinstance(v, ProcessCode):
+                stack.append(v)
+            elif f.type == "tuple[ProcessCode, ...]":
+                stack += v
+    return out
+
+
+def _scope_chain(n: int) -> str:
+    blocks = "\n".join(
+        f"  scope @a {{ step: a( x ) -> b( y ); back: b( y + 1 ) -> a( x ) }}"
+        f" prop {{ N.stage = {k} }};" for k in range(1, n + 1))
+    return (f"preamble {{ starter: a }}\naioc {{\n  x@a = 0;\n{blocks}\n"
+            f"  final: a( x ) -> b( r )\n}}\n")
+
+
+def test_ids_and_aux_names_do_not_grow_with_chain_length():
+    depth, longest = {}, {}
+    for n in (10, 200, 2000):
+        program = parse_program(_scope_chain(n))
+        depth[n] = max(len(x.nid.path) for x in ast.walk(program.body))
+        app = project(program)
+        longest[n] = max((op for code in app.per_role.values() for op in _aux_ops(code)),
+                         key=len)
+    # a scope's statements sit at (k, 0, i) however long the chain
+    assert depth[10] == depth[200] == depth[2000] == 3
+    # only the digits of the scope's position grow: _aux_directive_2000
+    for n in (200, 2000):
+        assert longest[n].count("_") == longest[10].count("_")
+        assert len(longest[n]) - len(longest[10]) == len(str(n)) - len(str(10))
+
+
+_AUX_PURPOSES = {ast.If: ("guard",), ast.While: ("guard", "ack"),
+                 ast.Scope: ("directive", "done")}
+
+
+def test_every_guarded_node_has_its_own_aux_names():
+    for source in _SOURCES:
+        for name, program in _programs(source):
+            names = [aux_op(x.nid, purpose) for x in ast.walk(program.body)
+                     for purpose in _AUX_PURPOSES.get(type(x), ())]
+            assert len(names) == len(set(names)), name
+
+
+# ---------------------------------------------------------------------
 # Codec (compile output)
 # ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "source", ["corpus"] + [f"progen-{seed}" for seed in range(50)])
+@pytest.mark.parametrize("source", _SOURCES)
 def test_proc_codec_round_trips_the_corpus(source):
-    if source == "corpus":
-        programs = [(sc.name, sc.program) for sc in corpus.standard_scenarios()]
-    else:
-        seed = int(source.split("-")[1])
-        programs = [(source, progen.random_connected_program(seed))]
-    for name, program in programs:
+    for name, program in _programs(source):
         app = project(program)
         for role, code in app.per_role.items():
             data = proc_to_data(code)
             assert proc_from_data(data) == code, (name, role)
+
+
+def _flat(data) -> list:
+    """Nested dicts and lists as one pre-order token list, built without
+    recursion, so encodings nested deeper than the recursion limit compare."""
+    out, stack = [], [data]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            out.append(("{", tuple(x)))
+            stack += reversed(list(x.values()))
+        elif isinstance(x, list):
+            out.append(("[", len(x)))
+            stack += reversed(x)
+        else:
+            out.append((type(x).__name__, x))
+    return out
+
+
+def test_a_thousand_term_sum_checks_and_round_trips_without_recursion():
+    n = 1000
+    terms = " + ".join(["f( 0 )"] + [str(i) for i in range(1, n)])
+    program = parse_program(f"preamble {{ starter: a }}\naioc {{\n  x@a = {terms};\n"
+                            f"  show: a( x ) -> b( y )\n}}\n")
+    # the undeclared call is the innermost operand of the left-nested sum
+    assert [v.message for v in check_program(program)] == [
+        "function 'f' is not declared by any include"]
+    app = project(program)
+    for role, code in app.per_role.items():
+        data = proc_to_data(code)
+        assert _flat(proc_to_data(proc_from_data(data))) == _flat(data), role
+    assert _flat(proc_to_data(app.per_role["a"])).count(("str", "binary")) == n - 1
 
 
 def test_manifest_lists_roles_and_scopes():
@@ -281,7 +375,7 @@ _PINNED_CODE = {
         {"t": "assign", "var": "n", "expr": {"k": "lit", "v": 2}},
         {"t": "whileLocal",
          "guard": {"k": "binary", "op": ">", "left": _N, "right": {"k": "lit", "v": 0}},
-         "involved": ["b"], "guardOp": "_aux_guard_1_0", "ackOp": "_aux_ack_1_0",
+         "involved": ["b"], "guardOp": "_aux_guard_1", "ackOp": "_aux_ack_1",
          "body": {"t": "seq", "items": [
              {"t": "send", "op": "go", "peer": "b", "expr": _N},
              {"t": "assign", "var": "n",
@@ -291,10 +385,10 @@ _PINNED_CODE = {
          "guard": {"k": "unary", "op": "!",
                    "operand": {"k": "binary", "op": ">", "left": _N,
                                "right": {"k": "lit", "v": 0}}},
-         "involved": ["b"], "guardOp": "_aux_guard_1_1",
-         "then": {"t": "scopeCoord", "scopeId": "1_1_0", "props": {"kind": "pin"},
-                  "involved": ["b"], "directiveOp": "_aux_directive_1_1_0",
-                  "doneOp": "_aux_done_1_1_0",
+         "involved": ["b"], "guardOp": "_aux_guard_2",
+         "then": {"t": "scopeCoord", "scopeId": "2_0", "props": {"kind": "pin"},
+                  "involved": ["b"], "directiveOp": "_aux_directive_2_0",
+                  "doneOp": "_aux_done_2_0",
                   "default": {"t": "par", "items": [
                       {"t": "send", "op": "ok", "peer": "b",
                        "expr": {"k": "lit", "v": True}},
@@ -302,13 +396,13 @@ _PINNED_CODE = {
                        "args": [_N, {"k": "lit", "v": "s"}], "var": "x"}]}},
          "else": {"t": "nop"}}]},
     "b": {"t": "seq", "items": [
-        {"t": "whileFollow", "guardOp": "_aux_guard_1_0", "ackOp": "_aux_ack_1_0",
+        {"t": "whileFollow", "guardOp": "_aux_guard_1", "ackOp": "_aux_ack_1",
          "evaluator": "a",
          "body": {"t": "recv", "op": "go", "peer": "a", "var": "m"}},
-        {"t": "ifFollow", "guardOp": "_aux_guard_1_1", "evaluator": "a",
-         "then": {"t": "scopeFollow", "scopeId": "1_1_0", "coordinator": "a",
-                  "directiveOp": "_aux_directive_1_1_0",
-                  "doneOp": "_aux_done_1_1_0",
+        {"t": "ifFollow", "guardOp": "_aux_guard_2", "evaluator": "a",
+         "then": {"t": "scopeFollow", "scopeId": "2_0", "coordinator": "a",
+                  "directiveOp": "_aux_directive_2_0",
+                  "doneOp": "_aux_done_2_0",
                   "default": {"t": "recv", "op": "ok", "peer": "a", "var": "z"}},
          "else": {"t": "nop"}}]},
 }

@@ -17,6 +17,7 @@ from chorad.sim import (
     SimConfig,
     TERMINATED,
     TimelineEvent,
+    _World,
     count_overhead,
     explore,
     explore_deadlocks,
@@ -96,14 +97,14 @@ def test_appointment_retry_refuses_then_books():
 def test_appointment_free_week_rule_skips_the_availability_chat():
     r = _run("appointment", "free-week", manager=True)
     assert r.ok
-    assert r.applied_rules == [("1_0_1_1_0", "s0/r1")]
+    assert r.applied_rules == [("1_0_2", "s0/r1")]
     assert r.final_states["bob"]["ticket"] == "TICKET-2024-06-01"
 
 
 def test_appointment_picnic_rule_changes_the_event():
     r = _run("appointment", "picnic", manager=True)
     assert r.ok
-    assert r.applied_rules == [("1_0_1_1_1_0_0_0", "s0/r1")]
+    assert r.applied_rules == [("1_0_3_0_0", "s0/r1")]
     assert r.final_states["alice"]["event"] == "picnic"
 
 
@@ -159,6 +160,21 @@ def test_a_thousand_branch_par_block_runs_without_recursion():
     r = simulate(project(program), SimConfig())
     assert r.outcome == TERMINATED
     assert r.final_states["b"] == {f"x{i}": i for i in range(n)}
+
+
+def test_a_long_loop_over_a_par_block_keeps_a_few_tasks_per_role():
+    program = parse_program(
+        "preamble { starter: a }\naioc {\n  i@a = 0;\n  while ( i < 200 )@a {\n"
+        "    i@a = i + 1;\n    { p: a( i ) -> b( x ) | q: a( i ) -> c( y ) }\n  }\n}\n")
+    world = _World(project(program), SimConfig())
+    most = 0
+    while entries := world.ready_entries():
+        world.advance(*entries[0])
+        most = max(most, *(len(ex._tasks) for ex in world.executors.values()))
+    assert world.failure is None
+    assert all(ex.finished() for ex in world.executors.values())
+    assert world.executors["a"]._next_tid == 401  # two branches per iteration
+    assert most == 3  # a's main task and the two branches of one iteration
 
 
 # ---------------------------------------------------------------------
