@@ -100,6 +100,41 @@ class Call(Expr):
     args: tuple[Expr, ...] = ()
 
 
+#: Per expression class, its operand fields in declaration order, each with
+#: whether it holds a tuple of operands: the one table expression walks use.
+_EXPR_FIELDS = {cls: tuple((f.name, f.type != "Expr") for f in fields(cls)
+                           if f.type in ("Expr", "tuple[Expr, ...]"))
+                for cls in Expr.__subclasses__()}
+_EXPR_FIELDS_REVERSED = {cls: names[::-1] for cls, names in _EXPR_FIELDS.items()}
+
+#: Binary operators by precedence, loosest first; the parser and the printer
+#: both read it.  Operators of level ``COMPARISON`` do not associate.
+PRECEDENCE = {"or": 1, "and": 2, "==": 3, "!=": 3, "<": 3, ">": 3, "<=": 3, ">=": 3,
+              "+": 4, "-": 4, "*": 5, "/": 5}
+COMPARISON = 3
+_UNARY_LEVEL = max(PRECEDENCE.values()) + 1
+
+
+def walk_expr(e: Expr, post_order: bool = False) -> list[Expr]:
+    """Every node of ``e`` left to right, without recursion: each before its
+    operands, or with ``post_order`` after them (evaluation order)."""
+    # post-order is the reverse of a pre-order that takes operands right to left
+    table = _EXPR_FIELDS if post_order else _EXPR_FIELDS_REVERSED
+    out: list[Expr] = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        for name, many in table[type(x)]:
+            if many:
+                stack += getattr(x, name) if post_order else reversed(getattr(x, name))
+            else:
+                stack.append(getattr(x, name))
+    if post_order:
+        out.reverse()
+    return out
+
+
 # =========================================================================
 # Behaviours
 # =========================================================================
@@ -334,12 +369,6 @@ def normalize(b: Behaviour) -> Behaviour:
 # Pretty printing
 # =========================================================================
 
-# Precedence levels for minimal parenthesisation; comparisons are
-# non-associative so equal-level comparison operands are always wrapped.
-_LEVELS = {"or": 1, "and": 2, "==": 3, "!=": 3, "<": 3, ">": 3, "<=": 3, ">=": 3,
-           "+": 4, "-": 4, "*": 5, "/": 5}
-
-
 def _escape(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -353,6 +382,8 @@ def render_literal(v: Value) -> str:
 
 
 def pretty_print_expr(e: Expr, parent_level: int = 0, right: bool = False) -> str:
+    """``e`` with the fewest parentheses that reparse to it; the left spine
+    of a ``Binary`` chain is walked in a loop, so long sums print."""
     if isinstance(e, Lit):
         return render_literal(e.value)
     if isinstance(e, Var):
@@ -361,17 +392,21 @@ def pretty_print_expr(e: Expr, parent_level: int = 0, right: bool = False) -> st
         return f"{e.function}( {', '.join(pretty_print_expr(a) for a in e.args)} )" \
             if e.args else f"{e.function}()"
     if isinstance(e, Unary):
-        return "!" + pretty_print_expr(e.operand, 6)
-    if isinstance(e, Binary):
-        lvl = _LEVELS[e.op]
-        text = (
-            f"{pretty_print_expr(e.left, lvl)} {e.op} "
-            f"{pretty_print_expr(e.right, lvl, right=True)}"
-        )
-        if lvl < parent_level or (lvl == parent_level and (right or lvl == 3)):
-            return f"({text})"
-        return text
-    raise TypeError(f"not an expression node: {e!r}")
+        return "!" + pretty_print_expr(e.operand, _UNARY_LEVEL)
+    if not isinstance(e, Binary):
+        raise TypeError(f"not an expression node: {e!r}")
+    spine = []
+    while isinstance(e, Binary):
+        spine.append(e)
+        e = e.left
+    text = pretty_print_expr(e)
+    levels = [parent_level] + [PRECEDENCE[b.op] for b in spine]
+    for i in range(len(spine) - 1, -1, -1):  # innermost operator first
+        lvl, outer = levels[i + 1], levels[i]
+        text = f"{text} {spine[i].op} {pretty_print_expr(spine[i].right, lvl, right=True)}"
+        if lvl < outer or (lvl == outer and ((right and i == 0) or lvl == COMPARISON)):
+            text = f"({text})"
+    return text
 
 
 def pretty_print(b: Behaviour, indent: int = 0) -> str:

@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 from .ast import (
     Assign,
     Behaviour,
-    Binary,
     Call,
-    Expr,
     If,
     Include,
     Interaction,
@@ -43,12 +41,12 @@ from .ast import (
     Scope,
     Seq,
     Skip,
-    Unary,
     Var,
     While,
     chain_items,
     roles_of,
     walk,
+    walk_expr,
 )
 
 #: Protocol names that parse and are retained on includes.  Only the JSON
@@ -249,21 +247,6 @@ def _check_par_chain(node: Par) -> dict[int, list[Violation]]:
 # =========================================================================
 
 
-def _walk_expr(e: Expr):
-    """Every node of ``e`` in pre-order, without recursion: a long ``+``
-    chain nests as deep as it has terms."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        yield e
-        if isinstance(e, Unary):
-            stack.append(e.operand)
-        elif isinstance(e, Binary):
-            stack += (e.right, e.left)
-        elif isinstance(e, Call):
-            stack += reversed(e.args)
-
-
 def _behaviour_exprs(b: Behaviour):
     for node in walk(b):
         if isinstance(node, (Assign, Interaction)):
@@ -275,7 +258,7 @@ def _behaviour_exprs(b: Behaviour):
 def _check_calls(body: Behaviour, declared: set[str]) -> list[Violation]:
     out = []
     for node, expr in _behaviour_exprs(body):
-        for e in _walk_expr(expr):
+        for e in walk_expr(expr):
             if isinstance(e, Call) and e.function not in declared:
                 out.append(
                     Violation(
@@ -297,7 +280,7 @@ def _check_calls(body: Behaviour, declared: set[str]) -> list[Violation]:
 def check_rule(rule: Rule) -> list[Violation]:
     """Connectedness of the rule body plus name hygiene of the condition."""
     violations = check_connectedness(rule.body)
-    for e in _walk_expr(rule.condition):
+    for e in walk_expr(rule.condition):
         if isinstance(e, Var) and "." in e.name:
             ns = e.name.split(".", 1)[0]
             if ns not in ("N", "E"):
@@ -382,7 +365,7 @@ def validate_program(p: Program) -> list[Violation]:
     for node in walk(p.body):
         if isinstance(node, (If, While)):
             known = assigned.get(node.evaluator, set())
-            for e in _walk_expr(node.guard):
+            for e in walk_expr(node.guard):
                 if isinstance(e, Var) and e.name not in known:
                     violations.append(
                         Violation(

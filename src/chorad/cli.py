@@ -120,14 +120,18 @@ def cmd_check(ns: argparse.Namespace) -> int:
 def cmd_compile(ns: argparse.Namespace) -> int:
     program = _checked_program(ns.file)
     app = project(program)
+    files = {"manifest.json": app_manifest(app)}
+    for role, code in app.per_role.items():
+        files[f"role_{role}.json"] = {"role": role, "code": proc_to_data(code)}
+    try:  # the JSON encoder recurses once per level of nesting
+        texts = {name: json.dumps(data, indent=2) + "\n" for name, data in files.items()}
+    except RecursionError:
+        print("error: the compiled code nests too deep to write as JSON", file=sys.stderr)
+        return 1
     out_dir = Path(ns.out or (Path(ns.file).stem + ".build"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(app_manifest(app), indent=2) + "\n", encoding="utf-8")
-    for role, code in app.per_role.items():
-        (out_dir / f"role_{role}.json").write_text(
-            json.dumps({"role": role, "code": proc_to_data(code)}, indent=2) + "\n",
-            encoding="utf-8")
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
     print(f"wrote {out_dir}/manifest.json and {len(app.per_role)} role files")
     return 0
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from .ast import (
     Assign,
     Behaviour,
+    COMPARISON,
+    PRECEDENCE,
     Binary,
     Call,
     Expr,
@@ -43,6 +45,16 @@ from .ast import (
 )
 
 AUX_PREFIX = "_aux_"
+
+#: The deepest nesting of braced blocks, ``if``/``while``/``scope``
+#: statements, parentheses, calls and ``!`` that a program may have; deeper
+#: input is a syntax error rather than a crash of some later pass.
+MAX_NESTING = 100
+
+#: Statements that open a nesting level, and the method that parses each.
+_NESTED = {"{": "braced", "if": "if_stmt", "while": "while_stmt", "scope": "scope_stmt"}
+
+_TIGHTEST = max(PRECEDENCE.values())
 
 _TOKEN_RE = re.compile(
     r"""
@@ -146,6 +158,7 @@ class _Parser:
         self.diags = diags
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # constructs open around the current token
 
     # ---- token plumbing ------------------------------------------------
 
@@ -175,6 +188,12 @@ class _Parser:
             return self.next()
         raise self.error(f"expected {what}, found {t.text!r}" if t.kind != "eof" else f"expected {what}, found end of input")
 
+    def enter(self, tok: _Token) -> None:
+        """Open one level of nesting at ``tok`` (closed by ``depth -= 1``)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+
     def at_keyword(self, word: str) -> bool:
         t = self.peek()
         return t.kind == "ident" and t.text == word
@@ -192,9 +211,7 @@ class _Parser:
             includes.append(self.include())
         preamble = self.preamble()
         self.expect_keyword("aioc")
-        self.expect_op("{")
-        body = self.behaviour_block()
-        self.expect_op("}")
+        body = self.braced()
         t = self.peek()
         if t.kind != "eof":
             raise self.error(f"unexpected input after program: {t.text!r}")
@@ -251,12 +268,14 @@ class _Parser:
 
     # ---- behaviours ----------------------------------------------------
 
-    def behaviour_block(self) -> Behaviour:
+    def braced(self) -> Behaviour:
         """Behaviour inside braces; empty (or comment-only) blocks mean skip."""
+        self.expect_op("{")
         t = self.peek()
-        if t.kind == "op" and t.text == "}":
-            return Skip(line=t.line, col=t.col)
-        return self.seq_chain()
+        body = Skip(line=t.line, col=t.col) if t.kind == "op" and t.text == "}" \
+            else self.seq_chain()
+        self.expect_op("}")
+        return body
 
     def seq_chain(self) -> Behaviour:
         # iterative on purpose: long programs are sequential programs
@@ -280,22 +299,16 @@ class _Parser:
 
     def unit(self) -> Behaviour:
         t = self.peek()
-        if t.kind == "op" and t.text == "{":
-            self.next()
-            inner = self.behaviour_block()
-            self.expect_op("}")
-            return inner
+        if t.text in _NESTED:
+            self.enter(t)
+            b = getattr(self, _NESTED[t.text])()
+            self.depth -= 1
+            return b
         if t.kind != "ident":
             raise self.error(f"expected a statement, found {t.text!r}" if t.kind != "eof" else "expected a statement, found end of input")
         if t.text == "skip":
             self.next()
             return Skip(line=t.line, col=t.col)
-        if t.text == "if":
-            return self.if_stmt()
-        if t.text == "while":
-            return self.while_stmt()
-        if t.text == "scope":
-            return self.scope_stmt()
         nxt = self.peek(1)
         if nxt.kind == "op" and nxt.text == "@":
             return self.assign_stmt()
@@ -340,10 +353,7 @@ class _Parser:
         self.expect_op(")")
         self.expect_op("@")
         role = self.expect_ident("evaluator role").text
-        self.expect_op("{")
-        body = self.behaviour_block()
-        self.expect_op("}")
-        return guard, role, body
+        return guard, role, self.braced()
 
     def if_stmt(self) -> If:
         t = self.peek()
@@ -351,9 +361,7 @@ class _Parser:
         else_b: Behaviour = Skip(line=t.line, col=t.col)
         if self.at_keyword("else"):
             self.next()
-            self.expect_op("{")
-            else_b = self.behaviour_block()
-            self.expect_op("}")
+            else_b = self.braced()
         return If(guard, role, then_b, else_b, line=t.line, col=t.col)
 
     def while_stmt(self) -> While:
@@ -365,9 +373,7 @@ class _Parser:
         t = self.expect_keyword("scope")
         self.expect_op("@")
         role = self.expect_ident("coordinator role").text
-        self.expect_op("{")
-        body = self.behaviour_block()
-        self.expect_op("}")
+        body = self.braced()
         props: dict[str, Value] = {}
         if self.at_keyword("prop"):
             self.next()
@@ -408,56 +414,31 @@ class _Parser:
 
     # ---- expressions ---------------------------------------------------
 
-    def expr(self, allow_namespaces: bool = False) -> Expr:
-        return self.or_expr(allow_namespaces)
-
-    def or_expr(self, ns: bool) -> Expr:
-        left = self.and_expr(ns)
-        while self.at_keyword("or"):
-            self.next()
-            right = self.and_expr(ns)
-            left = Binary("or", left, right, line=left.line, col=left.col)
-        return left
-
-    def and_expr(self, ns: bool) -> Expr:
-        left = self.cmp_expr(ns)
-        while self.at_keyword("and"):
-            self.next()
-            right = self.cmp_expr(ns)
-            left = Binary("and", left, right, line=left.line, col=left.col)
-        return left
-
-    def cmp_expr(self, ns: bool) -> Expr:
-        left = self.add_expr(ns)
-        t = self.peek()
-        if t.kind == "op" and t.text in ("==", "!=", "<", ">", "<=", ">="):
-            self.next()
-            right = self.add_expr(ns)
-            return Binary(t.text, left, right, line=left.line, col=left.col)
-        return left
-
-    def add_expr(self, ns: bool) -> Expr:
-        left = self.mul_expr(ns)
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.next().text
-            right = self.mul_expr(ns)
-            left = Binary(op, left, right, line=left.line, col=left.col)
-        return left
-
-    def mul_expr(self, ns: bool) -> Expr:
+    def expr(self, ns: bool = False, min_level: int = 1) -> Expr:
+        """Precedence climbing over ``PRECEDENCE``: operators of one level
+        associate to the left, except comparisons, which do not chain."""
         left = self.unary_expr(ns)
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
-            op = self.next().text
-            right = self.unary_expr(ns)
-            left = Binary(op, left, right, line=left.line, col=left.col)
-        return left
+        max_level = _TIGHTEST
+        while True:
+            t = self.peek()
+            level = PRECEDENCE.get(t.text, 0)
+            if not min_level <= level <= max_level:
+                return left
+            self.next()
+            right = self.expr(ns, level + 1)
+            left = Binary(t.text, left, right, line=left.line, col=left.col)
+            max_level = level - 1 if level == COMPARISON else level
 
     def unary_expr(self, ns: bool) -> Expr:
-        t = self.peek()
-        if t.kind == "op" and t.text == "!":
-            self.next()
-            return Unary("!", self.unary_expr(ns), line=t.line, col=t.col)
-        return self.primary(ns)
+        bangs = []
+        while self.peek().kind == "op" and self.peek().text == "!":
+            bangs.append(self.next())
+            self.enter(bangs[-1])
+        e = self.primary(ns)
+        for t in reversed(bangs):
+            e = Unary("!", e, line=t.line, col=t.col)
+        self.depth -= len(bangs)
+        return e
 
     def primary(self, ns: bool) -> Expr:
         t = self.peek()
@@ -469,9 +450,11 @@ class _Parser:
             n = self.next()
             return Lit(-n.value, line=t.line, col=t.col)  # type: ignore[operator]
         if t.kind == "op" and t.text == "(":
+            self.enter(t)
             self.next()
             inner = self.expr(ns)
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if t.kind == "ident":
             if t.text in ("true", "false"):
@@ -488,6 +471,7 @@ class _Parser:
                 key = self.expect_ident("namespaced key").text
                 return Var(f"{name.text}.{key}", line=t.line, col=t.col)
             if nxt.kind == "op" and nxt.text == "(":
+                self.enter(nxt)
                 self.next()
                 args: list[Expr] = []
                 if not (self.peek().kind == "op" and self.peek().text == ")"):
@@ -496,6 +480,7 @@ class _Parser:
                         self.next()
                         args.append(self.expr(ns))
                 self.expect_op(")")
+                self.depth -= 1
                 return Call(name.text, tuple(args), line=t.line, col=t.col)
             return Var(name.text, line=t.line, col=t.col)
         raise self.error(f"expected an expression, found {t.text!r}" if t.kind != "eof" else "expected an expression, found end of input")
@@ -516,12 +501,10 @@ class _Parser:
             includes.append(self.include())
         self.expect_keyword("on")
         self.expect_op("{")
-        condition = self.expr(allow_namespaces=True)
+        condition = self.expr(ns=True)
         self.expect_op("}")
         self.expect_keyword("do")
-        self.expect_op("{")
-        body = self.behaviour_block()
-        self.expect_op("}")
+        body = self.braced()
         self.expect_op("}")
         return Rule(tuple(includes), condition, normalize(assign_ids(body)),
                     line=t.line, col=t.col)

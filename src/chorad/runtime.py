@@ -39,7 +39,7 @@ Message-for-message protocol, common to every driver:
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -53,6 +53,7 @@ from .ast import (
     Value,
     Var,
     roles_of,
+    walk_expr,
 )
 from .project import (
     CallExternal,
@@ -97,32 +98,49 @@ def render(v: Value) -> str:
     return str(v)
 
 
-def _is_int(v: Value) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _ints(a: Value, b: Value) -> bool:
+    return (isinstance(a, int) and isinstance(b, int)
+            and not isinstance(a, bool) and not isinstance(b, bool))
 
 
-def _trunc_div(a: int, b: int) -> int:
+def _div(a: int, b: int) -> int:
+    """Division truncating toward zero."""
+    if b == 0:
+        raise RoleError("division by zero")
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
 
 
+def _equal(a: Value, b: Value) -> bool:
+    return a == b if type(a) is type(b) else render(a) == render(b)
+
+
+#: Per strict binary operator: what it computes from its two operand values,
+#: and what those must be, if anything (a key of ``_OPERANDS``).
+_SEMANTICS = {
+    "+": (lambda a, b: a + b if _ints(a, b) else render(a) + render(b), None),
+    "-": (operator.sub, "two integers"),
+    "*": (operator.mul, "two integers"),
+    "/": (_div, "two integers"),
+    "==": (_equal, None),
+    "!=": (lambda a, b: not _equal(a, b), None),
+    "<": (operator.lt, "two integers or two strings"),
+    "<=": (operator.le, "two integers or two strings"),
+    ">": (operator.gt, "two integers or two strings"),
+    ">=": (operator.ge, "two integers or two strings"),
+}
+_OPERANDS = {
+    "two integers": _ints,
+    "two integers or two strings":
+        lambda a, b: _ints(a, b) or (isinstance(a, str) and isinstance(b, str)),
+}
+#: Short-circuit operators: the left value that decides without the right.
+_DECIDES = {"and": False, "or": True}
+
+
 def find_calls(e: Expr) -> list[Call]:
     """Call nodes in evaluation order (post-order, left to right)."""
-    out: list[Call] = []
-
-    def walk(x: Expr) -> None:
-        if isinstance(x, Unary):
-            walk(x.operand)
-        elif isinstance(x, Binary):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, Call):
-            for a in x.args:
-                walk(a)
-            out.append(x)
-
-    walk(e)
-    return out
+    return [x for x in walk_expr(e, post_order=True) if type(x) is Call]
 
 
 def eval_expr(e: Expr, variables: dict[str, Value],
@@ -136,77 +154,53 @@ def eval_expr(e: Expr, variables: dict[str, Value],
 
     Calls must have been pre-evaluated by the owning task (they may block);
     their results arrive through ``resolved_calls`` keyed by node identity.
+    The left spine of a ``Binary`` chain is walked in a loop, so a long
+    left-nested sum evaluates without recursion.
     """
-    if isinstance(e, Lit):
+    cls = type(e)
+    if cls is Lit:
         return e.value
-    if isinstance(e, Var):
+    if cls is Var:
         try:
             return variables[e.name]
         except KeyError:
             raise RoleError(f"variable '{e.name}' is not set") from None
-    if isinstance(e, Call):
-        if resolved_calls is not None and id(e) in resolved_calls:
-            return resolved_calls[id(e)]
-        raise RoleError(f"call to '{e.function}' cannot be evaluated here")
-    if isinstance(e, Unary):
-        v = eval_expr(e.operand, variables, resolved_calls)
-        if not isinstance(v, bool):
-            raise RoleError(f"'!' needs a boolean, got {render(v)!r}")
-        return not v
-    if isinstance(e, Binary):
-        op = e.op
-        if op in ("and", "or"):
-            left = eval_expr(e.left, variables, resolved_calls)
-            if not isinstance(left, bool):
-                raise RoleError(f"'{op}' needs booleans, got {render(left)!r}")
-            if op == "and" and not left:
-                return False
-            if op == "or" and left:
-                return True
-            right = eval_expr(e.right, variables, resolved_calls)
-            if not isinstance(right, bool):
-                raise RoleError(f"'{op}' needs booleans, got {render(right)!r}")
-            return right
-        left = eval_expr(e.left, variables, resolved_calls)
-        right = eval_expr(e.right, variables, resolved_calls)
-        if op == "+":
-            if _is_int(left) and _is_int(right):
-                return left + right
-            return render(left) + render(right)
-        if op in ("-", "*", "/"):
-            if not (_is_int(left) and _is_int(right)):
-                raise RoleError(
-                    f"'{op}' needs two integers, got {render(left)!r} and {render(right)!r}"
-                )
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if right == 0:
-                raise RoleError("division by zero")
-            return _trunc_div(left, right)
-        if op in ("==", "!="):
-            if type(left) is type(right):
-                same = left == right
-            else:
-                same = render(left) == render(right)
-            return same if op == "==" else not same
-        if op in ("<", "<=", ">", ">="):
-            if not ((_is_int(left) and _is_int(right))
-                    or (isinstance(left, str) and isinstance(right, str))):
-                raise RoleError(
-                    f"'{op}' needs two integers or two strings, "
-                    f"got {render(left)!r} and {render(right)!r}"
-                )
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        raise RoleError(f"unknown operator '{op}'")
-    raise TypeError(f"not an expression node: {e!r}")
+    if cls is Call:
+        if resolved_calls is None or id(e) not in resolved_calls:
+            raise RoleError(f"call to '{e.function}' cannot be evaluated here")
+        return resolved_calls[id(e)]
+    if cls is Unary:
+        value = eval_expr(e.operand, variables, resolved_calls)
+        if not isinstance(value, bool):
+            raise RoleError(f"'!' needs a boolean, got {render(value)!r}")
+        return not value
+    if cls is not Binary:
+        raise TypeError(f"not an expression node: {e!r}")
+    spine = []
+    while type(e) is Binary:
+        spine.append(e)
+        e = e.left
+    value = eval_expr(e, variables, resolved_calls)
+    while spine:  # innermost operator first
+        b = spine.pop()
+        op = b.op
+        if op in _DECIDES:
+            if not isinstance(value, bool):
+                raise RoleError(f"'{op}' needs booleans, got {render(value)!r}")
+            if value is _DECIDES[op]:
+                continue
+            value = eval_expr(b.right, variables, resolved_calls)
+            if not isinstance(value, bool):
+                raise RoleError(f"'{op}' needs booleans, got {render(value)!r}")
+            continue
+        right = eval_expr(b.right, variables, resolved_calls)
+        if op not in _SEMANTICS:
+            raise RoleError(f"unknown operator '{op}'")
+        fn, needs = _SEMANTICS[op]
+        if needs and not _OPERANDS[needs](value, right):
+            raise RoleError(f"'{op}' needs {needs}, got {render(value)!r} and {render(right)!r}")
+        value = fn(value, right)
+    return value
 
 
 # =========================================================================
@@ -241,13 +235,6 @@ class Message:
     def from_dict(d: dict[str, Any]) -> "Message":
         return Message(kind=d["kind"], op=d.get("op", ""), frm=d["from"],
                        to=d["to"], data=d.get("data"), seq=d.get("seq", 0))
-
-    def to_wire(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
-    @staticmethod
-    def from_wire(line: str) -> "Message":
-        return Message.from_dict(json.loads(line))
 
 
 def classify_message(m: Message) -> str:
@@ -301,7 +288,6 @@ class StepOutcome:
     outbound: list[Message] = field(default_factory=list)
     ext: Optional[ExtRequest] = None
     trace: str = ""
-    task_finished: bool = False
 
 
 class _Task:
@@ -417,7 +403,6 @@ class RoleExecutor:
             else:
                 effect = task.gen.send(value)
         except StopIteration:
-            out.task_finished = True
             out.trace = f"{self.role}:{tid}:end"
             self._on_task_done(task)
             return out

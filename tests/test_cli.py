@@ -82,6 +82,21 @@ def test_compile_writes_manifest_and_role_files(hello_file, tmp_path, capsys):
     assert "2 role files" in capsys.readouterr().out
 
 
+def test_compile_reports_code_too_deep_for_json_in_one_line(tmp_path, capsys):
+    # a long sum nests one level per term, past the JSON encoder's recursion
+    terms = " + ".join(f"r{i}" for i in range(1000))
+    f = tmp_path / "sum.aioc"
+    f.write_text("preamble { starter: a }\naioc {\n"
+                 + "".join(f"  r{i}@a = {i};\n" for i in range(1000))
+                 + f"  out@a = {terms};\n  show: a( out ) -> b( result )\n}}\n")
+    out = tmp_path / "build"
+    assert main(["compile", str(f), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the compiled code nests too deep to write as JSON\n"
+    assert captured.out == ""
+    assert not out.exists()  # nothing is written when one file cannot be
+
+
 # ---------------------------------------------------------------------
 # sim
 # ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from chorad import ast
 from chorad.ast import NodeId, Lit
 from chorad.check import check_program
-from chorad.parser import parse_behaviour, parse_program, parse_rules
+from chorad.parser import parse_behaviour, parse_expr, parse_program, parse_rules
 from chorad.project import (
     CallExternal,
     IfFollow,
@@ -37,6 +37,7 @@ from chorad.project import (
     project,
     project_rule_body,
 )
+from chorad.runtime import eval_expr, find_calls
 from chorad import corpus
 
 import progen
@@ -341,6 +342,25 @@ def test_a_thousand_term_sum_checks_and_round_trips_without_recursion():
         data = proc_to_data(code)
         assert _flat(proc_to_data(proc_from_data(data))) == _flat(data), role
     assert _flat(proc_to_data(app.per_role["a"])).count(("str", "binary")) == n - 1
+
+
+@pytest.mark.parametrize("op, term, value", [
+    ("+", str, sum(range(1000))),
+    ("and", lambda i: f"{i} == {i}", True),
+])
+def test_thousand_term_chains_print_evaluate_and_walk_without_recursion(op, term, value):
+    calls_at = (0, 250, 500, 999)
+    text = f" {op} ".join(f"f( {i} )" if i in calls_at else term(i) for i in range(1000))
+    e = parse_expr(text)
+    assert ast.pretty_print_expr(e) == text
+    assert _flat(expr_to_data(parse_expr(ast.pretty_print_expr(e)))) == _flat(expr_to_data(e))
+    calls = find_calls(e)
+    assert [c.args[0].value for c in calls] == list(calls_at)
+    resolved = {id(c): (c.args[0].value if op == "+" else True) for c in calls}
+    assert eval_expr(e, {}, resolved) == value
+    if op == "and":  # stops at the first false operand, however long the chain
+        # the later calls stay unresolved: evaluating them would raise
+        assert eval_expr(e, {}, {id(calls[0]): True, id(calls[1]): False}) is False
 
 
 def test_manifest_lists_roles_and_scopes():

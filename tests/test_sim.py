@@ -8,8 +8,9 @@ from dataclasses import replace
 import pytest
 
 from chorad.adapt import AdaptationManager, AdaptationServer, Environment
+from chorad import cli
 from chorad.check import check_program
-from chorad.parser import parse_behaviour, parse_program
+from chorad.parser import MAX_NESTING, ParseError, parse_behaviour, parse_program
 from chorad.project import project
 from chorad.sim import (
     DEADLOCK,
@@ -23,6 +24,7 @@ from chorad.sim import (
     explore_deadlocks,
     simulate,
 )
+from chorad.services import FunctionTable
 from chorad import corpus
 
 import oracle
@@ -160,6 +162,75 @@ def test_a_thousand_branch_par_block_runs_without_recursion():
     r = simulate(project(program), SimConfig())
     assert r.outcome == TERMINATED
     assert r.final_states["b"] == {f"x{i}": i for i in range(n)}
+
+
+def test_a_thousand_term_sum_simulates_without_recursion():
+    terms = " + ".join(["1"] * 1000)
+    program = parse_program(f"preamble {{ starter: a }}\naioc {{\n  x@a = {terms};\n"
+                            f"  m: a( x ) -> b( y )\n}}\n")
+    r = simulate(project(program), SimConfig())
+    assert r.outcome == TERMINATED
+    assert r.final_states["b"]["y"] == 1000
+
+
+# Each builds a body nested ``d`` levels deep, with what role b ends up
+# holding in x and the token that opens each level.
+_NESTED = {
+    "if": lambda d: (_wrap(d, "if ( 1 < 2 )@a {{ {} }} else {{ e: a( 2 ) -> b( x ) }}"), 1, "if"),
+    "while": lambda d: ("".join(f"i{k}@a = 0; " for k in range(d)) + _wrap(
+        d, "while ( i{k} < 1 )@a {{ i{k}@a = i{k} + 1; {} }}"), 1, "while"),
+    "scope": lambda d: (_wrap(d, "scope @a {{ {} }} prop {{ N.k = {k} }}"), 1, "scope"),
+    "brace": lambda d: (_wrap(d, "{{ {} }}"), 1, "{"),
+    "paren": lambda d: ("v@a = " + _wrap(d, "1 + ({})", "1") + "; m: a( v ) -> b( x )",
+                        d + 1, "("),
+    "call": lambda d: ("v@a = " + _wrap(d, "inc( {} )", "1") + "; m: a( v ) -> b( x )",
+                       d + 1, "("),
+    "not": lambda d: (f"v@a = {'!' * d}true; m: a( v ) -> b( x )", d % 2 == 0, "!"),
+    "mixed": lambda d: (_wrap(d, ("if ( 1 < 2 )@a {{ {} }}", "scope @b {{ {} }}",
+                                  "{{ {} | z{k}@b = 1 }}")), 1, None),
+}
+
+
+def _wrap(d, form, inner="m: a( 1 ) -> b( x )"):
+    forms = form if isinstance(form, tuple) else (form,)
+    for k in range(d):
+        inner = forms[k % len(forms)].format(inner, k=k)
+    return inner
+
+
+def _nested_source(kind, depth):
+    body, x, opener = _NESTED[kind](depth)
+    include = 'include inc from "socket://localhost:9"\n' if kind == "call" else ""
+    return f"{include}preamble {{ starter: a }}\naioc {{\n{body}\n}}\n", x, opener
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_a_program_at_the_nesting_limit_runs_through_every_pass(kind, tmp_path):
+    source, x, _ = _nested_source(kind, MAX_NESTING)
+    program = parse_program(source)
+    assert check_program(program) == []
+    inc = FunctionTable().register("inc", lambda args: args[0] + 1)
+    r = simulate(project(program),
+                 SimConfig(services_factory=lambda: {"socket://localhost:9": inc}))
+    assert r.outcome == TERMINATED, r.error
+    assert r.final_states["b"]["x"] == x
+    path = tmp_path / "deep.aioc"
+    path.write_text(source)
+    assert cli.main(["compile", str(path), "-o", str(tmp_path / "build")]) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in _NESTED if k != "mixed"))
+def test_nesting_past_the_limit_is_a_syntax_error_at_the_opener(kind):
+    source, _, opener = _nested_source(kind, MAX_NESTING + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    [d] = exc.value.diagnostics
+    assert d.message == f"nesting deeper than {MAX_NESTING} levels"
+    lines = source.split("\n")
+    assert d.line == lines.index("aioc {") + 2  # the body's line
+    body = lines[d.line - 1]
+    assert body[d.col - 1:].startswith(opener)
+    assert body[:d.col - 1].count(opener) == MAX_NESTING
 
 
 def test_a_long_loop_over_a_par_block_keeps_a_few_tasks_per_role():
