@@ -68,7 +68,7 @@ class _LiveRole:
         self.stall_timeout = stall_timeout
         self.cv = threading.Condition()
         self.error: str | None = None
-        self._stop = False
+        self.stopped = False  # by stop(), not by a failure of its own
 
     def deliver(self, msg: Message) -> None:
         with self.cv:
@@ -76,9 +76,11 @@ class _LiveRole:
             self.cv.notify_all()
 
     def stop(self, reason: str) -> None:
+        """Make :meth:`run` return; ``reason`` is the error of a role that
+        has neither failed nor finished."""
         with self.cv:
-            self._stop = True
-            if self.error is None:
+            self.stopped = True
+            if self.error is None and not (self.executor.failure or self.executor.finished()):
                 self.error = reason
             self.cv.notify_all()
 
@@ -87,7 +89,7 @@ class _LiveRole:
         while True:
             with self.cv:
                 while True:
-                    if self._stop or ex.failure or ex.finished():
+                    if self.stopped or ex.failure or ex.finished():
                         break
                     ready = ex.ready_tids()
                     if ready:
@@ -95,7 +97,7 @@ class _LiveRole:
                     if not self.cv.wait(self.stall_timeout):
                         self.error = "stalled: no progress and nothing arrived"
                         return
-                if self._stop or ex.failure or ex.finished():
+                if self.stopped or ex.failure or ex.finished():
                     if ex.failure and self.error is None:
                         self.error = ex.failure
                     return
@@ -111,7 +113,8 @@ class _LiveRole:
                         ex.settle_ext(outcome.ext.tid, reply, error)
                         self.cv.notify_all()
             except NetError as exc:
-                self.stop(str(exc))
+                with self.cv:
+                    self.error = self.error or str(exc)
                 return
 
 
@@ -155,8 +158,16 @@ def run_all(target: Target, *,
         ex.start()
         table[role] = _LiveRole(ex, send=send, router=router,
                                 stall_timeout=stall_timeout)
+
+    def run(role: str, live: _LiveRole) -> None:
+        live.run()
+        if live.error and not live.stopped:
+            # the peers would only wait for this role until they stall
+            for peer in table.values():
+                peer.stop(f"stopped: role '{role}' failed")
+
     threads = {
-        role: threading.Thread(target=live.run, name=f"role-{role}", daemon=True)
+        role: threading.Thread(target=run, args=(role, live), name=f"role-{role}", daemon=True)
         for role, live in table.items()
     }
     for t in threads.values():

@@ -287,7 +287,8 @@ class ExtRequest:
 class StepOutcome:
     outbound: list[Message] = field(default_factory=list)
     ext: Optional[ExtRequest] = None
-    trace: str = ""
+    # (tid, verb, *details); the simulator renders it as its trace line
+    event: tuple = ()
 
 
 class _Task:
@@ -403,25 +404,25 @@ class RoleExecutor:
             else:
                 effect = task.gen.send(value)
         except StopIteration:
-            out.trace = f"{self.role}:{tid}:end"
+            out.event = (tid, "end")
             self._on_task_done(task)
             return out
         except RoleError as exc:
             task.state = FAILED
             self.failure = str(exc)
-            out.trace = f"{self.role}:{tid}:fail"
+            out.event = (tid, "fail")
             return out
         except Exception as exc:  # defensive: a bug must not hang the app
             task.state = FAILED
             self.failure = f"{type(exc).__name__}: {exc}"
-            out.trace = f"{self.role}:{tid}:fail"
+            out.event = (tid, "fail")
             return out
 
         verb = effect[0]
         if verb == "send":
             msg: Message = effect[1]
             out.outbound.append(msg)
-            out.trace = f"{self.role}:{tid}:send:{msg.kind}:{msg.op}:{msg.to}:{msg.seq}"
+            out.event = (tid, "send", msg.kind, msg.op, msg.to, msg.seq)
         elif verb == "recv":
             _, kind, op, frm = effect
             key: MailKey = (kind, op, frm)
@@ -434,30 +435,30 @@ class RoleExecutor:
                 task.state = WAIT_RECV
                 task.wait_key = key
                 self._waiters.setdefault(key, []).append(tid)
-            out.trace = f"{self.role}:{tid}:recv:{kind}:{op}:{frm}"
+            out.event = (tid, "recv", kind, op, frm)
         elif verb == "spawn":
             gens = effect[1]
             tids = [self._add_task(g, parent=tid) for g in gens]
             task.resume_value = tids
-            out.trace = f"{self.role}:{tid}:spawn:{len(tids)}"
+            out.event = (tid, "spawn", len(tids))
         elif verb == "join":
             # the children of this task's last spawn; finished ones are gone
             remaining = sum(c in self._tasks for c in effect[1])
             if remaining:
                 task.state = WAIT_JOIN
                 task.join_remaining = remaining
-            out.trace = f"{self.role}:{tid}:join"
+            out.event = (tid, "join")
         elif verb == "local":
-            out.trace = f"{self.role}:{tid}:local:{effect[1]}:{effect[2]}"
+            out.event = (tid, "local", effect[1], effect[2])
         elif verb in ("call", "match"):
             task.state = WAIT_EXT
             out.ext = ExtRequest(tid=tid, kind=verb, payload=effect[1:])
             detail = effect[1] if verb == "call" else effect[1].get("scope", "")
-            out.trace = f"{self.role}:{tid}:{verb}:{detail}"
+            out.event = (tid, verb, detail)
         else:
             task.state = FAILED
             self.failure = f"unknown effect {verb!r}"
-            out.trace = f"{self.role}:{tid}:fail"
+            out.event = (tid, "fail")
         return out
 
     def _on_task_done(self, task: _Task) -> None:

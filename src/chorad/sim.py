@@ -9,9 +9,9 @@ they are answered in the step that issues them, from in-process tables and
 managers only, which keeps them inside the deterministic order.
 
 Besides single seeded runs, the module can exhaustively enumerate schedules
-for small applications by replaying choice prefixes (generators cannot be
-snapshotted, so paths are re-run from the start; fine at the sizes where
-exhaustion is feasible at all).
+for small applications: each path runs to completion once, then the search
+backtracks from the choices it recorded (generators cannot be snapshotted,
+so every path runs from the start; fine where exhaustion is feasible).
 
 The simulator reports, never judges: callers decide whether a deadlock is a
 bug or the expected outcome of a negative test.
@@ -118,9 +118,10 @@ class _World:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _note(self, line: str) -> None:
+    def _note(self, *fields: object) -> None:
         if not self._hashing:
             return
+        line = ":".join(map(str, fields))
         self._hash.update(line.encode())
         self._hash.update(b"\n")
         if self.trace is not None:
@@ -147,7 +148,7 @@ class _World:
             elif ev.kind == "env":
                 if self.manager is not None:
                     self.manager.env.set(ev.key, ev.value)
-                self._note(f"@env:{ev.key}={ev.value!r}")
+                self._note("@env", f"{ev.key}={ev.value!r}")
             else:
                 raise ValueError(f"unknown timeline event kind {ev.kind!r}")
 
@@ -162,7 +163,7 @@ class _World:
                 if bad:
                     raise ValueError(
                         f"timeline publish rejected: {bad[0].message}")
-                self._note(f"@publish:{ev.server}")
+                self._note("@publish", ev.server)
                 return
         raise ValueError(f"timeline publish: no server '{ev.server}' registered")
 
@@ -179,7 +180,7 @@ class _World:
         ex = self.executors[role]
         outcome = ex.step(tid)
         self.steps += 1
-        self._note(outcome.trace)
+        self._note(role, *outcome.event)
         for msg in outcome.outbound:
             self._count_message(msg)
             target = self.executors.get(msg.to)
@@ -230,10 +231,8 @@ class _World:
 
 
 def _execute(app: ProjectedApp, config: SimConfig,
-             choose: Callable[[list[tuple[str, int]]], int | None],
-             ) -> SimReport | None:
-    """Run until done or until ``choose`` declines (returns None); the
-    report is None iff the chooser declined."""
+             choose: Callable[[list[tuple[str, int]]], int]) -> SimReport:
+    """Run to completion; ``choose`` picks the index of the next ready entry."""
     world = _World(app, config)
     while True:
         if world.failure:
@@ -246,10 +245,7 @@ def _execute(app: ProjectedApp, config: SimConfig,
             return world.finish(DEADLOCK)
         if world.steps >= config.max_steps:
             return world.finish(STEP_LIMIT, "step budget exhausted")
-        pick = choose(entries)
-        if pick is None:
-            return None
-        role, tid = entries[pick]
+        role, tid = entries[choose(entries)]
         world.advance(role, tid)
 
 
@@ -258,9 +254,7 @@ def simulate(target: Target, config: SimConfig | None = None) -> SimReport:
     config = config or SimConfig()
     app = _as_app(target)
     rng = random.Random(config.seed)
-    report = _execute(app, config, lambda entries: rng.randrange(len(entries)))
-    assert report is not None
-    return report
+    return _execute(app, config, lambda entries: rng.randrange(len(entries)))
 
 
 @dataclass
@@ -284,22 +278,21 @@ class ExplorationReport:
 
 def explore(target: Target, config: SimConfig | None = None, *,
             max_paths: int = 20_000, reduce: bool = False) -> ExplorationReport:
-    """Enumerate schedules of a (small) application by prefix replay.
+    """Enumerate schedules of a (small) application, depth first.
 
     A path is the sequence of indices picked into the ready list at genuine
-    decision points.  Paths beyond ``max_paths`` leave ``complete`` False;
-    the verdict then only covers the explored portion.
+    decision points.  Each run follows a queued prefix, then takes choice 0
+    to the end and queues the other choices it passed, so paths finish in
+    lexicographic order.  Paths beyond ``max_paths`` leave ``complete``
+    False; the verdict then only covers the explored portion.
 
-    With ``reduce`` on, steps at *different* roles are treated as commuting
-    and only same-role alternatives (parallel branches) fan out.  That is
-    sound for outcome questions here because mailbox keys carry the sending
-    role — no two roles ever race on one queue — and deadlock (an empty
-    ready set) does not depend on the order commuting steps ran in.  Leave
-    it off to also exercise the runtime's own independence assumptions.
+    With ``reduce`` on, only the first ready role's tasks fan out: steps at
+    different roles are taken to commute.  That under-approximates, since
+    such steps can still race (on a shared service, or on a task another
+    role's message wakes), and can miss final stores; the ``reduce`` xfail
+    tests in ``tests/test_sim.py`` show two.  Full mode is the reference.
     """
-    config = config or SimConfig()
-    if config.hash_trace:
-        config = replace(config, hash_trace=False)
+    config = replace(config or SimConfig(), hash_trace=False)
     app = _as_app(target)
     outcomes: Counter[str] = Counter()
     finals: Counter[str] = Counter()
@@ -312,37 +305,30 @@ def explore(target: Target, config: SimConfig | None = None, *,
             complete = False
             break
         prefix = stack.pop()
-        cursor = iter(prefix)
-        pending = [0]
+        path: list[int] = []
+        widths: list[int] = []
 
-        def choose(entries: list[tuple[str, int]]) -> int | None:
-            if reduce:
-                first = entries[0][0]
-                sub = [i for i, e in enumerate(entries) if e[0] == first]
-            else:
-                sub = list(range(len(entries)))
-            # Forced moves are not branch points; prefixes record only
-            # genuine decisions, which keeps replays short.
+        def choose(entries: list[tuple[str, int]]) -> int:
+            sub = [i for i, e in enumerate(entries) if e[0] == entries[0][0]] \
+                if reduce else range(len(entries))
+            # Forced moves are not decision points; paths record only
+            # genuine decisions, which keeps them short.
             if len(sub) == 1:
                 return sub[0]
-            k = next(cursor, None)
-            if k is None:
-                pending[0] = len(sub)
-                return None
-            return sub[k]
+            path.append(prefix[len(path)] if len(path) < len(prefix) else 0)
+            widths.append(len(sub))
+            return sub[path[-1]]
 
         report = _execute(app, config, choose)
-        if report is None:
-            # Ran past the prefix: fan out one branch per available choice.
-            for i in range(pending[0] - 1, -1, -1):
-                stack.append(prefix + (i,))
-            continue
         paths += 1
         outcomes[report.outcome] += 1
         if report.outcome == DEADLOCK:
-            deadlocks.append(prefix)
+            deadlocks.append(tuple(path))
         key = json.dumps(report.final_states, sort_keys=True, default=repr)
         finals[key] += 1
+        # Deepest on top: the next path is the deepest decision's next choice.
+        for depth in range(len(prefix), len(path)):
+            stack.extend((*path[:depth], k) for k in range(widths[depth] - 1, 0, -1))
     return ExplorationReport(paths=paths, outcomes=dict(outcomes),
                              deadlocks=deadlocks, complete=complete,
                              finals=dict(finals))

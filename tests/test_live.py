@@ -4,12 +4,14 @@ services behind the line protocol."""
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 
 import pytest
 
 from chorad import corpus
 from chorad.live import (
+    _LiveRole,
     run_all,
     run_role,
     serve_functions,
@@ -18,7 +20,9 @@ from chorad.live import (
 )
 from chorad.net import NetError, request
 from chorad.parser import parse_program
-from chorad.services import FunctionTable
+from chorad.project import project
+from chorad.runtime import RoleExecutor
+from chorad.services import FunctionTable, Router
 from chorad.sim import ERROR, SimConfig, simulate
 
 
@@ -109,7 +113,6 @@ def _simulated_error(table: FunctionTable) -> str:
 
 
 def _live_error(table: FunctionTable) -> str:
-    # b waits on a forever; keep its give-up window short
     report = run_all(_one_call("f( 1 )"),
                      services={"socket://localhost:9": table}, stall_timeout=2)
     return report.errors.get("a", "")
@@ -140,11 +143,50 @@ def test_a_failing_input_prompt_fails_the_asking_role():
 
 def test_run_all_reports_role_failures():
     sc = corpus.scenario_by_name("appointment")
-    # peers of the failing role stall; keep their give-up window short
     report = run_all(sc.app, inputs={"alice": []}, services=sc.services(),
                      stall_timeout=2)
     assert not report.ok
     assert "input" in report.errors["alice"]
+
+
+FAN_OUT = """
+include f from "socket://localhost:9"
+
+preamble { starter: a }
+
+aioc {
+  x@a = f( 1 );
+  { h1: a( x ) -> b( y ) | h2: a( x ) -> c( y ) | h3: a( x ) -> d( y )
+  | h4: a( x ) -> e( y ) }
+}
+"""
+
+
+def test_a_failed_role_stops_its_peers_at_once():
+    # the peers wait on a; a stall timeout of 60 s would only report stalls
+    program = parse_program(FAN_OUT)
+    services = {"socket://localhost:9": FunctionTable().register("f", _buggy)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # stopped peers must not name each other
+    try:
+        reports = [run_all(program, services=services, stall_timeout=60)
+                   for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    for report in reports:
+        assert "ValueError: bug in service" in report.errors["a"]
+        assert {role: report.errors[role] for role in "bcde"} == \
+            dict.fromkeys("bcde", "stopped: role 'a' failed")
+
+
+def test_stopping_a_finished_role_leaves_it_without_error():
+    app = project(parse_program("preamble { starter: a }\naioc {\n  x@a = 1\n}\n"))
+    ex = RoleExecutor("a", app.per_role["a"], starter="a", roles=app.roles)
+    ex.start()
+    live = _LiveRole(ex, send=lambda msg: None, router=Router(), stall_timeout=2)
+    live.run()
+    live.stop("stopped: role 'b' failed")
+    assert live.error is None and ex.snapshot() == {"x": 1}
 
 
 def test_unreachable_manager_falls_back_to_defaults():

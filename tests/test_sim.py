@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from chorad.adapt import AdaptationManager, AdaptationServer, Environment
-from chorad import cli
+from chorad import cli, sim
 from chorad.check import check_program
 from chorad.parser import MAX_NESTING, ParseError, parse_behaviour, parse_program
 from chorad.project import project
@@ -326,6 +326,37 @@ def test_identical_configs_give_identical_trace_hashes():
     assert len(hashes) == 1
 
 
+def test_hello_world_trace_is_pinned():
+    r = _run("hello-world", collect_trace=True)
+    assert r.trace == [
+        "user:0:recv:ready:_aux_barrier:display",
+        "display:0:send:ready:_aux_barrier:user:1",
+        "display:0:recv:start:_aux_barrier:user",
+        "user:0:send:start:_aux_barrier:display:1",
+        "user:0:match:",
+        "user:0:send:directive:_aux_directive_:display:1",
+        "user:0:send:msg:greet:display:1",
+        "user:0:recv:ack:greet:display",
+        "display:0:recv:directive:_aux_directive_:user",
+        "display:0:recv:msg:greet:user",
+        "display:0:send:ack:greet:user:1",
+        "user:0:recv:done:_aux_done_:display",
+        "display:0:send:done:_aux_done_:user:1",
+        "display:0:end",
+        "user:0:end",
+    ]
+    assert r.trace_hash == _run("hello-world").trace_hash
+
+
+@pytest.mark.parametrize("adapted, trace_hash", [
+    (None, "4bd1d700a9a32f3687a26a61c1abfb624758d57725b4bf8c555dd0e874ca22b8"),
+    ("free-week",
+     "61ccf7d4f9184edac223ecd83f3acbdc6c72193d7b657a01b2e37595bccb94df"),
+], ids=["plain", "free-week"])
+def test_appointment_trace_hash_is_pinned(adapted, trace_hash):
+    assert _run("appointment", adapted).trace_hash == trace_hash
+
+
 def test_different_seeds_change_the_schedule_not_the_outcome():
     sc = corpus.scenario_by_name("pipe-4")
     reports = [simulate(sc.app, _cfg(sc, seed=s)) for s in range(12)]
@@ -376,6 +407,65 @@ def test_reduced_exploration_agrees_and_is_small():
     assert reduced.complete and reduced.paths == 1
     assert set(reduced.finals) <= set(full.finals)
     assert reduced.outcomes == {TERMINATED: 1}
+
+
+@pytest.mark.parametrize("name, max_paths, paths, complete", [
+    ("hello-world", 20_000, 967, True),
+    ("duplicated-notify", 50, 50, False),
+])
+def test_exploration_runs_each_path_once(monkeypatch, name, max_paths,
+                                         paths, complete):
+    worlds = []
+
+    class CountingWorld(_World):
+        def __init__(self, *args):
+            super().__init__(*args)
+            worlds.append(self)
+
+    monkeypatch.setattr(sim, "_World", CountingWorld)
+    sc = corpus.scenario_by_name(name)
+    r = explore(sc.app, _cfg(sc, max_steps=2000), max_paths=max_paths)
+    assert (r.paths, r.complete) == (paths, complete)
+    assert len(worlds) == r.paths
+
+
+# Reduced mode treats steps at different roles as commuting.  These two
+# checker-clean programs race anyway, and full mode reaches 2 final stores
+# on each (ROADMAP item 3: a sound reduction in place of ``reduce``).
+_SHARED_SERVICE = """
+include next from "socket://localhost:9"
+preamble { starter: a }
+aioc {
+  go: a( 1 ) -> b( w );
+  { x@a = next( 0 ) | y@b = next( 0 ) };
+  r: b( y ) -> a( q )
+}
+"""
+
+_WOKEN_TASK = """
+preamble { starter: a }
+aioc {
+  go: a( 1 ) -> b( w );
+  { x@a = 1 | m: b( 2 ) -> a( x ) };
+  r: a( x ) -> b( q )
+}
+"""
+
+
+@pytest.mark.xfail(reason="ROADMAP item 3: reduce misses the race on a "
+                          "shared service", strict=True)
+def test_reduced_exploration_sees_both_orders_of_a_shared_service():
+    config = SimConfig(services_factory=lambda: {
+        "socket://localhost:9": FunctionTable().scripted("next", [10, 20])})
+    r = explore(parse_program(_SHARED_SERVICE), config, reduce=True)
+    assert len(r.finals) == 2
+
+
+@pytest.mark.xfail(reason="ROADMAP item 3: reduce misses a task that another "
+                          "role's message wakes", strict=True)
+def test_reduced_exploration_sees_both_orders_of_a_woken_task():
+    r = explore(parse_program(_WOKEN_TASK), reduce=True)
+    assert len(r.finals) == 2
 
 
 def test_exploration_finds_the_crossed_receive_deadlock():
