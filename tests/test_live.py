@@ -321,3 +321,116 @@ def test_hello_world_against_networked_middleware():
         for srv in (mgr_srv, rule_srv):
             srv.shutdown()
             srv.server_close()
+
+
+SUM_SCOPE = """
+preamble { starter: a }
+
+aioc {
+  x@a = 1;
+  scope @a {
+    step: a( x ) -> b( y );
+    s@b = y
+  } prop { N.kind = "sum" };
+  back: b( s ) -> a( z )
+}
+"""
+
+#: A replacement whose code nests a thousand levels deep on the wire.
+SUM_RULE = ('rule { on { N.kind == "sum" } do { step: a( x ) -> b( y ); s@b = y + '
+            + " + ".join(str(k) for k in range(1, 1001)) + " } }")
+
+
+def test_code_too_deep_for_json_adapts_over_tcp():
+    """The match reply and b's directive carry a 1 000-term sum: deeper than
+    ``json`` encodes or decodes, so those lines take the iterative codec."""
+    from chorad.adapt import AdaptationManager, AdaptationServer
+
+    program = parse_program(SUM_SCOPE)
+
+    def manager():
+        server = AdaptationServer()
+        assert not server.publish(SUM_RULE)
+        mgr = AdaptationManager()
+        mgr.register(server)
+        return mgr
+
+    simulated = simulate(project(program), SimConfig(manager_factory=manager))
+    assert simulated.ok and simulated.applied_rules == [("1", "s0/r1")]
+    total = 1 + 1000 * 1001 // 2
+    assert simulated.final_states == {"a": {"x": 1, "z": total},
+                                      "b": {"y": 1, "s": total}}
+
+    mgr_srv, remote = serve_manager("socket://localhost:0")
+    remote.register(manager().servers()[0])
+    port_a = _free_port()
+    addr_a = f"socket://localhost:{port_a}"
+    stores: dict[str, dict] = {}
+
+    def host_starter():
+        stores["a"] = run_role(program, "a", address=addr_a, manager=mgr_srv.address,
+                               stall_timeout=20)
+
+    t = threading.Thread(target=host_starter, daemon=True)
+    t.start()
+    try:
+        for _ in range(100):  # wait for the starter's listener
+            try:
+                assert request(addr_a, {"kind": "ping"})["kind"] == "pong"
+                break
+            except NetError:
+                threading.Event().wait(0.05)
+        else:
+            pytest.fail("starter never came up")
+        stores["b"] = run_role(program, "b",
+                               address=f"socket://localhost:{_free_port()}",
+                               starter_address=addr_a, stall_timeout=20)
+        t.join(timeout=20)
+    finally:
+        mgr_srv.shutdown()
+        mgr_srv.server_close()
+    assert not t.is_alive()
+    assert stores == simulated.final_states
+    assert remote.match_log == [("1", "s0/r1")]
+
+
+def test_line_codec_writes_and_reads_what_json_does_at_any_depth():
+    import json
+    import random
+
+    from chorad.net import _dumps_deep, _loads_deep, decode_line, encode_line
+
+    rng = random.Random(5)
+    leaves = [0, -7, 2 ** 70, 1.5, -2e-9, True, False, None, "", 'q"\\\n', "é☃\x01"]
+
+    def value(depth):
+        r = rng.random()
+        if depth > 4 or r < 0.3:
+            return rng.choice(leaves)
+        if r < 0.65:
+            return [value(depth + 1) for _ in range(rng.randrange(4))]
+        return {f"{rng.choice(['k', 'a b', 'é', ''])}{i}": value(depth + 1)
+                for i in range(rng.randrange(4))}
+
+    for _ in range(500):
+        v = value(0)
+        text = json.dumps(v, separators=(",", ":"))
+        assert _dumps_deep(v) == text
+        assert _loads_deep(text) == json.loads(text)
+        assert _loads_deep(f" {json.dumps(v, indent=2)}\n") == json.loads(text)
+    for bad in ["", "[1,]", '{"a" 1}', "[1 2]", '{"a":1,}', "tru", "[1] x", '"abc', "{1:2}"]:
+        with pytest.raises(json.JSONDecodeError):
+            _loads_deep(bad)
+
+    deep: object = "leaf"
+    for _ in range(3000):
+        deep = {"k": "binary", "left": deep, "right": [1]}
+    with pytest.raises(RecursionError):
+        json.dumps(deep)
+    line = encode_line(deep)
+    assert line.endswith(b"\n") and line.count(b"{") == 3000
+    back = decode_line(line)
+    for _ in range(3000):
+        assert back["right"] == [1]
+        back = back["left"]
+    assert back == "leaf"

@@ -231,6 +231,57 @@ def test_rule_body_for_idle_coordinator_is_nop():
     assert out == Nop()
 
 
+#: Rule bodies with every id-bearing construct, a leading `skip` (dropped
+#: by normalisation, so printed text and parse ids differ) and a root `if`
+#: (root id: its auxiliary names end in the scope's path alone).
+_SHAPED_RULES = """
+rule { on { true } do {
+  if ( n < 2 )@u { greet: u( n ) -> d( m ) } else { k@d = 1 }
+} }
+rule { on { true } do {
+  skip;
+  while ( n < 3 )@u {
+    n@u = n + 1;
+    scope @u { step: u( n ) -> d( m ) } prop { N.stage = "inner" };
+    { a: u( 1 ) -> d( p ) | b@d = 2 }
+  };
+  if ( m == 1 )@d { back: d( m ) -> u( q ) }
+} }
+rule { on { true } do { scope @d { x@d = 1; z: d( x ) -> u( w ) } } }
+"""
+
+
+def _adapted_corpus_rules():
+    for sc in corpus.standard_scenarios():
+        labels = {label for run in sc.adapted.values() for label in run.labels}
+        for label in sorted(labels):
+            for i, rule in enumerate(parse_rules(sc.rules[label])):
+                yield pytest.param(rule, sorted(sc.app.scopes), id=f"{sc.name}-{label}-{i}")
+    for i, rule in enumerate(parse_rules(_SHAPED_RULES)):
+        yield pytest.param(rule, [], id=f"shaped-{i}")
+
+
+@pytest.mark.parametrize("rule, scopes", list(_adapted_corpus_rules()))
+def test_compiled_rule_code_rerooted_equals_projecting_the_rerooted_body(rule, scopes):
+    """What a participant runs now (the server's code, re-rooted) against
+    what it ran when it parsed the shipped text and projected it itself."""
+    from chorad.adapt import compile_rule
+    from chorad.project import _proj, reroot_proc
+
+    compiled = compile_rule(rule)
+    body = parse_behaviour(ast.pretty_print(rule.body))  # what used to be shipped
+    paths = {(), (0,), (1, 0, 3, 0, 0, 2)}
+    paths |= {NodeId(tuple(int(i) for i in sid.split("_") if i)).path for sid in scopes}
+    assert set(compiled) == ast.roles_of(body)
+    for path in sorted(paths):
+        for role in sorted(ast.roles_of(body) | {"coordinator-only"}):
+            old = normalize_proc(_proj(ast.reroot_ids(body, path), role, {}))
+            new = reroot_proc(compiled[role], path) if role in compiled else Nop()
+            assert new == old, (path, role)
+            if role in compiled:
+                assert new == project_rule_body(body, NodeId(path), role)
+
+
 # ---------------------------------------------------------------------
 # Node ids and auxiliary names
 # ---------------------------------------------------------------------

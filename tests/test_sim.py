@@ -519,6 +519,17 @@ def test_rule_published_mid_run_applies_to_later_scopes_only():
     assert len(r.applied_rules) == 1
 
 
+def test_a_follower_fails_on_replacement_code_it_cannot_decode():
+    class Garbled:
+        def handle_match(self, request):
+            return {"matched": True, "rule": "s0/r1", "code": {"display": {"t": "bogus"}}}
+
+    sc = corpus.scenario_by_name("hello-world")
+    r = simulate(sc.app, replace(_cfg(sc), manager_factory=Garbled))
+    assert r.outcome == ERROR
+    assert "display" in r.error and "replacement code is malformed" in r.error
+
+
 def _blank_env_manager(sc, *labels):
     # Unlike sc.manager_factory this starts from an empty environment, so
     # the rule can only match once a timeline event supplies the fact.
