@@ -163,8 +163,9 @@ class AdaptationServer:
 
     def __init__(self, server_id: str = "s0"):
         self.server_id = server_id
-        # (rule id, rule, code per role in the body), in publication order
-        self._rules: list[tuple[str, Rule, dict[str, ProcessCode]]] = []
+        # (rule id, rule, printed body, code per role in the body), in
+        # publication order
+        self._rules: list[tuple[str, Rule, str, dict[str, ProcessCode]]] = []
         # name -> rendered literal -> positions in _rules, ascending
         self._index: dict[str, dict[str, list[int]]] = {}
         self._scan: list[int] = []
@@ -184,20 +185,20 @@ class AdaptationServer:
             violations.extend(check_rule(r))
         if has_errors(violations):
             return violations
-        compiled = [(r, compile_rule(r)) for r in rules]
+        compiled = [(r, pretty_print(r.body), compile_rule(r)) for r in rules]
         with self._lock:
-            for r, code in compiled:
+            for r, body, code in compiled:
                 self._published += 1
                 key = index_key(r.condition)
                 slot = self._scan if key is None else \
                     self._index.setdefault(key[0], {}).setdefault(key[1], [])
                 slot.append(len(self._rules))
-                self._rules.append((f"{self.server_id}/r{self._published}", r, code))
+                self._rules.append((f"{self.server_id}/r{self._published}", r, body, code))
         return violations
 
     def rules(self) -> list[tuple[str, Rule]]:
         with self._lock:
-            return [(rule_id, rule) for rule_id, rule, _ in self._rules]
+            return [(rule_id, rule) for rule_id, rule, _, _ in self._rules]
 
     def match(self, request: dict[str, Any],
               env: dict[str, Value]) -> dict[str, Any] | None:
@@ -213,12 +214,12 @@ class AdaptationServer:
         for pos in heapq.merge(*candidates):
             if pos >= published:
                 break
-            rule_id, rule, code = self._rules[pos]
+            rule_id, rule, body, code = self._rules[pos]
             if rule.roles <= allowed and _holds(rule.condition, names):
                 return {
                     "matched": True,
                     "rule": rule_id,
-                    "body": pretty_print(rule.body),
+                    "body": body,
                     "code": {role: proc_to_data(c) for role, c in code.items()},
                     "includes": [
                         [fn, inc.address, inc.protocol]

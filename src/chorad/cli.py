@@ -27,7 +27,7 @@ from .live import (
     serve_manager,
     serve_rule_server,
 )
-from .net import NetError, request
+from .net import NetError, encode_text, request
 from .services import FunctionTable
 from .sim import SimConfig, simulate
 
@@ -123,15 +123,10 @@ def cmd_compile(ns: argparse.Namespace) -> int:
     files = {"manifest.json": app_manifest(app)}
     for role, code in app.per_role.items():
         files[f"role_{role}.json"] = {"role": role, "code": proc_to_data(code)}
-    try:  # the JSON encoder recurses once per level of nesting
-        texts = {name: json.dumps(data, indent=2) + "\n" for name, data in files.items()}
-    except RecursionError:
-        print("error: the compiled code nests too deep to write as JSON", file=sys.stderr)
-        return 1
     out_dir = Path(ns.out or (Path(ns.file).stem + ".build"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+    for name, data in files.items():
+        (out_dir / name).write_text(encode_text(data, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out_dir}/manifest.json and {len(app.per_role)} role files")
     return 0
 

@@ -11,7 +11,8 @@ accepted too).
 Shipped process code nests as deep as its expressions (a 1 000-term sum is
 1 000 levels), deeper than :mod:`json` encodes or decodes before it hits
 the recursion limit; such lines go through an iterative codec that writes
-and reads the same text.
+and reads the same text.  :func:`encode_text` writes the indented form
+too, for the files ``chorad compile`` writes.
 """
 
 from __future__ import annotations
@@ -35,11 +36,18 @@ class NetError(OSError):
 
 def encode_line(obj: Any) -> bytes:
     """``obj`` as one compact JSON line."""
+    return (encode_text(obj) + "\n").encode()
+
+
+def encode_text(obj: Any, indent: int | None = None) -> str:
+    """``json.dumps(obj, indent=indent)``, compact when ``indent`` is None,
+    at any depth."""
     try:
-        text = json.dumps(obj, separators=(",", ":"))
+        if indent is None:
+            return json.dumps(obj, separators=(",", ":"))
+        return json.dumps(obj, indent=indent)
     except RecursionError:
-        text = _dumps_deep(obj)
-    return (text + "\n").encode()
+        return _dumps_deep(obj, indent)
 
 
 def decode_line(line: str | bytes) -> Any:
@@ -54,24 +62,34 @@ class _Text(str):
     """Output text, as opposed to a string value still to be encoded."""
 
 
-def _dumps_deep(obj: Any) -> str:
-    """``json.dumps(obj, separators=(",", ":"))`` without recursion."""
+def _dumps_deep(obj: Any, indent: int | None = None) -> str:
+    """``json.dumps(obj, indent=indent)`` without recursion; when ``indent``
+    is None, ``json.dumps(obj, separators=(",", ":"))``."""
+    colon = ":" if indent is None else ": "
     out: list[str] = []
-    todo: list = [obj]
+    todo: list = [(obj, 0)]  # (value or output text, nesting depth)
     while todo:
-        x = todo.pop()
+        x, depth = todo.pop()
         if type(x) is _Text:
             out.append(x)
         elif isinstance(x, (dict, list, tuple)):
             is_dict = isinstance(x, dict)
+            opener, closer = "{}" if is_dict else "[]"
+            if not x:
+                out.append(opener + closer)
+                continue
+            if indent is None:
+                first, end = "", ""
+            else:  # each item on its own line, one level in
+                first = "\n" + " " * (indent * (depth + 1))
+                end = "\n" + " " * (indent * depth)
             parts: list = []
             for k, v in x.items() if is_dict else enumerate(x):
-                head = "," if parts else ""
+                head = "," + first if parts else first
                 if is_dict:  # keys as json.dumps writes them: always strings
-                    head += json.dumps(k if isinstance(k, str) else json.dumps(k)) + ":"
-                parts += (_Text(head), v)
-            opener, closer = "{}" if is_dict else "[]"
-            todo += [_Text(closer), *reversed(parts), _Text(opener)]
+                    head += json.dumps(k if isinstance(k, str) else json.dumps(k)) + colon
+                parts += ((_Text(head), depth), (v, depth + 1))
+            todo += [(_Text(end + closer), depth), *reversed(parts), (_Text(opener), depth)]
         else:
             out.append(json.dumps(x))
     return "".join(out)

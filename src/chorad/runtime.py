@@ -14,8 +14,11 @@ service:
 
 The executor is a passive state machine: drivers decide which ready task to
 advance (a seeded scheduler in simulation, one thread per role live) and
-feed delivered messages in with :meth:`RoleExecutor.deliver`.  ``call`` and
-``match`` surface as an :class:`ExtRequest`, which both drivers hand to one
+feed delivered messages in with :meth:`RoleExecutor.deliver`.  The executor
+keeps the tids of its ready tasks in ascending order and updates them at
+every state change, so :meth:`~RoleExecutor.ready_tids` costs the same
+however many tasks wait.  ``call`` and ``match`` surface as an
+:class:`ExtRequest`, which both drivers hand to one
 :class:`~chorad.services.Router` and settle with
 :meth:`~RoleExecutor.settle_ext`.  This keeps one semantics for both execution modes; only
 scheduling and transport differ.
@@ -43,7 +46,9 @@ Message-for-message protocol, common to every driver:
 
 from __future__ import annotations
 
+import bisect
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -288,7 +293,7 @@ class ExtRequest:
     payload: Any
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     outbound: list[Message] = field(default_factory=list)
     ext: Optional[ExtRequest] = None
@@ -333,9 +338,11 @@ class RoleExecutor:
         self.failure: str | None = None
         # live tasks in tid order; a task is dropped when it ends
         self._tasks: dict[int, _Task] = {}
+        # tids of the READY tasks, ascending; kept as states change
+        self._ready: list[int] = []
         self._next_tid = 0
-        self._queues: dict[MailKey, list[Message]] = {}
-        self._waiters: dict[MailKey, list[int]] = {}
+        self._queues: dict[MailKey, deque[Message]] = {}
+        self._waiters: dict[MailKey, deque[int]] = {}
         self._seq: dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -349,10 +356,21 @@ class RoleExecutor:
         task = _Task(tid, gen)
         task.parent = parent
         self._tasks[tid] = task
+        self._ready.append(tid)  # tids only grow, so this stays sorted
         return tid
 
     def ready_tids(self) -> list[int]:
-        return [tid for tid, t in self._tasks.items() if t.state == READY]
+        """The ready tids, ascending: the executor's own list, which the
+        next state change updates in place."""
+        return self._ready
+
+    def _wake(self, task: _Task) -> None:
+        task.state = READY
+        bisect.insort(self._ready, task.tid)
+
+    def _unready(self, tid: int) -> None:
+        ready = self._ready
+        del ready[bisect.bisect_left(ready, tid)]
 
     def finished(self) -> bool:
         return not self._tasks
@@ -373,13 +391,12 @@ class RoleExecutor:
         key: MailKey = (msg.kind, msg.op, msg.frm)
         waiters = self._waiters.get(key)
         if waiters:
-            tid = waiters.pop(0)
-            task = self._tasks[tid]
+            task = self._tasks[waiters.popleft()]
             task.resume_value = msg
             task.wait_key = None
-            task.state = READY
+            self._wake(task)
         else:
-            self._queues.setdefault(key, []).append(msg)
+            self._queues.setdefault(key, deque()).append(msg)
 
     # -- external completions ----------------------------------------------
 
@@ -391,7 +408,7 @@ class RoleExecutor:
             raise RuntimeError(f"task {tid} is not waiting on a request")
         task.resume_value = value
         task.resume_error = error
-        task.state = READY
+        self._wake(task)
 
     # -- stepping ------------------------------------------------------------
 
@@ -416,65 +433,66 @@ class RoleExecutor:
             task.state = FAILED
             self.failure = str(exc)
             out.event = (tid, "fail")
-            return out
         except Exception as exc:  # defensive: a bug must not hang the app
             task.state = FAILED
             self.failure = f"{type(exc).__name__}: {exc}"
             out.event = (tid, "fail")
-            return out
-
-        verb = effect[0]
-        if verb == "send":
-            msg: Message = effect[1]
-            out.outbound.append(msg)
-            out.event = (tid, "send", msg.kind, msg.op, msg.to, msg.seq)
-        elif verb == "recv":
-            _, kind, op, frm = effect
-            key: MailKey = (kind, op, frm)
-            queue = self._queues.get(key)
-            if queue:
-                task.resume_value = queue.pop(0)
-                if not queue:
-                    del self._queues[key]
-            else:
-                task.state = WAIT_RECV
-                task.wait_key = key
-                self._waiters.setdefault(key, []).append(tid)
-            out.event = (tid, "recv", kind, op, frm)
-        elif verb == "spawn":
-            gens = effect[1]
-            tids = [self._add_task(g, parent=tid) for g in gens]
-            task.resume_value = tids
-            out.event = (tid, "spawn", len(tids))
-        elif verb == "join":
-            # the children of this task's last spawn; finished ones are gone
-            remaining = sum(c in self._tasks for c in effect[1])
-            if remaining:
-                task.state = WAIT_JOIN
-                task.join_remaining = remaining
-            out.event = (tid, "join")
-        elif verb == "local":
-            out.event = (tid, "local", effect[1], effect[2])
-        elif verb in ("call", "match"):
-            task.state = WAIT_EXT
-            out.ext = ExtRequest(tid=tid, kind=verb, payload=effect[1:])
-            detail = effect[1] if verb == "call" else effect[1].get("scope", "")
-            out.event = (tid, verb, detail)
         else:
-            task.state = FAILED
-            self.failure = f"unknown effect {verb!r}"
-            out.event = (tid, "fail")
+            verb = effect[0]
+            if verb == "send":
+                msg: Message = effect[1]
+                out.outbound.append(msg)
+                out.event = (tid, "send", msg.kind, msg.op, msg.to, msg.seq)
+            elif verb == "recv":
+                _, kind, op, frm = effect
+                key: MailKey = (kind, op, frm)
+                queue = self._queues.get(key)
+                if queue:
+                    task.resume_value = queue.popleft()
+                    if not queue:
+                        del self._queues[key]
+                else:
+                    task.state = WAIT_RECV
+                    task.wait_key = key
+                    self._waiters.setdefault(key, deque()).append(tid)
+                out.event = (tid, "recv", kind, op, frm)
+            elif verb == "spawn":
+                gens = effect[1]
+                tids = [self._add_task(g, parent=tid) for g in gens]
+                task.resume_value = tids
+                out.event = (tid, "spawn", len(tids))
+            elif verb == "join":
+                # the children of this task's last spawn; finished ones are gone
+                remaining = sum(c in self._tasks for c in effect[1])
+                if remaining:
+                    task.state = WAIT_JOIN
+                    task.join_remaining = remaining
+                out.event = (tid, "join")
+            elif verb == "local":
+                out.event = (tid, "local", effect[1], effect[2])
+            elif verb in ("call", "match"):
+                task.state = WAIT_EXT
+                out.ext = ExtRequest(tid=tid, kind=verb, payload=effect[1:])
+                detail = effect[1] if verb == "call" else effect[1].get("scope", "")
+                out.event = (tid, verb, detail)
+            else:
+                task.state = FAILED
+                self.failure = f"unknown effect {verb!r}"
+                out.event = (tid, "fail")
+        if task.state != READY:  # it waits or failed
+            self._unready(tid)
         return out
 
     def _on_task_done(self, task: _Task) -> None:
         """Reclaim ``task`` and wake its parent if this was the last child
         the parent's join waits for."""
         del self._tasks[task.tid]
+        self._unready(task.tid)
         parent = self._tasks.get(task.parent)
         if parent is not None and parent.state == WAIT_JOIN:
             parent.join_remaining -= 1
             if not parent.join_remaining:
-                parent.state = READY
+                self._wake(parent)
 
     # -- message construction ----------------------------------------------
 

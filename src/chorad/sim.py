@@ -3,6 +3,10 @@
 One process hosts every role executor; a seeded scheduler picks which ready
 task advances next, so a (program, config, seed) triple always produces the
 identical run — same trace hash, same final stores, same message tallies.
+The pick is ``randrange(count)`` over the ``count`` ready tasks, numbered
+by role in the program's role order, then by tid within a role; each
+executor keeps its ready tids, so a step costs the same however many tasks
+are live.
 Function calls and adaptation lookups go to the same
 :class:`~chorad.services.Router` the live driver uses, given no transport:
 they are answered in the step that issues them, from in-process tables and
@@ -170,11 +174,9 @@ class _World:
     # -- scheduling ----------------------------------------------------------
 
     def ready_entries(self) -> list[tuple[str, int]]:
-        entries: list[tuple[str, int]] = []
-        for role in self.app.roles:
-            for tid in self.executors[role].ready_tids():
-                entries.append((role, tid))
-        return entries
+        """Every ready task as ``(role, tid)``, in the scheduler's order."""
+        return [(role, tid) for role in self.app.roles
+                for tid in self.executors[role].ready_tids()]
 
     def advance(self, role: str, tid: int) -> None:
         ex = self.executors[role]
@@ -230,23 +232,33 @@ class _World:
         )
 
 
-def _execute(app: ProjectedApp, config: SimConfig,
-             choose: Callable[[list[tuple[str, int]]], int]) -> SimReport:
-    """Run to completion; ``choose`` picks the index of the next ready entry."""
+def _execute(app: ProjectedApp, config: SimConfig, choose: Callable[[int], int],
+             *, first_role: bool = False) -> SimReport:
+    """Run to completion; ``choose(count)`` picks the index of the next step
+    among the ``count`` ready tasks in :meth:`_World.ready_entries` order, or,
+    with ``first_role``, among those of the first role that has any."""
     world = _World(app, config)
+    # each executor's own ready list, updated in place as the run goes
+    ready = [(role, world.executors[role].ready_tids()) for role in app.roles]
     while True:
         if world.failure:
             return world.finish(ERROR, world.failure)
         world.fire_due_events()
-        entries = world.ready_entries()
-        if not entries:
+        count = sum(len(tids) for _, tids in ready)
+        if not count:
             if all(world.executors[r].finished() for r in app.roles):
                 return world.finish(TERMINATED)
             return world.finish(DEADLOCK)
         if world.steps >= config.max_steps:
             return world.finish(STEP_LIMIT, "step budget exhausted")
-        role, tid = entries[choose(entries)]
-        world.advance(role, tid)
+        if first_role:
+            count = next(len(tids) for _, tids in ready if tids)
+        i = choose(count)
+        for role, tids in ready:
+            if i < len(tids):
+                break
+            i -= len(tids)
+        world.advance(role, tids[i])
 
 
 def simulate(target: Target, config: SimConfig | None = None) -> SimReport:
@@ -254,7 +266,7 @@ def simulate(target: Target, config: SimConfig | None = None) -> SimReport:
     config = config or SimConfig()
     app = _as_app(target)
     rng = random.Random(config.seed)
-    return _execute(app, config, lambda entries: rng.randrange(len(entries)))
+    return _execute(app, config, rng.randrange)
 
 
 @dataclass
@@ -308,18 +320,16 @@ def explore(target: Target, config: SimConfig | None = None, *,
         path: list[int] = []
         widths: list[int] = []
 
-        def choose(entries: list[tuple[str, int]]) -> int:
-            sub = [i for i, e in enumerate(entries) if e[0] == entries[0][0]] \
-                if reduce else range(len(entries))
+        def choose(count: int) -> int:
             # Forced moves are not decision points; paths record only
             # genuine decisions, which keeps them short.
-            if len(sub) == 1:
-                return sub[0]
+            if count == 1:
+                return 0
             path.append(prefix[len(path)] if len(path) < len(prefix) else 0)
-            widths.append(len(sub))
-            return sub[path[-1]]
+            widths.append(count)
+            return path[-1]
 
-        report = _execute(app, config, choose)
+        report = _execute(app, config, choose, first_role=reduce)
         paths += 1
         outcomes[report.outcome] += 1
         if report.outcome == DEADLOCK:

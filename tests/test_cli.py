@@ -9,6 +9,11 @@ import pytest
 from chorad import corpus
 from chorad.cli import MANAGER_ENV_VAR, main
 from chorad.live import serve_manager, serve_rule_server
+from chorad.net import decode_line, encode_line
+from chorad.parser import parse_program
+from chorad.project import app_manifest, proc_to_data, project
+
+import progen
 
 BROKEN = """\
 preamble { starter: a }
@@ -82,19 +87,43 @@ def test_compile_writes_manifest_and_role_files(hello_file, tmp_path, capsys):
     assert "2 role files" in capsys.readouterr().out
 
 
-def test_compile_reports_code_too_deep_for_json_in_one_line(tmp_path, capsys):
+def test_compile_writes_code_too_deep_for_json_in_one_line(tmp_path, capsys):
     # a long sum nests one level per term, past the JSON encoder's recursion
     terms = " + ".join(f"r{i}" for i in range(1000))
+    source = ("preamble { starter: a }\naioc {\n"
+              + "".join(f"  r{i}@a = {i};\n" for i in range(1000))
+              + f"  out@a = {terms};\n  show: a( out ) -> b( result )\n}}\n")
     f = tmp_path / "sum.aioc"
-    f.write_text("preamble { starter: a }\naioc {\n"
-                 + "".join(f"  r{i}@a = {i};\n" for i in range(1000))
-                 + f"  out@a = {terms};\n  show: a( out ) -> b( result )\n}}\n")
+    f.write_text(source)
     out = tmp_path / "build"
-    assert main(["compile", str(f), "-o", str(out)]) == 1
+    assert main(["compile", str(f), "-o", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "error: the compiled code nests too deep to write as JSON\n"
-    assert captured.out == ""
-    assert not out.exists()  # nothing is written when one file cannot be
+    assert captured.err == ""
+    assert captured.out == f"wrote {out}/manifest.json and 2 role files\n"
+    app = project(parse_program(source))
+    expected = {"manifest.json": app_manifest(app)}
+    for role, code in app.per_role.items():
+        expected[f"role_{role}.json"] = {"role": role, "code": proc_to_data(code)}
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, data in expected.items():
+        # compared through the codec: == on values this deep recurses too
+        written = decode_line((out / name).read_text())
+        assert encode_line(written) == encode_line(data), name
+
+
+def test_compiled_files_are_what_json_indents():
+    """The writer ``chorad compile`` falls back to writes what
+    ``json.dumps(indent=2)`` writes, on every program the encoder can take."""
+    from chorad.net import _dumps_deep
+
+    programs = [sc.program for sc in corpus.standard_scenarios()]
+    programs += [progen.random_connected_program(seed) for seed in range(50)]
+    for program in programs:
+        app = project(program)
+        files = [app_manifest(app)]
+        files += [{"role": r, "code": proc_to_data(c)} for r, c in app.per_role.items()]
+        for data in files:
+            assert _dumps_deep(data, 2) == json.dumps(data, indent=2)
 
 
 # ---------------------------------------------------------------------

@@ -416,6 +416,7 @@ def test_line_codec_writes_and_reads_what_json_does_at_any_depth():
         v = value(0)
         text = json.dumps(v, separators=(",", ":"))
         assert _dumps_deep(v) == text
+        assert _dumps_deep(v, 2) == json.dumps(v, indent=2)
         assert _loads_deep(text) == json.loads(text)
         assert _loads_deep(f" {json.dumps(v, indent=2)}\n") == json.loads(text)
     for bad in ["", "[1,]", '{"a" 1}', "[1 2]", '{"a":1,}', "tru", "[1] x", '"abc', "{1:2}"]:

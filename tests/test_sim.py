@@ -3,6 +3,7 @@ exploration, and mid-run adaptation."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from chorad import cli, sim
 from chorad.check import check_program
 from chorad.parser import MAX_NESTING, ParseError, parse_behaviour, parse_program
 from chorad.project import project
+from chorad.runtime import READY
 from chorad.sim import (
     DEADLOCK,
     ERROR,
@@ -28,6 +30,7 @@ from chorad.services import FunctionTable
 from chorad import corpus
 
 import oracle
+import progen
 
 
 def _cfg(sc, adapted=None, *, manager=False, seed=0, **kw):
@@ -246,6 +249,74 @@ def test_a_long_loop_over_a_par_block_keeps_a_few_tasks_per_role():
     assert all(ex.finished() for ex in world.executors.values())
     assert world.executors["a"]._next_tid == 401  # two branches per iteration
     assert most == 3  # a's main task and the two branches of one iteration
+
+
+def _wide_par(k):
+    """One ``|`` block of ``k`` interactions from a to b."""
+    branches = "\n  | ".join(f"m{i}: a( {i} ) -> b( x{i} )" for i in range(k))
+    return project(parse_program(f"preamble {{ starter: a }}\naioc {{\n  {{ {branches} }}\n}}\n"))
+
+
+_WHILE_PAR = ("preamble { starter: a }\naioc {\n  i@a = 0;\n  while ( i < 20 )@a {\n"
+              "    i@a = i + 1;\n    { p: a( i ) -> b( x ) | q: a( i ) -> c( y ) }\n  }\n}\n")
+
+
+def _par_tree(depth, name="m"):
+    """``|`` blocks nested ``depth`` deep, two branches each, every branch
+    ending in an interaction after its own block."""
+    step = f"{name}: a( 1 ) -> b( {name} )"
+    if not depth:
+        return step
+    return (f"{{ {{ {_par_tree(depth - 1, name + '0')} | "
+            f"{_par_tree(depth - 1, name + '1')} }}; {step} }}")
+
+
+def _ready_list_cases():
+    """(id, builder of the app and config to run)"""
+    for sc in corpus.standard_scenarios():
+        for adapted in [None, *sorted(sc.adapted)]:
+            yield (f"{sc.name}-{adapted or 'plain'}",
+                   lambda sc=sc, a=adapted: (sc.app, _cfg(sc, a, seed=3)))
+    for seed in range(50):
+        yield (f"progen-{seed}", lambda seed=seed: (
+            project(progen.random_connected_program(seed)), SimConfig(seed=seed)))
+    yield "while-par", lambda: (project(parse_program(_WHILE_PAR)), SimConfig())
+    # a branch's join ends while its siblings' later tids are still ready
+    yield "par-tree", lambda: (project(parse_program(
+        f"preamble {{ starter: a }}\naioc {{\n  {_par_tree(4)}\n}}\n")), SimConfig())
+    yield "par-2000", lambda: (_wide_par(2000), SimConfig())
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in _ready_list_cases()])
+def test_every_executor_keeps_exactly_its_ready_tasks(build):
+    """After every step, each executor's ready list is what a scan of its
+    tasks finds; the seeded run ends as ``simulate``'s does."""
+    app, config = build()
+    world = _World(app, config)
+    rng = random.Random(config.seed)
+    while not world.failure:
+        world.fire_due_events()
+        entries = world.ready_entries()
+        if not entries:
+            break
+        world.advance(*entries[rng.randrange(len(entries))])
+        for ex in world.executors.values():
+            assert ex.ready_tids() == [tid for tid, t in ex._tasks.items()
+                                       if t.state == READY]
+    assert all(ex.finished() for ex in world.executors.values())
+    report = simulate(app, config)
+    assert report.outcome == TERMINATED
+    assert (world.steps, world._hash.hexdigest()) == (report.steps, report.trace_hash)
+
+
+@pytest.mark.parametrize("k, steps, trace_hash", [
+    (250, 1510, "e959a9d45ab441247e1bdb6c0e7c71a44809b983bbff5e7d924b184101c85172"),
+    (2000, 12010, "e9716aa69b9c39f721f5976ccab66f630e68a6e5048c498be124aac9be2b16c8"),
+])
+def test_wide_par_block_trace_hash_is_pinned(k, steps, trace_hash):
+    r = simulate(_wide_par(k), SimConfig(seed=1))
+    assert r.outcome == TERMINATED
+    assert (r.steps, r.trace_hash) == (steps, trace_hash)
 
 
 # ---------------------------------------------------------------------
