@@ -27,7 +27,7 @@ from .live import (
     serve_manager,
     serve_rule_server,
 )
-from .net import NetError, encode_text, request
+from .net import NetError, request
 from .services import FunctionTable
 from .sim import SimConfig, simulate
 
@@ -126,7 +126,7 @@ def cmd_compile(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out or (Path(ns.file).stem + ".build"))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, data in files.items():
-        (out_dir / name).write_text(encode_text(data, indent=2) + "\n", encoding="utf-8")
+        (out_dir / name).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out_dir}/manifest.json and {len(app.per_role)} role files")
     return 0
 

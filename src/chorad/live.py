@@ -215,19 +215,6 @@ def run_role(target: Target, role: str, *,
     if starter_address:
         ex.locations[app.starter] = starter_address
 
-    live: _LiveRole | None = None
-
-    def on_wire(obj: dict) -> dict | None:
-        if obj.get("kind") == "ping":
-            return {"kind": "pong", "role": role}
-        assert live is not None
-        live.deliver(Message.from_dict(obj))
-        return None
-
-    server = start_server(address, on_wire)
-    ex.address = server.address
-    ex.start()
-
     def send(msg: Message) -> None:
         peer = ex.locations.get(msg.to)
         if peer is None:
@@ -236,7 +223,19 @@ def run_role(target: Target, role: str, *,
 
     router = Router(services=services, manager=manager, inputs=inputs,
                     input_fn=input_fn, request=partial(request, timeout=timeout))
+    # ready before the listener opens: a peer's message may arrive at once
     live = _LiveRole(ex, send=send, router=router, stall_timeout=stall_timeout)
+
+    def on_wire(obj: dict) -> dict | None:
+        if obj.get("kind") == "ping":
+            return {"kind": "pong", "role": role}
+        live.deliver(Message.from_dict(obj))
+        return None
+
+    server = start_server(address, on_wire)
+    with live.cv:
+        ex.address = server.address
+        ex.start()
     try:
         live.run()
     finally:

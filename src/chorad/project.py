@@ -22,6 +22,7 @@ scope they replace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 
 from .ast import (
     Assign,
@@ -46,6 +47,7 @@ from .ast import (
     pretty_print,
     roles_of,
     walk,
+    walk_expr,
 )
 
 
@@ -413,44 +415,69 @@ _WIRE_KEYS = {"value": "v", "function": "fn", "guard_op": "guardOp",
               "done_op": "doneOp", "default_p": "default"}
 
 
-def expr_to_data(e: Expr):
-    return _to_data(e, Expr)
+def expr_to_data(e: Expr) -> list:
+    """``e`` as a flat list: its nodes in evaluation order, each without its
+    operands (a tuple of operands ships as its length), so an expression of
+    any shape is two levels deep on the wire."""
+    out = []
+    for x in walk_expr(e, post_order=True):
+        d = {"k": _TAGS[type(x)]}
+        for name, key, many, _ in _LAYOUT[type(x)]:
+            if many is None:
+                d[key] = getattr(x, name)
+            elif many:
+                d[key] = len(getattr(x, name))
+        out.append(d)
+    return out
 
 
 def expr_from_data(d) -> Expr:
-    return _from_data(d, Expr)
+    """The expression ``d`` encodes (see :func:`expr_to_data`), rebuilt
+    with a stack."""
+    if not isinstance(d, list):
+        raise ValueError(f"an expression ships as a list of nodes, not a {type(d).__name__}")
+    built: list[Expr] = []  # finished operands, the last one on top
+    for node in d:
+        cls = _class_of(node, Expr)
+        layout = _LAYOUT[cls]
+        n = sum(node[key] if many else 1 for _, key, many, _ in layout if many is not None)
+        if not 0 <= n <= len(built):
+            raise ValueError(f"a {node['k']!r} node takes {n} operands; {len(built)} precede it")
+        operands = iter(built[len(built) - n:])
+        del built[len(built) - n:]
+        built.append(cls(*(decode(node[key]) if many is None
+                           else tuple(islice(operands, node[key])) if many
+                           else next(operands)
+                           for _, key, many, decode in layout)))
+    if len(built) != 1:
+        raise ValueError(f"an expression ships as one tree, not {len(built)}")
+    return built[0]
 
 
-def proc_to_data(p: ProcessCode):
-    return _to_data(p, ProcessCode)
-
-
-def proc_from_data(d) -> ProcessCode:
-    return _from_data(d, ProcessCode)
-
-
-def _to_data(node, base: type):
-    """``node`` as plain data, built top down with an explicit stack:
-    expressions nest as deep as a ``+`` chain is long."""
+def proc_to_data(p: ProcessCode) -> dict:
+    """``p`` as plain data, built top down with an explicit stack; its
+    expressions ship flat."""
     root: dict = {}
-    todo = [(node, base, root)]
+    todo = [(p, root)]
     while todo:
-        node, base, out = todo.pop()
-        if not isinstance(node, base) or type(node) not in _TAGS:
-            raise TypeError(f"not a {base.__name__} node: {node!r}")
-        out[_TAG_KEY[base]] = _TAGS[type(node)]
-        for name, key, _, _ in _LAYOUT[type(node)]:
-            out[key] = _value_to_data(getattr(node, name), todo)
+        p, out = todo.pop()
+        if not isinstance(p, ProcessCode) or type(p) not in _TAGS:
+            raise TypeError(f"not a ProcessCode node: {p!r}")
+        out["t"] = _TAGS[type(p)]
+        for name, key, _, _ in _LAYOUT[type(p)]:
+            out[key] = _value_to_data(getattr(p, name), todo)
     return root
 
 
 def _value_to_data(v, todo: list):
-    """``v`` as plain data; a node becomes an empty dict queued on ``todo``
-    to be filled in."""
-    if isinstance(v, (Expr, ProcessCode)):
+    """``v`` as plain data; process code becomes an empty dict queued on
+    ``todo`` to be filled in."""
+    if isinstance(v, ProcessCode):
         out: dict = {}
-        todo.append((v, Expr if isinstance(v, Expr) else ProcessCode, out))
+        todo.append((v, out))
         return out
+    if isinstance(v, Expr):
+        return expr_to_data(v)
     if isinstance(v, tuple):
         return [_value_to_data(x, todo) for x in v]
     if isinstance(v, NodeId):
@@ -458,28 +485,24 @@ def _value_to_data(v, todo: list):
     return v
 
 
-def _from_data(d, base: type):
-    """The node ``d`` encodes, built bottom up with an explicit stack."""
+def proc_from_data(d) -> ProcessCode:
+    """The process code ``d`` encodes, built bottom up with an explicit stack."""
     built: list = []  # finished nodes; a node's children end on top, first child topmost
-    todo: list = [(d, base, None)]
+    todo: list = [(d, None)]
     while todo:
-        d, base, cls = todo.pop()
+        d, cls = todo.pop()
         if cls is None:  # first visit: queue the node again, after its children
-            tag = d[_TAG_KEY[base]]
-            cls = _CLASSES[base].get(tag)
-            if cls is None:
-                raise ValueError(f"unknown {base.__name__} tag {tag!r}")
-            todo.append((d, base, cls))
-            for _, key, kind, _ in _LAYOUT[cls]:
-                if kind is not None:
-                    kid_base, many = kind
-                    todo += [(x, kid_base, None) for x in (d[key] if many else (d[key],))]
+            cls = _class_of(d, ProcessCode)
+            todo.append((d, cls))
+            for _, key, many, _ in _LAYOUT[cls]:
+                if many is not None:
+                    todo += [(x, None) for x in (d[key] if many else (d[key],))]
             continue
         args = []
-        for _, key, kind, decode in _LAYOUT[cls]:
-            if kind is None:
+        for _, key, many, decode in _LAYOUT[cls]:
+            if many is None:
                 args.append(decode(d[key]))
-            elif kind[1]:
+            elif many:
                 args.append(tuple(built.pop() for _ in d[key]))
             else:
                 args.append(built.pop())
@@ -487,26 +510,36 @@ def _from_data(d, base: type):
     return built[0]
 
 
-#: Declared field types that hold nodes: (node base class, a tuple of them?).
-_NODE_KINDS = {
-    "Expr": (Expr, False),
-    "ProcessCode": (ProcessCode, False),
-    "tuple[Expr, ...]": (Expr, True),
-    "tuple[ProcessCode, ...]": (ProcessCode, True),
-}
+def _class_of(d, base: type) -> type:
+    tag = d[_TAG_KEY[base]]
+    cls = _CLASSES[base].get(tag)
+    if cls is None:
+        raise ValueError(f"unknown {base.__name__} tag {tag!r}")
+    return cls
+
+
+def _holds_children(cls: type, declared: str) -> bool | None:
+    """Whether a field of ``cls`` declared ``declared`` holds a tuple of
+    nodes of ``cls``'s own kind (an expression's operands, process code's
+    branches), or None when it holds none."""
+    kind = "Expr" if issubclass(cls, Expr) else "ProcessCode"
+    return {kind: False, f"tuple[{kind}, ...]": True}.get(declared)
+
 
 #: How any other field's wire value is read back, by the field's declared
 #: type; the rest are stored as is.
 _DECODERS = {
+    "Expr": expr_from_data,
+    "tuple[Expr, ...]": lambda v: tuple(map(expr_from_data, v)),
     "tuple[str, ...]": tuple,
     "NodeId": lambda s: NodeId(tuple(int(i) for i in s.split("_") if i)),
     "dict[str, Value]": dict,
 }
 
-#: Per class: (field, wire key, node kind, decoder) for every compared field,
-#: in declaration order (source positions are not shipped).
+#: Per class: (field, wire key, holds children, decoder) for every compared
+#: field, in declaration order (source positions are not shipped).
 _LAYOUT = {
-    cls: tuple((f.name, _WIRE_KEYS.get(f.name, f.name), _NODE_KINDS.get(f.type),
+    cls: tuple((f.name, _WIRE_KEYS.get(f.name, f.name), _holds_children(cls, f.type),
                 _DECODERS.get(f.type, lambda v: v))
                for f in fields(cls) if f.compare)
     for cls in _TAGS

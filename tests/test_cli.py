@@ -13,8 +13,6 @@ from chorad.net import decode_line, encode_line
 from chorad.parser import parse_program
 from chorad.project import app_manifest, proc_to_data, project
 
-import progen
-
 BROKEN = """\
 preamble { starter: a }
 
@@ -88,7 +86,7 @@ def test_compile_writes_manifest_and_role_files(hello_file, tmp_path, capsys):
 
 
 def test_compile_writes_code_too_deep_for_json_in_one_line(tmp_path, capsys):
-    # a long sum nests one level per term, past the JSON encoder's recursion
+    # a sum a thousand levels deep in the syntax tree, one flat list in the file
     terms = " + ".join(f"r{i}" for i in range(1000))
     source = ("preamble { starter: a }\naioc {\n"
               + "".join(f"  r{i}@a = {i};\n" for i in range(1000))
@@ -106,24 +104,31 @@ def test_compile_writes_code_too_deep_for_json_in_one_line(tmp_path, capsys):
         expected[f"role_{role}.json"] = {"role": role, "code": proc_to_data(code)}
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
     for name, data in expected.items():
-        # compared through the codec: == on values this deep recurses too
+        # compared as the lines the wire would carry
         written = decode_line((out / name).read_text())
         assert encode_line(written) == encode_line(data), name
 
 
-def test_compiled_files_are_what_json_indents():
-    """The writer ``chorad compile`` falls back to writes what
-    ``json.dumps(indent=2)`` writes, on every program the encoder can take."""
-    from chorad.net import _dumps_deep
+@pytest.mark.parametrize("kind", ["paren-chain", "call-chain", "seq-par"])
+def test_compile_writes_the_deepest_code_the_parser_accepts_as_json_indents_it(
+        kind, tmp_path, capsys):
+    from chorad.parser import MAX_NESTING
+    from test_sim import _nested_source, _paren_chain_source
 
-    programs = [sc.program for sc in corpus.standard_scenarios()]
-    programs += [progen.random_connected_program(seed) for seed in range(50)]
-    for program in programs:
-        app = project(program)
-        files = [app_manifest(app)]
-        files += [{"role": r, "code": proc_to_data(c)} for r, c in app.per_role.items()]
-        for data in files:
-            assert _dumps_deep(data, 2) == json.dumps(data, indent=2)
+    source = _paren_chain_source(MAX_NESTING) if kind == "paren-chain" \
+        else _nested_source(kind, MAX_NESTING)[0]
+    f = tmp_path / "deep.aioc"
+    f.write_text(source)
+    out = tmp_path / "build"
+    assert main(["compile", str(f), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    app = project(parse_program(source))
+    expected = {"manifest.json": app_manifest(app)}
+    for role, code in app.per_role.items():
+        expected[f"role_{role}.json"] = {"role": role, "code": proc_to_data(code)}
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, data in expected.items():
+        assert (out / name).read_text() == json.dumps(data, indent=2) + "\n", name
 
 
 # ---------------------------------------------------------------------

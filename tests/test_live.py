@@ -3,13 +3,14 @@ services behind the line protocol."""
 
 from __future__ import annotations
 
+import json
 import socket
 import sys
 import threading
 
 import pytest
 
-from chorad import corpus
+from chorad import corpus, live
 from chorad.live import (
     _LiveRole,
     run_all,
@@ -18,10 +19,10 @@ from chorad.live import (
     serve_manager,
     serve_rule_server,
 )
-from chorad.net import NetError, request
+from chorad.net import NetError, decode_line, encode_line, request, send_line, start_server
 from chorad.parser import parse_program
 from chorad.project import project
-from chorad.runtime import RoleExecutor
+from chorad.runtime import BARRIER_OP, KIND_READY, Message, RoleExecutor
 from chorad.services import FunctionTable, Router
 from chorad.sim import ERROR, SimConfig, simulate
 
@@ -336,14 +337,14 @@ aioc {
 }
 """
 
-#: A replacement whose code nests a thousand levels deep on the wire.
+#: A replacement whose code holds a thousand-term sum.
 SUM_RULE = ('rule { on { N.kind == "sum" } do { step: a( x ) -> b( y ); s@b = y + '
             + " + ".join(str(k) for k in range(1, 1001)) + " } }")
 
 
 def test_code_too_deep_for_json_adapts_over_tcp():
-    """The match reply and b's directive carry a 1 000-term sum: deeper than
-    ``json`` encodes or decodes, so those lines take the iterative codec."""
+    """The match reply and b's directive carry a 1 000-term sum, a thousand
+    levels deep as a tree and one flat list on the wire."""
     from chorad.adapt import AdaptationManager, AdaptationServer
 
     program = parse_program(SUM_SCOPE)
@@ -394,44 +395,91 @@ def test_code_too_deep_for_json_adapts_over_tcp():
     assert remote.match_log == [("1", "s0/r1")]
 
 
-def test_line_codec_writes_and_reads_what_json_does_at_any_depth():
-    import json
-    import random
+def test_a_message_that_arrives_as_the_listener_opens_is_kept(monkeypatch):
+    """A peer may deliver the moment ``run_role``'s listener is up, before
+    the role has started."""
+    program = parse_program("preamble { starter: a }\naioc {\n  x@b = 1\n}\n")
+    heard_by_b: list[dict] = []
+    peer_b = start_server("socket://localhost:0", heard_by_b.append)
+    real_start_server = live.start_server
 
-    from chorad.net import _dumps_deep, _loads_deep, decode_line, encode_line
+    def start_and_hear_from_b(address, handler):
+        handled = threading.Event()
 
-    rng = random.Random(5)
-    leaves = [0, -7, 2 ** 70, 1.5, -2e-9, True, False, None, "", 'q"\\\n', "é☃\x01"]
+        def on_wire(obj):
+            try:
+                return handler(obj)
+            finally:
+                handled.set()
 
-    def value(depth):
-        r = rng.random()
-        if depth > 4 or r < 0.3:
-            return rng.choice(leaves)
-        if r < 0.65:
-            return [value(depth + 1) for _ in range(rng.randrange(4))]
-        return {f"{rng.choice(['k', 'a b', 'é', ''])}{i}": value(depth + 1)
-                for i in range(rng.randrange(4))}
+        server = real_start_server(address, on_wire)
+        send_line(server.address, Message(KIND_READY, BARRIER_OP, "b", "a",
+                                          peer_b.address, 0).to_dict())
+        assert handled.wait(5)
+        return server
 
-    for _ in range(500):
-        v = value(0)
-        text = json.dumps(v, separators=(",", ":"))
-        assert _dumps_deep(v) == text
-        assert _dumps_deep(v, 2) == json.dumps(v, indent=2)
-        assert _loads_deep(text) == json.loads(text)
-        assert _loads_deep(f" {json.dumps(v, indent=2)}\n") == json.loads(text)
-    for bad in ["", "[1,]", '{"a" 1}', "[1 2]", '{"a":1,}', "tru", "[1] x", '"abc', "{1:2}"]:
-        with pytest.raises(json.JSONDecodeError):
-            _loads_deep(bad)
+    monkeypatch.setattr(live, "start_server", start_and_hear_from_b)
+    try:
+        assert run_role(program, "a", address="socket://localhost:0", stall_timeout=5) == {}
+        for _ in range(100):  # sends are fire-and-forget
+            if heard_by_b:
+                break
+            threading.Event().wait(0.05)
+    finally:
+        peer_b.shutdown()
+        peer_b.server_close()
+    assert [m["kind"] for m in heard_by_b] == ["start"]
 
-    deep: object = "leaf"
-    for _ in range(3000):
-        deep = {"k": "binary", "left": deep, "right": [1]}
-    with pytest.raises(RecursionError):
-        json.dumps(deep)
-    line = encode_line(deep)
-    assert line.endswith(b"\n") and line.count(b"{") == 3000
-    back = decode_line(line)
-    for _ in range(3000):
-        assert back["right"] == [1]
-        back = back["left"]
-    assert back == "leaf"
+
+def _raw_server(reply: bytes) -> tuple[socket.socket, str]:
+    """A listener that answers every line with ``reply``, verbatim."""
+    listener = socket.create_server(("localhost", 0))
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # closed
+                return
+            with conn, conn.makefile("rb") as reader:
+                for _line in reader:
+                    conn.sendall(reply)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener, f"socket://localhost:{listener.getsockname()[1]}"
+
+
+@pytest.mark.parametrize("reply, problem", [
+    (b'{"kind":"result","value":"\xff"}\n', "sent a non-JSON reply"),
+    (b"[1]\n", "sent a reply that is not a JSON object"),
+], ids=["not-utf8", "not-an-object"])
+def test_an_undecodable_service_reply_fails_the_calling_role_at_once(reply, problem):
+    listener, address = _raw_server(reply)
+    try:
+        with pytest.raises(NetError, match=problem):
+            request(address, {"kind": "call", "fn": "f", "args": [1]})
+        program = parse_program(ONE_CALL.replace("socket://localhost:9", address)
+                                .replace("CALL", "f( 1 )"))
+        report = run_all(program, stall_timeout=20)
+    finally:
+        listener.close()
+    assert f"{address} {problem}" in report.errors["a"]
+    assert report.errors["b"] == "stopped: role 'a' failed"
+
+
+def test_a_line_server_answers_unreadable_lines_and_keeps_serving():
+    deep = b"[" * 3000 + b"]" * 3000
+    with pytest.raises(json.JSONDecodeError):
+        decode_line(deep)
+    server = serve_functions("socket://localhost:0", FunctionTable().adder())
+    try:
+        with socket.create_connection(server.server_address[:2], timeout=5) as conn, \
+                conn.makefile("rb") as reader:
+            for line in (b'{"kind":"\xff"}', deep):
+                conn.sendall(line + b"\n")
+                assert json.loads(reader.readline()) == {"kind": "error", "message": "bad json"}
+            conn.sendall(encode_line({"kind": "call", "fn": "add", "args": [2, 3]}))
+            assert json.loads(reader.readline()) == {"kind": "result", "value": 5}
+    finally:
+        server.shutdown()
+        server.server_close()

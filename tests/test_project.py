@@ -363,23 +363,6 @@ def test_proc_codec_round_trips_the_corpus(source):
             assert proc_from_data(data) == code, (name, role)
 
 
-def _flat(data) -> list:
-    """Nested dicts and lists as one pre-order token list, built without
-    recursion, so encodings nested deeper than the recursion limit compare."""
-    out, stack = [], [data]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, dict):
-            out.append(("{", tuple(x)))
-            stack += reversed(list(x.values()))
-        elif isinstance(x, list):
-            out.append(("[", len(x)))
-            stack += reversed(x)
-        else:
-            out.append((type(x).__name__, x))
-    return out
-
-
 def test_a_thousand_term_sum_checks_and_round_trips_without_recursion():
     n = 1000
     terms = " + ".join(["f( 0 )"] + [str(i) for i in range(1, n)])
@@ -391,8 +374,64 @@ def test_a_thousand_term_sum_checks_and_round_trips_without_recursion():
     app = project(program)
     for role, code in app.per_role.items():
         data = proc_to_data(code)
-        assert _flat(proc_to_data(proc_from_data(data))) == _flat(data), role
-    assert _flat(proc_to_data(app.per_role["a"])).count(("str", "binary")) == n - 1
+        assert proc_to_data(proc_from_data(data)) == data, role
+    [assign, _] = proc_to_data(app.per_role["a"])["items"]
+    # the whole sum is one flat list on the wire, the call and its operand first
+    assert [x["k"] for x in assign["expr"]] == ["lit", "call"] + ["lit", "binary"] * (n - 1)
+    assert _depth(assign) == 3
+
+
+def _depth(data) -> int:
+    """Levels of dicts and lists nested in ``data``; a scalar has none."""
+    deepest, todo = 0, [(data, 0)]
+    while todo:
+        x, depth = todo.pop()
+        if isinstance(x, (dict, list)):
+            deepest = max(deepest, depth + 1)
+            todo += [(y, depth + 1) for y in (x.values() if isinstance(x, dict) else x)]
+    return deepest
+
+
+def _chain_program(ops: list[str], term) -> ast.Program:
+    text = term(0) + "".join(f" {op} {term(i)}" for i, op in enumerate(ops, 1))
+    return parse_program(f"preamble {{ starter: a }}\naioc {{\n  v@a = {text};\n"
+                         f"  m: a( v ) -> b( x )\n}}\n")
+
+
+def test_compiled_code_nests_within_a_bound_and_round_trips_through_json():
+    """Every file ``chorad compile`` writes nests at most ``5 * MAX_NESTING +
+    9`` levels, so the stdlib ``json`` module reads and writes it.
+
+    The bound follows from the encoding.  An expression is a flat list of
+    nodes: two levels, three in a call's argument list, whatever its shape.
+    Process code nests only where the source does, and the parser refuses
+    source nested past ``MAX_NESTING``.  From one nested construct to the
+    next there are at most five levels: the construct's node, then a ``;``
+    node and its list, then a ``|`` node and its list (a brace adds no node
+    of its own).  The file and the top level's ``;`` and ``|`` add five, and
+    the innermost statement with a call's arguments adds four."""
+    from chorad.parser import MAX_NESTING
+    from test_sim import _NESTED, _nested_source, _paren_chain_source
+
+    programs = [sc.program for sc in corpus.standard_scenarios()]
+    programs += [progen.random_connected_program(seed) for seed in range(50)]
+    programs += [parse_program(_nested_source(kind, MAX_NESTING)[0]) for kind in _NESTED]
+    programs += [parse_program(_paren_chain_source(MAX_NESTING)),
+                 _chain_program(["+"] * 999, lambda i: f"r{i}"),
+                 _chain_program(["and"] * 999, lambda i: f"{i} == {i}"),
+                 _chain_program(["+", "-"] * 499 + ["+"], lambda i: f"r{i}")]
+    deepest = 0
+    for program in programs:
+        app = project(program)
+        files = [app_manifest(app)]
+        files += [{"role": r, "code": proc_to_data(c)} for r, c in app.per_role.items()]
+        for data in files:
+            deepest = max(deepest, _depth(data))
+            assert json.loads(json.dumps(data, indent=2)) == data
+            if "code" in data:  # compared as data: == on long chains recurses
+                assert proc_to_data(proc_from_data(data["code"])) == data["code"]
+    # seq-par, the deepest shape per level, comes within a few levels of it
+    assert 5 * MAX_NESTING <= deepest <= 5 * MAX_NESTING + 9
 
 
 @pytest.mark.parametrize("op, term, value", [
@@ -404,7 +443,7 @@ def test_thousand_term_chains_print_evaluate_and_walk_without_recursion(op, term
     text = f" {op} ".join(f"f( {i} )" if i in calls_at else term(i) for i in range(1000))
     e = parse_expr(text)
     assert ast.pretty_print_expr(e) == text
-    assert _flat(expr_to_data(parse_expr(ast.pretty_print_expr(e)))) == _flat(expr_to_data(e))
+    assert expr_to_data(parse_expr(ast.pretty_print_expr(e))) == expr_to_data(e)
     calls = find_calls(e)
     assert [c.args[0].value for c in calls] == list(calls_at)
     resolved = {id(c): (c.args[0].value if op == "+" else True) for c in calls}
@@ -443,28 +482,26 @@ _N = {"k": "var", "name": "n"}
 
 _PINNED_CODE = {
     "a": {"t": "seq", "items": [
-        {"t": "assign", "var": "n", "expr": {"k": "lit", "v": 2}},
+        {"t": "assign", "var": "n", "expr": [{"k": "lit", "v": 2}]},
         {"t": "whileLocal",
-         "guard": {"k": "binary", "op": ">", "left": _N, "right": {"k": "lit", "v": 0}},
+         "guard": [_N, {"k": "lit", "v": 0}, {"k": "binary", "op": ">"}],
          "involved": ["b"], "guardOp": "_aux_guard_1", "ackOp": "_aux_ack_1",
          "body": {"t": "seq", "items": [
-             {"t": "send", "op": "go", "peer": "b", "expr": _N},
+             {"t": "send", "op": "go", "peer": "b", "expr": [_N]},
              {"t": "assign", "var": "n",
-              "expr": {"k": "binary", "op": "-", "left": _N,
-                       "right": {"k": "lit", "v": 1}}}]}},
+              "expr": [_N, {"k": "lit", "v": 1}, {"k": "binary", "op": "-"}]}]}},
         {"t": "ifLocal",
-         "guard": {"k": "unary", "op": "!",
-                   "operand": {"k": "binary", "op": ">", "left": _N,
-                               "right": {"k": "lit", "v": 0}}},
+         "guard": [_N, {"k": "lit", "v": 0}, {"k": "binary", "op": ">"},
+                   {"k": "unary", "op": "!"}],
          "involved": ["b"], "guardOp": "_aux_guard_2",
          "then": {"t": "scopeCoord", "scopeId": "2_0", "props": {"kind": "pin"},
                   "involved": ["b"], "directiveOp": "_aux_directive_2_0",
                   "doneOp": "_aux_done_2_0",
                   "default": {"t": "par", "items": [
                       {"t": "send", "op": "ok", "peer": "b",
-                       "expr": {"k": "lit", "v": True}},
+                       "expr": [{"k": "lit", "v": True}]},
                       {"t": "call", "fn": "f",
-                       "args": [_N, {"k": "lit", "v": "s"}], "var": "x"}]}},
+                       "args": [[_N], [{"k": "lit", "v": "s"}]], "var": "x"}]}},
          "else": {"t": "nop"}}]},
     "b": {"t": "seq", "items": [
         {"t": "whileFollow", "guardOp": "_aux_guard_1", "ackOp": "_aux_ack_1",
@@ -512,12 +549,25 @@ def test_every_node_class_has_a_wire_tag(cls):
     to_data, from_data, key = (expr_to_data, expr_from_data, "k") \
         if isinstance(node, ast.Expr) else (proc_to_data, proc_from_data, "t")
     data = to_data(node)
-    assert isinstance(data[key], str)
+    # an expression ships as a list of its nodes, operands first
+    assert isinstance((data[-1] if isinstance(node, ast.Expr) else data)[key], str)
     assert from_data(json.loads(json.dumps(data))) == node
+
+
+@pytest.mark.parametrize("data", [
+    {"k": "lit", "v": 1},  # not a list
+    [],
+    [{"k": "lit", "v": 1}, {"k": "lit", "v": 2}],  # two trees
+    [{"k": "lit", "v": 1}, {"k": "binary", "op": "+"}],  # an operand short
+    [{"k": "call", "fn": "f", "args": 2}],
+], ids=["dict", "empty", "two-trees", "binary-short", "call-short"])
+def test_expression_lists_that_are_not_one_tree_are_rejected(data):
+    with pytest.raises(ValueError):
+        expr_from_data(data)
 
 
 def test_unknown_wire_tags_are_rejected():
     with pytest.raises(ValueError):
         proc_from_data({"t": "teleport"})
     with pytest.raises(ValueError):
-        expr_from_data({"k": "teleport"})
+        expr_from_data([{"k": "teleport"}])

@@ -189,6 +189,11 @@ _NESTED = {
     "call": lambda d: ("v@a = " + _wrap(d, "inc( {} )", "1") + "; m: a( v ) -> b( x )",
                        d + 1, "("),
     "not": lambda d: (f"v@a = {'!' * d}true; m: a( v ) -> b( x )", d % 2 == 0, "!"),
+    # a Binary of every precedence level nested into the right operand of the last
+    "call-chain": lambda d: ("v@a = " + _wrap(d, "inc( false or 1 < 2 and 1 == 1 + 1 * {} )",
+                                              "1") + "; m: a( v ) -> b( x )", 1, "("),
+    # a | inside a ; at every level: the deepest process code per level
+    "seq-par": lambda d: (_wrap(d, "if ( 1 < 2 )@a {{ z{k}@a = 1 | {} ; y{k}@a = 2 }}"), 1, "if"),
     "mixed": lambda d: (_wrap(d, ("if ( 1 < 2 )@a {{ {} }}", "scope @b {{ {} }}",
                                   "{{ {} | z{k}@b = 1 }}")), 1, None),
 }
@@ -201,9 +206,16 @@ def _wrap(d, form, inner="m: a( 1 ) -> b( x )"):
     return inner
 
 
+def _paren_chain_source(depth):
+    """``call-chain`` with parens for calls: it parses and compiles, but does
+    not run, since ``*`` gets the ``or`` a level down."""
+    body = "v@a = " + _wrap(depth, "false or 1 < 2 and 1 == 1 + 1 * ( {} )", "1")
+    return f"preamble {{ starter: a }}\naioc {{\n{body}; m: a( v ) -> b( x )\n}}\n"
+
+
 def _nested_source(kind, depth):
     body, x, opener = _NESTED[kind](depth)
-    include = 'include inc from "socket://localhost:9"\n' if kind == "call" else ""
+    include = 'include inc from "socket://localhost:9"\n' if "inc(" in body else ""
     return f"{include}preamble {{ starter: a }}\naioc {{\n{body}\n}}\n", x, opener
 
 
