@@ -3,7 +3,8 @@
 All nodes are frozen dataclasses.  Structural equality deliberately ignores
 node ids and source positions (those fields carry ``compare=False``), so two
 parses of the same text compare equal while each node still knows where it
-came from for diagnostics.
+came from for diagnostics.  ``==`` and ``hash`` walk a tree without
+recursion, so trees of any depth compare.
 
 Node ids are paths of positions from the behaviour root: the statements of
 a ``;`` or ``|`` chain are numbered by their position in the chain, and the
@@ -56,18 +57,68 @@ class NodeId:
 # =========================================================================
 
 
-@dataclass(frozen=True)
-class Expr:
+class _Node:
+    """Base of expressions and behaviours: ``==`` and ``hash`` read each
+    class's compared fields from ``_COMPARED`` and walk a tree without
+    recursion, so long chains compare."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]  # both trees in lockstep
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if type(x) is not type(y):
+                return False
+            for name, kind in _COMPARED[type(x)]:
+                u, v = getattr(x, name), getattr(y, name)
+                if kind == 1:
+                    stack.append((u, v))
+                elif kind == 2:
+                    if len(u) != len(v):
+                        return False
+                    stack += zip(u, v)
+                elif u != v:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        parts: list[object] = []  # every node's class and plain values, in pre-order
+        stack: list[_Node] = [self]
+        while stack:
+            x = stack.pop()
+            parts.append(type(x))
+            for name, kind in _COMPARED[type(x)]:
+                value = getattr(x, name)
+                if kind == 0:
+                    parts.append(value)
+                elif kind == 1:
+                    stack.append(value)
+                else:
+                    stack += value
+        return hash(tuple(parts))
+
+
+#: The decorator of every node class, which keeps ``_Node``'s ``==`` and hash.
+_node = dataclass(frozen=True, eq=False)
+
+
+@_node
+class Expr(_Node):
     line: int = field(default=0, compare=False, kw_only=True)
     col: int = field(default=0, compare=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@_node
 class Lit(Expr):
     value: Value = 0
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     """A variable reference.
 
@@ -79,20 +130,20 @@ class Var(Expr):
     name: str = ""
 
 
-@dataclass(frozen=True)
+@_node
 class Unary(Expr):
     op: str = "!"
     operand: Expr = Lit(False)
 
 
-@dataclass(frozen=True)
+@_node
 class Binary(Expr):
     op: str = "+"
     left: Expr = Lit(0)
     right: Expr = Lit(0)
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     """Invocation of ``getInput`` or an included external function."""
 
@@ -100,11 +151,21 @@ class Call(Expr):
     args: tuple[Expr, ...] = ()
 
 
-#: Per expression class, its operand fields in declaration order, each with
-#: whether it holds a tuple of operands: the one table expression walks use.
-_EXPR_FIELDS = {cls: tuple((f.name, f.type != "Expr") for f in fields(cls)
-                           if f.type in ("Expr", "tuple[Expr, ...]"))
-                for cls in Expr.__subclasses__()}
+def _compared(cls: type) -> tuple[tuple[str, int], ...]:
+    kinds = {"Expr": 1, "Behaviour": 1, "tuple[Expr, ...]": 2}
+    return tuple((f.name, kinds.get(f.type, 0)) for f in fields(cls) if f.compare)
+
+
+#: Per node class, its compared fields in declaration order, each with
+#: whether it holds a node (1), a tuple of nodes (2) or a plain value (0):
+#: the table of ``==`` and ``hash``, which ignore ids and positions.
+#: Behaviour classes join it below.
+_COMPARED = {cls: _compared(cls) for cls in Expr.__subclasses__()}
+
+#: Per expression class, its operand fields, each with whether it holds a
+#: tuple of operands: the one table expression walks use.
+_EXPR_FIELDS = {cls: tuple((name, kind == 2) for name, kind in compared if kind)
+                for cls, compared in _COMPARED.items()}
 _EXPR_FIELDS_REVERSED = {cls: names[::-1] for cls, names in _EXPR_FIELDS.items()}
 
 #: Binary operators by precedence, loosest first; the parser and the printer
@@ -140,26 +201,26 @@ def walk_expr(e: Expr, post_order: bool = False) -> list[Expr]:
 # =========================================================================
 
 
-@dataclass(frozen=True)
-class Behaviour:
+@_node
+class Behaviour(_Node):
     nid: NodeId = field(default=NodeId(), compare=False, kw_only=True)
     line: int = field(default=0, compare=False, kw_only=True)
     col: int = field(default=0, compare=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@_node
 class Skip(Behaviour):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Behaviour):
     var: str = ""
     role: Role = ""
     expr: Expr = Lit(0)
 
 
-@dataclass(frozen=True)
+@_node
 class Interaction(Behaviour):
     """``op: sender( expr ) -> receiver( var )``; sender and receiver differ."""
 
@@ -170,19 +231,19 @@ class Interaction(Behaviour):
     var: str = ""
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Behaviour):
     first: Behaviour = Skip()
     second: Behaviour = Skip()
 
 
-@dataclass(frozen=True)
+@_node
 class Par(Behaviour):
     left: Behaviour = Skip()
     right: Behaviour = Skip()
 
 
-@dataclass(frozen=True)
+@_node
 class If(Behaviour):
     guard: Expr = Lit(True)
     evaluator: Role = ""
@@ -190,14 +251,14 @@ class If(Behaviour):
     else_branch: Behaviour = Skip()
 
 
-@dataclass(frozen=True)
+@_node
 class While(Behaviour):
     guard: Expr = Lit(False)
     evaluator: Role = ""
     body: Behaviour = Skip()
 
 
-@dataclass(frozen=True)
+@_node
 class Scope(Behaviour):
     """Adaptable region led by ``coordinator``; ``props`` describe it to rules."""
 
@@ -213,6 +274,7 @@ _CHILD_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "Behaviour"
 _CHILD_FIELDS_REVERSED = {cls: names[::-1] for cls, names in _CHILD_FIELDS.items()}
 _ROLE_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "Role")
                 for cls in Behaviour.__subclasses__()}
+_COMPARED.update((cls, _compared(cls)) for cls in Behaviour.__subclasses__())
 
 
 # =========================================================================

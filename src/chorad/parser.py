@@ -7,6 +7,14 @@ before the parallel composition; braces group explicitly.  Both separators
 rebuild right-associated chains, which is the normal form produced by
 :func:`chorad.ast.normalize`.
 
+The scanner builds no object per token.  One ``findall`` splits the input
+into ``(skipped, token)`` pairs, whitespace and comments being skipped, and
+the parser reads three parallel arrays made from them at C level: token
+texts, start offsets and kinds.  Ints are converted and strings unescaped
+when the parser consumes them, and a line and column are worked out from an
+offset, by bisection over the newline offsets, only when a node or a
+diagnostic is built.
+
 Failures raise :class:`ParseError` carrying a list of :class:`Diagnostic`
 values with one-based line/column positions.
 """
@@ -14,7 +22,11 @@ values with one-based line/column positions.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import getitem, itemgetter
+from string import ascii_letters
 
 from .ast import (
     Assign,
@@ -56,17 +68,33 @@ _NESTED = {"{": "braced", "if": "if_stmt", "while": "while_stmt", "scope": "scop
 
 _TIGHTEST = max(PRECEDENCE.values())
 
-_TOKEN_RE = re.compile(
+#: One scan step: the skipped text before a token, then the token.  The
+#: empty alternative matches only where no token starts: at the end of input
+#: or at a bad character, so the first empty token is where scanning stops.
+_SCAN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<string>"(?:\\.|[^"\\])*")
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>==|!=|<=|>=|->|[{}()\[\];|@=:,.<>+\-*/!])
+    ((?:\s+|//[^\n]*)*)
+    ( "(?:\\["\\]|[^"\\])*"
+    | \d+
+    | [A-Za-z_][A-Za-z0-9_]*
+    | ==|!=|<=|>=|->|[{}()\[\];|@=:,.<>+\-*/!]
+    | )
     """,
     re.VERBOSE,
 )
+
+#: A terminated string whatever its escapes, and the longest start of a
+#: string whose escapes are valid: together they tell a bad escape from an
+#: unterminated string where the scan stopped at a quote.
+_LOOSE_STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"')
+_VALID_PREFIX_RE = re.compile(r'"(?:\\["\\]|[^"\\])*')
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+_NEWLINE_RE = re.compile("\n")
+
+#: Token kind by first character; any other token the scanner accepts is an
+#: int, which starts with a digit of any script.
+_KIND_OF = {"": "eof", '"': "string", **dict.fromkeys(ascii_letters + "_", "ident"),
+            **dict.fromkeys("{}()[];|@=:,.<>+-*/!", "op")}
 
 
 @dataclass(frozen=True)
@@ -87,119 +115,105 @@ class ParseError(Exception):
         super().__init__("; ".join(d.render() for d in diagnostics))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "string" | "int" | "ident" | "op" | "eof"
-    text: str
-    value: Value | None
-    line: int
-    col: int
-
-
 class _Abort(Exception):
     """Internal: stop parsing after recording a diagnostic."""
 
 
-def _unescape(raw: str, line: int, col: int, diags: list[Diagnostic]) -> str:
-    body = raw[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            nxt = body[i + 1]
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                i += 2
-                continue
-            diags.append(Diagnostic("error", f"unknown escape '\\{nxt}' in string", line, col))
-            raise _Abort()
-        out.append(c)
-        i += 1
-    return "".join(out)
-
-
-def _tokenize(text: str, diags: list[Diagnostic]) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            ch = text[pos]
-            msg = "unterminated string literal" if ch == '"' else f"unexpected character {ch!r}"
-            diags.append(Diagnostic("error", msg, line, col))
-            raise _Abort()
-        col = m.start() - line_start + 1
-        kind = m.lastgroup
-        raw = m.group()
-        if kind == "string":
-            tokens.append(_Token("string", raw, _unescape(raw, line, col, diags), line, col))
-        elif kind == "int":
-            tokens.append(_Token("int", raw, int(raw), line, col))
-        elif kind == "ident":
-            tokens.append(_Token("ident", raw, None, line, col))
-        elif kind == "op":
-            tokens.append(_Token("op", raw, None, line, col))
-        # ws and comments are skipped, but still advance line accounting
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + raw.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", None, line, pos - line_start + 1))
-    return tokens
+def _scan_error(text: str, at: int) -> str:
+    """What is wrong at offset ``at``, where the scan stopped short of the end."""
+    if text[at] != '"':
+        return f"unexpected character {text[at]!r}"
+    if not _LOOSE_STRING_RE.match(text, at):
+        return "unterminated string literal"
+    bad = _VALID_PREFIX_RE.match(text, at).end() + 1
+    return f"unknown escape '\\{text[bad]}' in string"
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diags: list[Diagnostic]):
+    def __init__(self, text: str, diags: list[Diagnostic]):
         self.diags = diags
-        self.tokens = tokens
         self.pos = 0
         self.depth = 0  # constructs open around the current token
+        pairs = _SCAN_RE.findall(text)
+        self.texts = list(map(itemgetter(1), pairs))
+        # running ends of skipped parts and tokens; a token starts where its
+        # skipped part ends
+        self.starts = list(accumulate(map(len, chain.from_iterable(pairs))))[::2]
+        self.newlines = list(map(re.Match.start, _NEWLINE_RE.finditer(text)))
+        self.end = self.texts.index("")  # the eof token, unless a bad character
+        if self.starts[self.end] < len(text):
+            raise self.error(_scan_error(text, self.starts[self.end]), self.end)
+        # one more eof, so that peek(1) at the end stays in range
+        self.texts.append("")
+        self.starts.append(len(text))
+        firsts = map(getitem, self.texts, repeat(slice(0, 1)))
+        self.kinds = list(map(_KIND_OF.get, firsts, repeat("int")))
 
     # ---- token plumbing ------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> str:
+        """Text of a coming token; only the end of input has empty text."""
+        return self.texts[self.pos + ahead]
 
-    def next(self) -> _Token:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def kind(self, ahead: int = 0) -> str:
+        return self.kinds[self.pos + ahead]
 
-    def error(self, message: str, tok: _Token | None = None) -> _Abort:
-        tok = tok or self.peek()
-        self.diags.append(Diagnostic("error", message, tok.line, tok.col))
+    def next(self) -> int:
+        """Consume the current token and return its index."""
+        i = self.pos
+        if i < self.end:
+            self.pos = i + 1
+        return i
+
+    def where(self, i: int) -> dict[str, int]:
+        """``line`` and ``col`` of token ``i``, one-based, from its offset."""
+        offset = self.starts[i]
+        line = bisect_left(self.newlines, offset)
+        col = offset - self.newlines[line - 1] if line else offset + 1
+        return {"line": line + 1, "col": col}
+
+    def value(self, i: int) -> Value:
+        """The value of int or string token ``i``."""
+        text = self.texts[i]
+        if self.kinds[i] == "int":
+            return int(text)
+        return _ESCAPE_RE.sub(r"\1", text[1:-1])
+
+    def found(self) -> str:
+        t = self.peek()
+        return repr(t) if t else "end of input"
+
+    def error(self, message: str, at: int | None = None) -> _Abort:
+        where = self.where(self.pos if at is None else at)
+        self.diags.append(Diagnostic("error", message, **where))
         return _Abort()
 
-    def expect_op(self, op: str) -> _Token:
-        t = self.peek()
-        if t.kind == "op" and t.text == op:
+    def expect_op(self, op: str) -> int:
+        if self.texts[self.pos] == op:
             return self.next()
-        raise self.error(f"expected '{op}', found {t.text!r}" if t.kind != "eof" else f"expected '{op}', found end of input")
+        raise self.error(f"expected '{op}', found {self.found()}")
 
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        t = self.peek()
-        if t.kind == "ident":
-            return self.next()
-        raise self.error(f"expected {what}, found {t.text!r}" if t.kind != "eof" else f"expected {what}, found end of input")
+    def expect_ident(self, what: str = "identifier") -> str:
+        if self.kinds[self.pos] == "ident":
+            return self.texts[self.next()]
+        raise self.error(f"expected {what}, found {self.found()}")
 
-    def enter(self, tok: _Token) -> None:
-        """Open one level of nesting at ``tok`` (closed by ``depth -= 1``)."""
+    def expect_string(self, what: str) -> str:
+        if self.kinds[self.pos] == "string":
+            return self.value(self.next())
+        raise self.error(f"expected a quoted {what}")
+
+    def enter(self, at: int) -> None:
+        """Open one level of nesting at token ``at`` (closed by ``depth -= 1``)."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", at)
 
     def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
+        return self.texts[self.pos] == word
 
-    def expect_keyword(self, word: str) -> _Token:
-        if not self.at_keyword(word):
+    def expect_keyword(self, word: str) -> int:
+        if self.texts[self.pos] != word:
             raise self.error(f"expected '{word}'")
         return self.next()
 
@@ -212,53 +226,47 @@ class _Parser:
         preamble = self.preamble()
         self.expect_keyword("aioc")
         body = self.braced()
-        t = self.peek()
-        if t.kind != "eof":
-            raise self.error(f"unexpected input after program: {t.text!r}")
+        if self.peek():
+            raise self.error(f"unexpected input after program: {self.peek()!r}")
         return Program(tuple(includes), preamble, normalize(assign_ids(body)))
 
     def include(self) -> Include:
         start = self.expect_keyword("include")
-        names = [self.expect_ident("function name").text]
-        while self.peek().text == ",":
+        names = [self.expect_ident("function name")]
+        while self.peek() == ",":
             self.next()
-            names.append(self.expect_ident("function name").text)
+            names.append(self.expect_ident("function name"))
         self.expect_keyword("from")
-        addr = self.peek()
-        if addr.kind != "string":
-            raise self.error("expected a quoted service address")
-        self.next()
+        address = self.expect_string("service address")
         protocol = None
         if self.at_keyword("with"):
             self.next()
-            protocol = self.expect_ident("protocol name").text
-        return Include(tuple(names), str(addr.value), protocol, line=start.line, col=start.col)
+            protocol = self.expect_ident("protocol name")
+        return Include(tuple(names), address, protocol, **self.where(start))
 
     def preamble(self) -> Preamble:
         self.expect_keyword("preamble")
         self.expect_op("{")
         starter: str | None = None
         locations: dict[str, str] = {}
-        while not (self.peek().kind == "op" and self.peek().text == "}"):
+        while self.peek() != "}":
             if self.at_keyword("starter"):
-                tok = self.next()
+                at = self.next()
                 self.expect_op(":")
-                name = self.expect_ident("starter role").text
+                name = self.expect_ident("starter role")
                 if starter is not None:
-                    raise self.error("duplicate starter declaration", tok)
+                    raise self.error("duplicate starter declaration", at)
                 starter = name
             elif self.at_keyword("location"):
                 self.next()
                 self.expect_op("@")
-                role = self.expect_ident("role name").text
+                role = self.expect_ident("role name")
                 self.expect_op("=")
-                addr = self.peek()
-                if addr.kind != "string":
-                    raise self.error("expected a quoted location address")
-                self.next()
+                at = self.pos
+                address = self.expect_string("location address")
                 if role in locations:
-                    raise self.error(f"duplicate location for role '{role}'", addr)
-                locations[role] = str(addr.value)
+                    raise self.error(f"duplicate location for role '{role}'", at)
+                locations[role] = address
             else:
                 raise self.error("expected 'starter' or 'location' entry")
         self.expect_op("}")
@@ -271,20 +279,17 @@ class _Parser:
     def braced(self) -> Behaviour:
         """Behaviour inside braces; empty (or comment-only) blocks mean skip."""
         self.expect_op("{")
-        t = self.peek()
-        body = Skip(line=t.line, col=t.col) if t.kind == "op" and t.text == "}" \
-            else self.seq_chain()
+        body = Skip(**self.where(self.pos)) if self.peek() == "}" else self.seq_chain()
         self.expect_op("}")
         return body
 
     def seq_chain(self) -> Behaviour:
         # iterative on purpose: long programs are sequential programs
         items = [self.par_chain()]
-        while self.peek().text == ";":
+        while self.peek() == ";":
             self.next()
-            nxt = self.peek()
             # tolerate a trailing ';' before the closing brace
-            if nxt.kind == "op" and nxt.text == "}":
+            if self.peek() == "}":
                 break
             items.append(self.par_chain())
         return join_chain(Seq, items)
@@ -292,59 +297,58 @@ class _Parser:
     def par_chain(self) -> Behaviour:
         # iterative too: a `|` block may have many branches
         items = [self.unit()]
-        while self.peek().text == "|":
+        while self.peek() == "|":
             self.next()
             items.append(self.unit())
         return join_chain(Par, items)
 
     def unit(self) -> Behaviour:
         t = self.peek()
-        if t.text in _NESTED:
-            self.enter(t)
-            b = getattr(self, _NESTED[t.text])()
+        if t in _NESTED:
+            self.enter(self.pos)
+            b = getattr(self, _NESTED[t])()
             self.depth -= 1
             return b
-        if t.kind != "ident":
-            raise self.error(f"expected a statement, found {t.text!r}" if t.kind != "eof" else "expected a statement, found end of input")
-        if t.text == "skip":
-            self.next()
-            return Skip(line=t.line, col=t.col)
+        if self.kind() != "ident":
+            raise self.error(f"expected a statement, found {self.found()}")
+        if t == "skip":
+            return Skip(**self.where(self.next()))
         nxt = self.peek(1)
-        if nxt.kind == "op" and nxt.text == "@":
+        if nxt == "@":
             return self.assign_stmt()
-        if nxt.kind == "op" and nxt.text == ":":
+        if nxt == ":":
             return self.interaction_stmt()
-        raise self.error(f"expected '@' or ':' after '{t.text}'", nxt)
+        raise self.error(f"expected '@' or ':' after '{t}'", self.pos + 1)
 
     def assign_stmt(self) -> Assign:
-        var = self.next()
+        at = self.next()
         self.expect_op("@")
-        role = self.expect_ident("role name").text
+        role = self.expect_ident("role name")
         self.expect_op("=")
-        expr = self.expr()
-        return Assign(var.text, role, expr, line=var.line, col=var.col)
+        return Assign(self.texts[at], role, self.expr(), **self.where(at))
 
     def interaction_stmt(self) -> Interaction:
-        op = self.next()
-        if op.text.startswith(AUX_PREFIX):
-            raise self.error(f"operation names starting with '{AUX_PREFIX}' are reserved", op)
+        at = self.next()
+        op = self.texts[at]
+        if op.startswith(AUX_PREFIX):
+            raise self.error(f"operation names starting with '{AUX_PREFIX}' are reserved", at)
         self.expect_op(":")
         sender = self.expect_ident("sender role")
         self.expect_op("(")
         expr = self.expr()
         self.expect_op(")")
         self.expect_op("->")
+        receiver_at = self.pos
         receiver = self.expect_ident("receiver role")
         self.expect_op("(")
-        var = self.expect_ident("target variable").text
+        var = self.expect_ident("target variable")
         self.expect_op(")")
-        if sender.text == receiver.text:
+        if sender == receiver:
             raise self.error(
-                f"interaction '{op.text}' has identical sender and receiver '{sender.text}'",
-                receiver,
+                f"interaction '{op}' has identical sender and receiver '{sender}'",
+                receiver_at,
             )
-        return Interaction(op.text, sender.text, expr, receiver.text, var,
-                           line=op.line, col=op.col)
+        return Interaction(op, sender, expr, receiver, var, **self.where(at))
 
     def guarded(self, keyword: str) -> tuple[Expr, str, Behaviour]:
         self.expect_keyword(keyword)
@@ -352,64 +356,60 @@ class _Parser:
         guard = self.expr()
         self.expect_op(")")
         self.expect_op("@")
-        role = self.expect_ident("evaluator role").text
+        role = self.expect_ident("evaluator role")
         return guard, role, self.braced()
 
     def if_stmt(self) -> If:
-        t = self.peek()
+        at = self.pos
         guard, role, then_b = self.guarded("if")
-        else_b: Behaviour = Skip(line=t.line, col=t.col)
+        else_b: Behaviour = Skip(**self.where(at))
         if self.at_keyword("else"):
             self.next()
             else_b = self.braced()
-        return If(guard, role, then_b, else_b, line=t.line, col=t.col)
+        return If(guard, role, then_b, else_b, **self.where(at))
 
     def while_stmt(self) -> While:
-        t = self.peek()
+        at = self.pos
         guard, role, body = self.guarded("while")
-        return While(guard, role, body, line=t.line, col=t.col)
+        return While(guard, role, body, **self.where(at))
 
     def scope_stmt(self) -> Scope:
-        t = self.expect_keyword("scope")
+        at = self.expect_keyword("scope")
         self.expect_op("@")
-        role = self.expect_ident("coordinator role").text
+        role = self.expect_ident("coordinator role")
         body = self.braced()
         props: dict[str, Value] = {}
         if self.at_keyword("prop"):
             self.next()
             self.expect_op("{")
             while True:
-                ns = self.expect_ident("property name")
-                if ns.text != "N":
-                    raise self.error("scope properties live in the 'N.' namespace", ns)
+                ns_at = self.pos
+                if self.expect_ident("property name") != "N":
+                    raise self.error("scope properties live in the 'N.' namespace", ns_at)
                 self.expect_op(".")
-                key = self.expect_ident("property key").text
+                key = self.expect_ident("property key")
                 self.expect_op("=")
                 value = self.literal()
                 if key in props:
-                    raise self.error(f"duplicate property 'N.{key}'", ns)
+                    raise self.error(f"duplicate property 'N.{key}'", ns_at)
                 props[key] = value
-                if self.peek().text == ",":
+                if self.peek() == ",":
                     self.next()
                     continue
                 break
             self.expect_op("}")
-        return Scope(role, body, props, line=t.line, col=t.col)
+        return Scope(role, body, props, **self.where(at))
 
     def literal(self) -> Value:
-        t = self.peek()
-        if t.kind == "string":
+        t, kind = self.peek(), self.kind()
+        if kind == "string" or kind == "int":
+            return self.value(self.next())
+        if t == "-" and self.kind(1) == "int":
             self.next()
-            return t.value  # type: ignore[return-value]
-        if t.kind == "int":
+            return -self.value(self.next())  # type: ignore[operator]
+        if t == "true" or t == "false":
             self.next()
-            return t.value  # type: ignore[return-value]
-        if t.kind == "op" and t.text == "-" and self.peek(1).kind == "int":
-            self.next()
-            return -self.next().value  # type: ignore[operator]
-        if t.kind == "ident" and t.text in ("true", "false"):
-            self.next()
-            return t.text == "true"
+            return t == "true"
         raise self.error("expected a literal value")
 
     # ---- expressions ---------------------------------------------------
@@ -420,81 +420,78 @@ class _Parser:
         left = self.unary_expr(ns)
         max_level = _TIGHTEST
         while True:
-            t = self.peek()
-            level = PRECEDENCE.get(t.text, 0)
+            op = self.peek()
+            level = PRECEDENCE.get(op, 0)
             if not min_level <= level <= max_level:
                 return left
             self.next()
             right = self.expr(ns, level + 1)
-            left = Binary(t.text, left, right, line=left.line, col=left.col)
+            left = Binary(op, left, right, line=left.line, col=left.col)
             max_level = level - 1 if level == COMPARISON else level
 
     def unary_expr(self, ns: bool) -> Expr:
         bangs = []
-        while self.peek().kind == "op" and self.peek().text == "!":
+        while self.peek() == "!":
             bangs.append(self.next())
             self.enter(bangs[-1])
         e = self.primary(ns)
-        for t in reversed(bangs):
-            e = Unary("!", e, line=t.line, col=t.col)
+        for at in reversed(bangs):
+            e = Unary("!", e, **self.where(at))
         self.depth -= len(bangs)
         return e
 
     def primary(self, ns: bool) -> Expr:
-        t = self.peek()
-        if t.kind == "string" or t.kind == "int":
+        at = self.pos
+        t, kind = self.texts[at], self.kinds[at]
+        if kind == "string" or kind == "int":
             self.next()
-            return Lit(t.value, line=t.line, col=t.col)  # type: ignore[arg-type]
-        if t.kind == "op" and t.text == "-" and self.peek(1).kind == "int":
+            return Lit(self.value(at), **self.where(at))
+        if t == "-" and self.kind(1) == "int":
             self.next()
-            n = self.next()
-            return Lit(-n.value, line=t.line, col=t.col)  # type: ignore[operator]
-        if t.kind == "op" and t.text == "(":
-            self.enter(t)
+            return Lit(-self.value(self.next()), **self.where(at))  # type: ignore[operator]
+        if t == "(":
+            self.enter(at)
             self.next()
             inner = self.expr(ns)
             self.expect_op(")")
             self.depth -= 1
             return inner
-        if t.kind == "ident":
-            if t.text in ("true", "false"):
-                self.next()
-                return Lit(t.text == "true", line=t.line, col=t.col)
-            name = self.next()
+        if kind == "ident":
+            self.next()
+            if t == "true" or t == "false":
+                return Lit(t == "true", **self.where(at))
             nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == ".":
+            if nxt == ".":
                 if not ns:
-                    raise self.error(
-                        "namespaced references are only allowed in rule conditions", nxt
-                    )
+                    raise self.error("namespaced references are only allowed in rule conditions")
                 self.next()
-                key = self.expect_ident("namespaced key").text
-                return Var(f"{name.text}.{key}", line=t.line, col=t.col)
-            if nxt.kind == "op" and nxt.text == "(":
-                self.enter(nxt)
+                key = self.expect_ident("namespaced key")
+                return Var(f"{t}.{key}", **self.where(at))
+            if nxt == "(":
+                self.enter(self.pos)
                 self.next()
                 args: list[Expr] = []
-                if not (self.peek().kind == "op" and self.peek().text == ")"):
+                if self.peek() != ")":
                     args.append(self.expr(ns))
-                    while self.peek().text == ",":
+                    while self.peek() == ",":
                         self.next()
                         args.append(self.expr(ns))
                 self.expect_op(")")
                 self.depth -= 1
-                return Call(name.text, tuple(args), line=t.line, col=t.col)
-            return Var(name.text, line=t.line, col=t.col)
-        raise self.error(f"expected an expression, found {t.text!r}" if t.kind != "eof" else "expected an expression, found end of input")
+                return Call(t, tuple(args), **self.where(at))
+            return Var(t, **self.where(at))
+        raise self.error(f"expected an expression, found {self.found()}")
 
     # ---- rules -----------------------------------------------------------
 
     def rules(self) -> list[Rule]:
         out = []
-        while self.peek().kind != "eof":
+        while self.peek():
             out.append(self.rule())
         return out
 
     def rule(self) -> Rule:
-        t = self.expect_keyword("rule")
+        at = self.expect_keyword("rule")
         self.expect_op("{")
         includes = []
         while self.at_keyword("include"):
@@ -506,15 +503,13 @@ class _Parser:
         self.expect_keyword("do")
         body = self.braced()
         self.expect_op("}")
-        return Rule(tuple(includes), condition, normalize(assign_ids(body)),
-                    line=t.line, col=t.col)
+        return Rule(tuple(includes), condition, normalize(assign_ids(body)), **self.where(at))
 
 
 def _run(text: str, entry):
     diags: list[Diagnostic] = []
     try:
-        parser = _Parser(_tokenize(text, diags), diags)
-        return entry(parser)
+        return entry(_Parser(text, diags))
     except _Abort:
         raise ParseError(diags) from None
 
@@ -533,10 +528,9 @@ def parse_behaviour(text: str) -> Behaviour:
     """Parse a bare behaviour (used for rule bodies shipped over the wire)."""
 
     def entry(p: _Parser) -> Behaviour:
-        b = p.seq_chain() if p.peek().kind != "eof" else Skip()
-        t = p.peek()
-        if t.kind != "eof":
-            raise p.error(f"unexpected input after behaviour: {t.text!r}")
+        b = p.seq_chain() if p.peek() else Skip()
+        if p.peek():
+            raise p.error(f"unexpected input after behaviour: {p.peek()!r}")
         return normalize(assign_ids(b))
 
     return _run(text, entry)
@@ -547,9 +541,8 @@ def parse_expr(text: str, allow_namespaces: bool = False) -> Expr:
 
     def entry(p: _Parser) -> Expr:
         e = p.expr(allow_namespaces)
-        t = p.peek()
-        if t.kind != "eof":
-            raise p.error(f"unexpected input after expression: {t.text!r}")
+        if p.peek():
+            raise p.error(f"unexpected input after expression: {p.peek()!r}")
         return e
 
     return _run(text, entry)

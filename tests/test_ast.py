@@ -93,6 +93,25 @@ def test_equality_ignores_positions_and_ids():
     assert a == b
 
 
+def test_equality_and_hash_walk_long_chains_without_recursion():
+    total = " + ".join(str(i) for i in range(1, 1001))
+    a, b = parse_expr(total), parse_expr(total)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_expr(total.replace(" 500 ", " 501 "))
+    seq = ";\n".join(f"x{i}@a = {i}" for i in range(1000))
+    p, q = parse_behaviour(seq), parse_behaviour(seq)
+    assert p == q and hash(p) == hash(q)
+    assert p != parse_behaviour(seq.replace("= 999", "= 998"))
+
+
+def test_equality_compares_classes_values_and_operands():
+    assert Lit(1) != Var("x") and Lit(1) != 1
+    assert Call("f", (Lit(1),)) != Call("f", (Lit(1), Lit(2)))
+    assert Call("f", (Lit(1), Var("y"))) == Call("f", (Lit(1), Var("y")), line=4)
+    assert Scope("a", Skip(), {"k": 1}) != Scope("a", Skip(), {"k": 2})
+    assert If(Lit(True), "a", Skip(), Skip()) != If(Lit(True), "b", Skip(), Skip())
+
+
 def test_roles_of_collects_every_mention():
     body = parse_behaviour(
         'if ( ok )@a {\n'

@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import fields
+
 import pytest
 
 from chorad.ast import (
+    Assign,
     Binary,
     Call,
+    Expr,
     If,
     Interaction,
     Lit,
     Par,
     Scope,
     Seq,
+    Skip,
     Unary,
     Var,
     While,
+    pretty_print,
+    pretty_print_program,
+    walk,
+    walk_expr,
 )
 from chorad.parser import (
     Diagnostic,
@@ -26,6 +36,8 @@ from chorad.parser import (
     parse_rules,
 )
 from chorad import corpus
+
+import progen
 
 
 def _err(text: str, parse=parse_program) -> Diagnostic:
@@ -243,3 +255,109 @@ def test_parse_error_str_mentions_position():
     with pytest.raises(ParseError) as exc:
         parse_program('preamble { starter: a } aioc { x@ }')
     assert "<input>:" in str(exc.value)
+
+
+# ---------------------------------------------------------------------
+# Pinned front-end output
+# ---------------------------------------------------------------------
+
+# Node positions carry ``compare=False``, so ``==`` cannot see a shifted
+# line or column; these digests pin every position and every printed form.
+
+
+def _scope_chain(n: int) -> str:
+    blocks = []
+    for i in range(n):
+        note = f"  // block {i}\n" if i % 7 == 0 else ""
+        blocks.append(f"{note}  scope @a {{\n    x@a = x + {i};\n"
+                      f"    s{i}: a( x ) -> b( y{i} )\n  }} prop {{ N.k = {i} }}")
+    return ("preamble { starter: a }\naioc {\n  x@a = 0;\n"
+            + ";\n".join(blocks) + "\n}\n")
+
+
+def _fork_join(n: int) -> str:
+    branches = "\n  |\n".join(f"    f{i}: a( {i} ) -> b( v{i} )" for i in range(n))
+    return ('preamble { starter: a }\naioc {\n  {\n' + branches
+            + '\n  };\n  done: b( "ok" ) -> a( r )\n}\n')
+
+
+def _long_sum(n: int) -> str:
+    terms = " + ".join(str(i) for i in range(1, n + 1))
+    return f"preamble {{ starter: a }}\naioc {{\n  x@a = {terms}\n}}\n"
+
+
+def _pin_behaviour(h, b) -> None:
+    for node in walk(b):
+        h.update(f"{type(node).__name__} {node.nid} {node.line} {node.col}\n".encode())
+        for f in fields(node):
+            value = getattr(node, f.name)
+            if isinstance(value, Expr):
+                for e in walk_expr(value):
+                    h.update(f"  {type(e).__name__} {e.line} {e.col}\n".encode())
+
+
+def _front_end_digest(sources: list[str], rule_files: list[str]) -> str:
+    h = hashlib.sha256()
+    for text in sources:
+        prog = parse_program(text)
+        for inc in prog.includes:
+            h.update(f"include {inc.line} {inc.col}\n".encode())
+        _pin_behaviour(h, prog.body)
+        h.update(pretty_print_program(prog).encode())
+    for text in rule_files:
+        for rule in parse_rules(text):
+            h.update(f"rule {rule.line} {rule.col}\n".encode())
+            for e in walk_expr(rule.condition):
+                h.update(f"  {type(e).__name__} {e.line} {e.col}\n".encode())
+            _pin_behaviour(h, rule.body)
+            h.update(pretty_print(rule.body).encode())
+    return h.hexdigest()
+
+
+def test_front_end_output_is_pinned():
+    scenarios = corpus.standard_scenarios()
+    assert _front_end_digest(
+        [sc.source for sc in scenarios],
+        [text for sc in scenarios for text in sc.rules.values()],
+    ) == "aef5591c7122ad6f71e578b9716f1a4d02391b6b5b20503a53d60d9708e0cd49"
+    assert _front_end_digest(
+        [progen.random_program_source(seed) for seed in range(50)], []
+    ) == "0265a34bab5deba69ebd3653aa0e494cfa1fedfdb5a14395bf6a552e916f5b73"
+    assert _front_end_digest(
+        [_scope_chain(1000), _fork_join(400), _long_sum(1000)], []
+    ) == "07d1c090a9997bb75658a2dccaac38a8ba2ec86d6b6787f5d34a69a2dc58117d"
+    chain = parse_program(_scope_chain(1000))
+    assert parse_program(pretty_print_program(chain)) == chain
+
+
+@pytest.mark.parametrize("parse, text, expected", [
+    (parse_behaviour, 'x@a = "abc', ("unterminated string literal", 1, 7)),
+    (parse_behaviour, 'x@a = "abc\\\n" + 1', ("unterminated string literal", 1, 7)),
+    (parse_behaviour, 'x@a = "\\q"', ("unknown escape '\\q' in string", 1, 7)),
+    (parse_behaviour, 'x@a = "\\\\q\\"\\z"', ("unknown escape '\\z' in string", 1, 7)),
+    (parse_behaviour, 'x@a = "\\q', ("unterminated string literal", 1, 7)),
+    (parse_program, 'preamble { starter: a }\naioc { x@a = ; y@a = "\\q" }',
+     ("unknown escape '\\q' in string", 2, 22)),
+    (parse_program, 'preamble { starter: a }\naioc {\n  x@a = "two\nline" # }',
+     ("unexpected character '#'", 4, 7)),
+    (parse_program, 'preamble { starter: a }\r\naioc {\r\n  x@a = ;\r\n}\r\n',
+     ("expected an expression, found ';'", 3, 9)),
+    (parse_behaviour, 'x@a = // note', ("expected an expression, found end of input", 1, 14)),
+    (parse_program, '', ("expected 'preamble'", 1, 1)),
+    (parse_expr, '', ("expected an expression, found end of input", 1, 1)),
+    (parse_expr, '  \n\t ', ("expected an expression, found end of input", 2, 3)),
+    (parse_behaviour, 'x@a = é', ("unexpected character 'é'", 1, 7)),
+    (parse_behaviour, 'x@a = bé', ("unexpected character 'é'", 1, 8)),
+    (parse_behaviour, 'x@a = 1 é "\\q"', ("unexpected character 'é'", 1, 9)),
+    (parse_expr, '1 < 2 < 3', ("unexpected input after expression: '<'", 1, 7)),
+])
+def test_first_diagnostic_is_pinned(parse, text, expected):
+    d = _err(text, parse)
+    assert (d.message, d.line, d.col) == expected
+
+
+def test_empty_and_unicode_inputs_that_parse():
+    assert parse_rules('') == []
+    assert parse_rules('// nothing here') == []
+    assert parse_behaviour('') == Skip()
+    assert parse_behaviour('x@a = ٣') == Assign("x", "a", Lit(3))

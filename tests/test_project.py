@@ -373,8 +373,7 @@ def test_a_thousand_term_sum_checks_and_round_trips_without_recursion():
         "function 'f' is not declared by any include"]
     app = project(program)
     for role, code in app.per_role.items():
-        data = proc_to_data(code)
-        assert proc_to_data(proc_from_data(data)) == data, role
+        assert proc_from_data(proc_to_data(code)) == code, role
     [assign, _] = proc_to_data(app.per_role["a"])["items"]
     # the whole sum is one flat list on the wire, the call and its operand first
     assert [x["k"] for x in assign["expr"]] == ["lit", "call"] + ["lit", "binary"] * (n - 1)
@@ -428,7 +427,8 @@ def test_compiled_code_nests_within_a_bound_and_round_trips_through_json():
         for data in files:
             deepest = max(deepest, _depth(data))
             assert json.loads(json.dumps(data, indent=2)) == data
-            if "code" in data:  # compared as data: == on long chains recurses
+            # compared as data: == recurses on process code nested MAX_NESTING deep
+            if "code" in data:
                 assert proc_to_data(proc_from_data(data["code"])) == data["code"]
     # seq-par, the deepest shape per level, comes within a few levels of it
     assert 5 * MAX_NESTING <= deepest <= 5 * MAX_NESTING + 9
