@@ -4,15 +4,17 @@ All nodes are frozen dataclasses.  Structural equality deliberately ignores
 node ids and source positions (those fields carry ``compare=False``), so two
 parses of the same text compare equal while each node still knows where it
 came from for diagnostics.  ``==`` and ``hash`` walk a tree without
-recursion, so trees of any depth compare.
+recursion, so trees of any depth compare; projection's process code is
+built on the same base and compares the same way.
 
 Node ids are paths of positions from the behaviour root: the statements of
-a ``;`` or ``|`` chain are numbered by their position in the chain, and the
-branches or body of an ``if``, ``while`` or ``scope`` by their field.  An id
-is therefore as deep as the node is syntactically nested, however long the
-program.  Ids are stable across reparses of identical source and seed the
-deterministic names of the auxiliary operations inserted by projection, so
-every participant of a deployment derives the same names independently.
+a ``;`` or ``|`` chain are numbered by their position in the chain, ``skip``
+items counted, and the branches or body of an ``if``, ``while`` or
+``scope`` by their field.  An id is therefore as deep as the node is
+syntactically nested, however long the program.  Ids are stable across
+reparses of identical source and seed the deterministic names of the
+auxiliary operations inserted by projection, so every participant of a
+deployment derives the same names independently.
 
 Every pass finds a behaviour's children through one table built from the
 dataclass fields: ``walk`` visits a tree in source order and ``chain_items``
@@ -33,7 +35,9 @@ Role = str
 
 @dataclass(frozen=True)
 class NodeId:
-    """Path of positions from the behaviour root (see :func:`assign_ids`).
+    """Path of positions from the behaviour root, as :func:`assign_ids`
+    gives them: positions in a chain count the ``skip`` items that the
+    normal form drops, so a node's id follows its place in the source.
 
     Lexicographic order of paths is source pre-order.  ``str()`` renders
     the path digits joined by underscores, the exact form embedded in
@@ -58,9 +62,9 @@ class NodeId:
 
 
 class _Node:
-    """Base of expressions and behaviours: ``==`` and ``hash`` read each
-    class's compared fields from ``_COMPARED`` and walk a tree without
-    recursion, so long chains compare."""
+    """Base of expressions, behaviours and process code: ``==`` and ``hash``
+    read each class's compared fields from ``_COMPARED`` and walk a tree
+    without recursion, so long chains compare."""
 
     __slots__ = ()
 
@@ -103,8 +107,20 @@ class _Node:
         return hash(tuple(parts))
 
 
-#: The decorator of every node class, which keeps ``_Node``'s ``==`` and hash.
-_node = dataclass(frozen=True, eq=False)
+#: Per node class, its compared fields in declaration order, each with
+#: whether it holds a node (1), a tuple of nodes (2) or a plain value (0):
+#: the table of ``==`` and ``hash``, which ignore ids and positions.
+_COMPARED: dict[type, tuple[tuple[str, int], ...]] = {}
+_KINDS = {"Expr": 1, "Behaviour": 1, "ProcessCode": 1,
+          "tuple[Expr, ...]": 2, "tuple[ProcessCode, ...]": 2}
+
+
+def _node(cls: type) -> type:
+    """The decorator of every node class: a frozen dataclass that keeps
+    ``_Node``'s ``==`` and hash, entered in ``_COMPARED``."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    _COMPARED[cls] = tuple((f.name, _KINDS.get(f.type, 0)) for f in fields(cls) if f.compare)
+    return cls
 
 
 @_node
@@ -151,21 +167,10 @@ class Call(Expr):
     args: tuple[Expr, ...] = ()
 
 
-def _compared(cls: type) -> tuple[tuple[str, int], ...]:
-    kinds = {"Expr": 1, "Behaviour": 1, "tuple[Expr, ...]": 2}
-    return tuple((f.name, kinds.get(f.type, 0)) for f in fields(cls) if f.compare)
-
-
-#: Per node class, its compared fields in declaration order, each with
-#: whether it holds a node (1), a tuple of nodes (2) or a plain value (0):
-#: the table of ``==`` and ``hash``, which ignore ids and positions.
-#: Behaviour classes join it below.
-_COMPARED = {cls: _compared(cls) for cls in Expr.__subclasses__()}
-
 #: Per expression class, its operand fields, each with whether it holds a
 #: tuple of operands: the one table expression walks use.
-_EXPR_FIELDS = {cls: tuple((name, kind == 2) for name, kind in compared if kind)
-                for cls, compared in _COMPARED.items()}
+_EXPR_FIELDS = {cls: tuple((name, kind == 2) for name, kind in _COMPARED[cls] if kind)
+                for cls in Expr.__subclasses__()}
 _EXPR_FIELDS_REVERSED = {cls: names[::-1] for cls, names in _EXPR_FIELDS.items()}
 
 #: Binary operators by precedence, loosest first; the parser and the printer
@@ -274,7 +279,6 @@ _CHILD_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "Behaviour"
 _CHILD_FIELDS_REVERSED = {cls: names[::-1] for cls, names in _CHILD_FIELDS.items()}
 _ROLE_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "Role")
                 for cls in Behaviour.__subclasses__()}
-_COMPARED.update((cls, _compared(cls)) for cls in Behaviour.__subclasses__())
 
 
 # =========================================================================
@@ -326,19 +330,33 @@ class Rule:
 
 
 def assign_ids(b: Behaviour, base: NodeId = NodeId()) -> Behaviour:
-    """Return a copy of ``b`` with position-based node ids.
+    """Return ``b`` numbered by position and in normal form: the one pass
+    that rebuilds a parsed tree.
 
-    Item i of a ``;`` or ``|`` chain at ``base`` gets ``base.child(i)``; the
-    chain's interior Seq/Par nodes all keep ``base`` and come back nested to
-    the right, the normal form.  Any other node's children are numbered by
-    field: If then=0 else=1, While body=0, Scope body=0.  A path is thus as
+    Item i of a ``;`` or ``|`` chain at ``base`` gets ``base.child(i)``,
+    ``skip`` items counted.  Then the chain drops its skips, splices in an
+    item that came back as a chain of its own kind, and nests the rest to
+    the right, every interior Seq/Par node keeping ``base``; a chain of
+    skips alone becomes one ``Skip``.  Any other node's children are
+    numbered by field: If then=0 else=1, While body=0, Scope body=0, and
+    If, While and Scope stay even when their bodies come back as ``Skip``:
+    a guard evaluation is still an observable event and a scope with an
+    empty default body is still an adaptation point.  A path is thus as
     long as the node's syntactic nesting, and paths in lexicographic order
     are in source pre-order.
     """
     cls = type(b)
     if cls is Seq or cls is Par:
-        return join_chain(cls, [assign_ids(x, base.child(i))
-                                for i, x in enumerate(chain_items(b))], nid=base)
+        items: list[Behaviour] = []
+        for i, x in enumerate(chain_items(b)):
+            x = assign_ids(x, base.child(i))
+            if type(x) is cls:
+                items += chain_items(x)
+            elif type(x) is not Skip:
+                items.append(x)
+        if not items:
+            return Skip(nid=base, line=b.line, col=b.col)
+        return join_chain(cls, items, nid=base)
     return replace(b, nid=base, **{name: assign_ids(getattr(b, name), base.child(i))
                                    for i, name in enumerate(_CHILD_FIELDS[cls])})
 
@@ -348,7 +366,7 @@ def reroot_ids(b: Behaviour, prefix: tuple[int, ...]) -> Behaviour:
 
     Used when a rule body replaces a scope: re-rooting the body at the scope's
     id makes every role derive identical auxiliary names for it.  Chains come
-    back nested to the right, each sharing its root's id, as ``normalize``
+    back nested to the right, each sharing its root's id, as ``assign_ids``
     leaves them.
     """
     cls = type(b)
@@ -407,26 +425,6 @@ def roles_of(b: Behaviour) -> set[Role]:
     return out
 
 
-def normalize(b: Behaviour) -> Behaviour:
-    """Remove ``skip`` units from Seq/Par chains and canonicalise their
-    nesting to the right.
-
-    Surviving nodes keep their original ids (rebuilding only touches the
-    interior Seq/Par spine, whose ids never feed auxiliary names).  If, While
-    and Scope nodes are preserved even when their bodies normalise to skip:
-    a guard evaluation is still an observable event and a scope with an empty
-    default body is still an adaptation point.
-    """
-    cls = type(b)
-    if cls is Seq or cls is Par:
-        items = [x for x in map(normalize, chain_items(b)) if not isinstance(x, Skip)]
-        if not items:
-            return Skip(nid=b.nid, line=b.line, col=b.col)
-        return join_chain(cls, items, nid=b.nid)
-    kids = _CHILD_FIELDS[cls]
-    return replace(b, **{name: normalize(getattr(b, name)) for name in kids}) if kids else b
-
-
 # =========================================================================
 # Pretty printing
 # =========================================================================
@@ -474,9 +472,10 @@ def pretty_print_expr(e: Expr, parent_level: int = 0, right: bool = False) -> st
 def pretty_print(b: Behaviour, indent: int = 0) -> str:
     """Render ``b`` as canonical source.
 
-    The output reparses to ``normalize(b)``: the printer flattens Seq/Par
-    chains into ``;``/``|`` lists and the grammar rebuilds them
-    right-associated, which is exactly the normal form.
+    The output reparses to ``b``, ids aside, when ``b`` is in normal form,
+    as every parsed tree is (see :func:`assign_ids`): the printer flattens
+    Seq/Par chains into ``;``/``|`` lists and the parser nests them to the
+    right.
     """
     pad = " " * indent
     if isinstance(b, Skip):

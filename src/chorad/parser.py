@@ -3,9 +3,12 @@
 The grammar is LL(2): statements starting with an identifier are
 disambiguated by the following token (``@`` begins an assignment, ``:`` an
 interaction).  ``;`` binds looser than ``|``, so ``a; b | c`` sequences ``a``
-before the parallel composition; braces group explicitly.  Both separators
-rebuild right-associated chains, which is the normal form produced by
-:func:`chorad.ast.normalize`.
+before the parallel composition; braces group explicitly.  Each parsed body
+then goes through :func:`chorad.ast.assign_ids` alone, which numbers its
+nodes and brings it to normal form in one rebuild.  The parser does not
+number as it goes: a statement's id depends on tokens after it (``b`` in
+``a@a = 1; { b@a = 2; c@a = 3 }`` is ``1``, but ``1_0_0`` once ``| d@b = 4``
+follows), which would take lookahead over whole blocks.
 
 The scanner builds no object per token.  One ``findall`` splits the input
 into ``(skipped, token)`` pairs, whitespace and comments being skipped, and
@@ -53,7 +56,6 @@ from .ast import (
     While,
     assign_ids,
     join_chain,
-    normalize,
 )
 
 AUX_PREFIX = "_aux_"
@@ -228,7 +230,7 @@ class _Parser:
         body = self.braced()
         if self.peek():
             raise self.error(f"unexpected input after program: {self.peek()!r}")
-        return Program(tuple(includes), preamble, normalize(assign_ids(body)))
+        return Program(tuple(includes), preamble, assign_ids(body))
 
     def include(self) -> Include:
         start = self.expect_keyword("include")
@@ -503,7 +505,7 @@ class _Parser:
         self.expect_keyword("do")
         body = self.braced()
         self.expect_op("}")
-        return Rule(tuple(includes), condition, normalize(assign_ids(body)), **self.where(at))
+        return Rule(tuple(includes), condition, assign_ids(body), **self.where(at))
 
 
 def _run(text: str, entry):
@@ -515,7 +517,8 @@ def _run(text: str, entry):
 
 
 def parse_program(text: str) -> Program:
-    """Parse a full program; the body comes back id-assigned and normalised."""
+    """Parse a full program; the body comes back numbered and in normal form
+    (see :func:`chorad.ast.assign_ids`)."""
     return _run(text, _Parser.program)
 
 
@@ -531,7 +534,7 @@ def parse_behaviour(text: str) -> Behaviour:
         b = p.seq_chain() if p.peek() else Skip()
         if p.peek():
             raise p.error(f"unexpected input after behaviour: {p.peek()!r}")
-        return normalize(assign_ids(b))
+        return assign_ids(b)
 
     return _run(text, entry)
 

@@ -1,8 +1,10 @@
 """Endpoint projection: from one global behaviour to per-role process code.
 
 Each construct lowers to the local view of every role that takes part in it;
-uninvolved roles get ``Nop``, erased by a final normalisation pass.  The
-coordination a global program takes for granted is made explicit here:
+uninvolved roles get ``Nop``.  A ``;`` or ``|`` chain drops its ``Nop`` items
+and splices in items that are chains of its own kind as it is built, so the
+code comes out flat with no pass after it.  The coordination a global
+program takes for granted is made explicit here:
 
 * If/While evaluators broadcast the guard value to every role occurring in
   the branches/body; While followers acknowledge each iteration before the
@@ -43,6 +45,8 @@ from .ast import (
     Value,
     Var,
     While,
+    _Node,
+    _node,
     chain_items,
     pretty_print,
     roles_of,
@@ -68,23 +72,23 @@ def aux_op(nid: NodeId, purpose: str) -> str:
 # =========================================================================
 
 
-@dataclass(frozen=True)
-class ProcessCode:
-    pass
+@_node
+class ProcessCode(_Node):
+    """Base of process code: ``==`` and ``hash`` are the AST's iterative ones."""
 
 
-@dataclass(frozen=True)
+@_node
 class Nop(ProcessCode):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class LocalAssign(ProcessCode):
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class CallExternal(ProcessCode):
     """Assignment whose right-hand side is a call to an included function."""
 
@@ -93,31 +97,31 @@ class CallExternal(ProcessCode):
     var: str
 
 
-@dataclass(frozen=True)
+@_node
 class SendTo(ProcessCode):
     op: str
     peer: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class RecvFrom(ProcessCode):
     op: str
     peer: str
     var: str
 
 
-@dataclass(frozen=True)
+@_node
 class SeqP(ProcessCode):
     items: tuple[ProcessCode, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class ParP(ProcessCode):
     items: tuple[ProcessCode, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class IfLocal(ProcessCode):
     guard: Expr
     involved: tuple[str, ...]
@@ -126,7 +130,7 @@ class IfLocal(ProcessCode):
     else_p: ProcessCode
 
 
-@dataclass(frozen=True)
+@_node
 class IfFollow(ProcessCode):
     guard_op: str
     evaluator: str
@@ -134,7 +138,7 @@ class IfFollow(ProcessCode):
     else_p: ProcessCode
 
 
-@dataclass(frozen=True)
+@_node
 class WhileLocal(ProcessCode):
     guard: Expr
     involved: tuple[str, ...]
@@ -143,7 +147,7 @@ class WhileLocal(ProcessCode):
     body: ProcessCode
 
 
-@dataclass(frozen=True)
+@_node
 class WhileFollow(ProcessCode):
     guard_op: str
     ack_op: str
@@ -151,7 +155,7 @@ class WhileFollow(ProcessCode):
     body: ProcessCode
 
 
-@dataclass(frozen=True)
+@_node
 class ScopeCoord(ProcessCode):
     scope_id: NodeId
     props: dict[str, Value]
@@ -161,7 +165,7 @@ class ScopeCoord(ProcessCode):
     default_p: ProcessCode
 
 
-@dataclass(frozen=True)
+@_node
 class ScopeFollow(ProcessCode):
     scope_id: NodeId
     coordinator: str
@@ -201,29 +205,6 @@ class ProjectedApp:
 # =========================================================================
 
 
-def normalize_proc(p: ProcessCode) -> ProcessCode:
-    """Erase Nops and flatten Seq/Par spines; branch bodies recurse."""
-    if isinstance(p, (SeqP, ParP)):
-        cls = type(p)
-        items: list[ProcessCode] = []
-        for item in p.items:
-            item = normalize_proc(item)
-            if isinstance(item, Nop):
-                continue
-            if isinstance(item, cls):
-                items.extend(item.items)  # type: ignore[attr-defined]
-            else:
-                items.append(item)
-        if not items:
-            return Nop()
-        if len(items) == 1:
-            return items[0]
-        return cls(tuple(items))
-    branches = _BRANCH_FIELDS[type(p)]
-    return replace(p, **{name: normalize_proc(getattr(p, name)) for name in branches}) \
-        if branches else p
-
-
 def _involved(b: If | While | Scope, memo: dict[int, tuple[str, ...]]) -> tuple[str, ...]:
     """The roles ``b`` coordinates: every role in it but its evaluator or
     coordinator.  ``memo`` (keyed by ``id(b)``) computes it once per node for
@@ -252,8 +233,17 @@ def _proj(b: Behaviour, role: str, memo: dict[int, tuple[str, ...]]) -> ProcessC
         return Nop()
     if isinstance(b, (Seq, Par)):
         # chain-iterative: long programs are long `;` (or `|`) chains
-        items = tuple([_proj(x, role, memo) for x in chain_items(b)])
-        return SeqP(items) if isinstance(b, Seq) else ParP(items)
+        cls = SeqP if isinstance(b, Seq) else ParP
+        items: list[ProcessCode] = []
+        for x in chain_items(b):
+            p = _proj(x, role, memo)
+            if type(p) is cls:
+                items += p.items
+            elif type(p) is not Nop:
+                items.append(p)
+        if not items:
+            return Nop()
+        return cls(tuple(items)) if len(items) > 1 else items[0]
     if isinstance(b, If):
         involved = _involved(b, memo)
         op = aux_op(b.nid, "guard")
@@ -294,7 +284,7 @@ def project(program: Program) -> ProjectedApp:
     """
     roles = sorted(roles_of(program.body) | {program.preamble.starter})
     memo: dict[int, tuple[str, ...]] = {}
-    per_role = {r: normalize_proc(_proj(program.body, r, memo)) for r in roles}
+    per_role = {r: _proj(program.body, r, memo) for r in roles}
     includes: dict[str, tuple[str, str | None]] = {}
     for inc in program.includes:
         for fn in inc.functions:
@@ -342,7 +332,7 @@ def project_rule_body(body: Behaviour, scope_id: NodeId, target_role: str,
         raise ProjectionError(
             f"role '{target_role}' does not occur in the replacement body"
         )
-    return reroot_proc(normalize_proc(_proj(body, target_role, {})), scope_id.path)
+    return reroot_proc(_proj(body, target_role, {}), scope_id.path)
 
 
 def compile_rule_body(body: Behaviour) -> dict[str, ProcessCode]:

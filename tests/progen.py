@@ -156,12 +156,16 @@ def random_program_source(seed: int, *, allow_par: bool = True) -> str:
             f"aioc {{\n{body}\n}}\n")
 
 
-def random_connected_program(seed: int, *, allow_par: bool = True):
-    """Parsed program that passes the checker; retries derived seeds."""
+def random_connected_source(seed: int, *, allow_par: bool = True) -> str:
+    """Source of a program that passes the checker; retries derived seeds."""
     for attempt in range(50):
         source = random_program_source(seed * 1009 + attempt,
                                        allow_par=allow_par)
-        program = parse_program(source)
-        if not has_errors(check_program(program)):
-            return program
+        if not has_errors(check_program(parse_program(source))):
+            return source
     raise AssertionError(f"seed {seed}: no connected program in 50 attempts")
+
+
+def random_connected_program(seed: int, *, allow_par: bool = True):
+    """The parsed program of :func:`random_connected_source`."""
+    return parse_program(random_connected_source(seed, allow_par=allow_par))

@@ -1,7 +1,8 @@
-"""AST construction, normalisation, ids, and printer/parser round trips."""
+"""AST construction, normal form, ids, and printer/parser round trips."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,7 @@ from chorad.ast import (
     Unary,
     Var,
     While,
-    assign_ids,
-    normalize,
+    chain_items,
     pretty_print,
     pretty_print_expr,
     pretty_print_program,
@@ -52,8 +52,8 @@ def test_node_id_child_and_prefix():
 
 
 def test_assign_ids_unique_outside_rebuilt_spines():
-    # Seq/Par chains may be rebuilt during normalisation and their interior
-    # nodes share the original chain's id; every other node — in particular
+    # The interior nodes of a Seq/Par chain share the chain's id; every
+    # other node — in particular
     # the If/While/Scope nodes whose ids feed auxiliary operation names —
     # must have a path of its own.
     sc = corpus.scenario_by_name("appointment")
@@ -124,34 +124,44 @@ def test_roles_of_collects_every_mention():
 
 
 # ---------------------------------------------------------------------
-# normalize
+# Normal form, as the parser leaves it
 # ---------------------------------------------------------------------
 
 
-def test_normalize_drops_skip_units():
-    b = Seq(Skip(), Seq(Assign(var="x", role="a", expr=Lit(1)), Skip()))
-    n = normalize(b)
-    assert n == Assign(var="x", role="a", expr=Lit(1))
+def test_parse_drops_skip_units_but_counts_them_in_ids():
+    b = parse_behaviour("skip; { x@a = 1; skip }")
+    assert b == Assign(var="x", role="a", expr=Lit(1))
+    assert b.nid.path == (1,)  # a braced `;` chain joins the `;` chain around it
 
 
-def test_normalize_right_associates_seq():
+def test_parse_right_associates_seq():
     s1 = Assign(var="x", role="a", expr=Lit(1))
     s2 = Assign(var="y", role="a", expr=Lit(2))
     s3 = Assign(var="z", role="a", expr=Lit(3))
-    left_heavy = Seq(Seq(s1, s2), s3)
-    assert normalize(left_heavy) == Seq(s1, Seq(s2, s3))
+    assert parse_behaviour("{ { x@a = 1; y@a = 2 }; z@a = 3 }") == Seq(s1, Seq(s2, s3))
 
 
-def test_normalize_keeps_guarded_constructs_with_empty_bodies():
-    w = While(guard=Var("go"), evaluator="a", body=Skip())
-    assert isinstance(normalize(w), While)
-    sc = Scope(coordinator="a", body=Seq(Skip(), Skip()), props={"t": 1})
-    out = normalize(sc)
-    assert isinstance(out, Scope) and out.body == Skip()
+def test_parse_keeps_guarded_constructs_with_empty_bodies():
+    w = parse_behaviour("while ( go )@a { skip }")
+    assert isinstance(w, While) and w.body == Skip()
+    sc = parse_behaviour("scope @a { skip; skip } prop { N.t = 1 }")
+    assert isinstance(sc, Scope) and sc.body == Skip() and sc.props == {"t": 1}
 
 
-def test_normalize_all_skip_par_collapses():
-    assert normalize(Par(Skip(), Skip())) == Skip()
+def test_parse_of_an_all_skip_par_collapses():
+    assert parse_behaviour("{ skip | skip }") == Skip()
+
+
+@pytest.mark.parametrize("text, kind, rest", [
+    ("{ skip; { y@a = 2 | z@b = 3 } } | w@c = 4", Par, "right"),
+    ("{ skip | { y@a = 2; z@b = 3 } }; w@c = 4", Seq, "second"),
+])
+def test_a_chain_item_that_collapses_to_its_own_kind_is_spliced_in(text, kind, rest):
+    b = parse_behaviour(text)
+    # y, z and w in one chain nested to the right, numbered as in the source
+    assert type(b) is kind and type(getattr(b, rest)) is kind
+    assert [str(x.nid) for x in chain_items(b)] == ["0_1_0", "0_1_1", "1"]
+    assert parse_behaviour(pretty_print(b)) == b
 
 
 # ---------------------------------------------------------------------
@@ -214,7 +224,7 @@ def test_program_print_parse_round_trip(seed):
     src = progen.random_program_source(seed)
     prog = parse_program(src)
     again = parse_program(pretty_print_program(prog))
-    assert normalize(again.body) == normalize(prog.body)
+    assert again.body == prog.body
     assert again.preamble == prog.preamble
 
 
@@ -222,13 +232,13 @@ def test_corpus_programs_round_trip():
     for sc in corpus.standard_scenarios():
         prog = parse_program(sc.source)
         again = parse_program(pretty_print_program(prog))
-        assert normalize(again.body) == normalize(prog.body), sc.name
+        assert again.body == prog.body, sc.name
         assert again.includes == prog.includes, sc.name
 
 
 def test_pretty_print_reparses_to_normal_form():
     b = parse_behaviour("x@a = 1;\ny@a = 2;\nz@a = 3")
-    assert parse_behaviour(pretty_print(b)) == normalize(b)
+    assert parse_behaviour(pretty_print(b)) == b
 
 
 def test_interaction_pretty_shape():

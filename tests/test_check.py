@@ -352,6 +352,6 @@ def test_connected_sampler_always_passes_the_checker():
 
 
 def test_deep_sequential_programs_stay_within_the_stack():
-    # parse + id assignment + normalisation + checking at depth ~1200
+    # parse (numbering into normal form) + checking at depth ~1200
     sc = corpus.scenario_by_name("pipe-seq-1200")
     assert check_program(sc.program) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -31,7 +32,6 @@ from chorad.project import (
     aux_op,
     expr_from_data,
     expr_to_data,
-    normalize_proc,
     proc_from_data,
     proc_to_data,
     project,
@@ -196,11 +196,16 @@ def test_every_corpus_role_projects():
         assert set(app.per_role) >= {sc.program.preamble.starter}
 
 
-def test_normalize_proc_flattens_and_drops_nops():
-    p = SeqP(items=(Nop(), SeqP(items=(LocalAssign(var="x", expr=Lit(1)),
-                                       Nop()))))
-    assert normalize_proc(p) == LocalAssign(var="x", expr=Lit(1))
-    assert normalize_proc(SeqP(items=(Nop(), Nop()))) == Nop()
+def test_projection_drops_nops_and_flattens_chains():
+    app = _app('preamble { starter: c } aioc { { x@a = 1 | y@b = 2 }; z@b = 3 }')
+    assert app.per_role["a"] == LocalAssign(var="x", expr=Lit(1))
+    assert app.per_role["b"] == SeqP(items=(LocalAssign(var="y", expr=Lit(2)),
+                                            LocalAssign(var="z", expr=Lit(3))))
+    assert app.per_role["c"] == Nop()
+    # a `|` that keeps one item inside a `;` is spliced into it
+    app = _app('preamble { starter: a } aioc { x@a = 1; { y@a = 2 | z@b = 3 }; w@a = 4 }')
+    assert app.per_role["a"] == SeqP(items=tuple(
+        LocalAssign(var=v, expr=Lit(i)) for v, i in (("x", 1), ("y", 2), ("w", 4))))
 
 
 # ---------------------------------------------------------------------
@@ -232,7 +237,7 @@ def test_rule_body_for_idle_coordinator_is_nop():
 
 
 #: Rule bodies with every id-bearing construct, a leading `skip` (dropped
-#: by normalisation, so printed text and parse ids differ) and a root `if`
+#: by the parser, so printed text and parse ids differ) and a root `if`
 #: (root id: its auxiliary names end in the scope's path alone).
 _SHAPED_RULES = """
 rule { on { true } do {
@@ -275,7 +280,7 @@ def test_compiled_rule_code_rerooted_equals_projecting_the_rerooted_body(rule, s
     assert set(compiled) == ast.roles_of(body)
     for path in sorted(paths):
         for role in sorted(ast.roles_of(body) | {"coordinator-only"}):
-            old = normalize_proc(_proj(ast.reroot_ids(body, path), role, {}))
+            old = _proj(ast.reroot_ids(body, path), role, {})
             new = reroot_proc(compiled[role], path) if role in compiled else Nop()
             assert new == old, (path, role)
             if role in compiled:
@@ -427,9 +432,8 @@ def test_compiled_code_nests_within_a_bound_and_round_trips_through_json():
         for data in files:
             deepest = max(deepest, _depth(data))
             assert json.loads(json.dumps(data, indent=2)) == data
-            # compared as data: == recurses on process code nested MAX_NESTING deep
             if "code" in data:
-                assert proc_to_data(proc_from_data(data["code"])) == data["code"]
+                assert proc_from_data(data["code"]) == app.per_role[data["role"]]
     # seq-par, the deepest shape per level, comes within a few levels of it
     assert 5 * MAX_NESTING <= deepest <= 5 * MAX_NESTING + 9
 
@@ -523,6 +527,26 @@ def test_compile_format_is_pinned():
     for role, code in app.per_role.items():
         assert json.dumps(proc_to_data(code)) == json.dumps(_PINNED_CODE[role]), role
         assert proc_from_data(_PINNED_CODE[role]) == code, role
+
+
+#: sha256 over every file ``chorad compile`` writes for the corpus and progen 0–49.
+_COMPILE_DIGEST = "2987d547d46a2fe38cc722af1cb1f316c567de9101604cf1952b091e0b7d88ed"
+
+
+def test_whole_compile_output_is_pinned(tmp_path):
+    from chorad import cli
+
+    sources = [(sc.name, sc.source) for sc in corpus.standard_scenarios()]
+    sources += [(f"progen-{seed}", progen.random_connected_source(seed)) for seed in range(50)]
+    digest = hashlib.sha256()
+    for name, source in sources:
+        path = tmp_path / f"{name}.aioc"
+        path.write_text(source, encoding="utf-8")
+        out = tmp_path / f"{name}.build"
+        assert cli.main(["compile", str(path), "-o", str(out)]) == 0, name
+        for f in sorted(out.iterdir()):
+            digest.update(f"{name}/{f.name}\0".encode() + f.read_bytes())
+    assert digest.hexdigest() == _COMPILE_DIGEST
 
 
 def _concrete_subclasses(base):

@@ -12,7 +12,7 @@ from chorad.adapt import AdaptationManager, AdaptationServer, Environment
 from chorad import cli, sim
 from chorad.check import check_program
 from chorad.parser import MAX_NESTING, ParseError, parse_behaviour, parse_program
-from chorad.project import project
+from chorad.project import proc_from_data, proc_to_data, project
 from chorad.runtime import READY
 from chorad.sim import (
     DEADLOCK,
@@ -232,6 +232,13 @@ def test_a_program_at_the_nesting_limit_runs_through_every_pass(kind, tmp_path):
     path = tmp_path / "deep.aioc"
     path.write_text(source)
     assert cli.main(["compile", str(path), "-o", str(tmp_path / "build")]) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_code_at_the_nesting_limit_compares_without_recursion(kind):
+    app = project(parse_program(_nested_source(kind, MAX_NESTING)[0]))
+    for role, code in app.per_role.items():
+        assert proc_from_data(proc_to_data(code)) == code, role
 
 
 @pytest.mark.parametrize("kind", sorted(k for k in _NESTED if k != "mixed"))
