@@ -64,7 +64,8 @@ class NodeId:
 class _Node:
     """Base of expressions, behaviours and process code: ``==`` and ``hash``
     read each class's compared fields from ``_COMPARED`` and walk a tree
-    without recursion, so long chains compare."""
+    without recursion, so long chains compare.  Plain fields compare
+    type-exactly, so ``x@a = true`` and ``x@a = 1`` differ."""
 
     __slots__ = ()
 
@@ -86,7 +87,8 @@ class _Node:
                     if len(u) != len(v):
                         return False
                     stack += zip(u, v)
-                elif u != v:
+                elif type(u) is not type(v) or u != v \
+                        or (type(u) is dict and _plain_key(u) != _plain_key(v)):
                     return False
         return True
 
@@ -99,12 +101,24 @@ class _Node:
             for name, kind in _COMPARED[type(x)]:
                 value = getattr(x, name)
                 if kind == 0:
-                    parts.append(value)
+                    parts.append(_plain_key(value))
                 elif kind == 1:
                     stack.append(value)
                 else:
                     stack += value
         return hash(tuple(parts))
+
+
+def _plain_key(value: object) -> object:
+    """A plain field's value as compared and hashed: a boolean with its
+    type, so ``true`` stays apart from ``1``, and a dict (a scope's
+    ``props``) as its sorted items."""
+    cls = type(value)
+    if cls is bool:
+        return (bool, value)
+    if cls is dict:
+        return tuple(sorted((k, _plain_key(v)) for k, v in value.items()))
+    return value
 
 
 #: Per node class, its compared fields in declaration order, each with

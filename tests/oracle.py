@@ -7,12 +7,19 @@ stores because branches of a checked program do not race on operations.
 
 Deliberately written from the language semantics alone so that agreement
 with the real runtime means something.
+
+Also the reference for ``sim.explore``: :func:`explore_all` runs every
+schedule to its end, with no state matching.
 """
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+from dataclasses import replace
 from typing import Callable, Optional
 
+from chorad import sim
 from chorad.ast import (
     Assign,
     Behaviour,
@@ -29,6 +36,7 @@ from chorad.ast import (
     Var,
     While,
 )
+from chorad.project import _as_app
 
 
 class OracleError(Exception):
@@ -166,3 +174,38 @@ def run_global(program, *, inputs=None, functions=None, resolve_scope=None):
                     resolve_scope=resolve_scope)
     run.run(program.body)
     return run.stores
+
+
+def explore_all(target, config=None, *, max_paths=20_000):
+    """Reference exploration: every schedule run to its end, nothing pruned.
+
+    The stateless depth-first loop over ``sim._execute`` that ``sim.explore``
+    refines; each path follows a queued prefix, then takes choice 0 and
+    queues the choices it passes.  Exponential, so for small programs only.
+    """
+    config = replace(config or sim.SimConfig(), hash_trace=False)
+    app = _as_app(target)
+    outcomes, finals, deadlocks = Counter(), Counter(), []
+    stack, paths = [()], 0
+    while stack and paths < max_paths:
+        prefix = stack.pop()
+        path, widths = [], []
+
+        def choose(count):
+            if count == 1:
+                return 0
+            path.append(prefix[len(path)] if len(path) < len(prefix) else 0)
+            widths.append(count)
+            return path[-1]
+
+        report = sim._execute(sim._World(app, config), choose)
+        paths += 1
+        outcomes[report.outcome] += 1
+        if report.outcome == sim.DEADLOCK:
+            deadlocks.append(tuple(path))
+        finals[json.dumps(report.final_states, sort_keys=True, default=repr)] += 1
+        for depth in range(len(prefix), len(path)):
+            stack.extend((*path[:depth], k) for k in range(widths[depth] - 1, 0, -1))
+    return sim.ExplorationReport(paths=paths, outcomes=dict(outcomes),
+                                 deadlocks=deadlocks, complete=not stack,
+                                 finals=dict(finals))

@@ -208,24 +208,18 @@ def test_criterion_06_random_connected_programs_never_deadlock(capsys):
         worst = 0
         for seed in range(1000):
             program = progen.random_connected_program(seed)
-            report = explore(program, reduce=True)
+            report = explore(program, max_paths=50_000)
             assert report.complete and report.deadlock_free, \
                 (seed, report.outcomes, report.deadlocks[:1])
             assert report.deterministic, (seed, len(report.finals))
             worst = max(worst, report.paths)
-        # spot-check without the schedule reduction: same verdicts
-        for seed in range(0, 1000, 25):
-            program = progen.random_connected_program(seed)
-            report = explore(program, max_paths=3000)
-            assert not report.deadlocks and report.deterministic, seed
-            assert set(report.outcomes) <= {TERMINATED}, (seed, report.outcomes)
         # negative control: a non-connected program must misbehave
         negative = explore(corpus.duplicated_notify().app, max_paths=20_000)
         out_of_order = len(negative.finals) > 1 \
             or any(k != TERMINATED for k in negative.outcomes)
         assert negative.deadlocks or out_of_order
         elapsed = time.perf_counter() - t0
-        note["detail"] = (f"worst {worst} schedules, negative control "
+        note["detail"] = (f"worst {worst} runs, negative control "
                           f"{dict(negative.outcomes)}, {elapsed:.0f}s")
 
 

@@ -29,7 +29,8 @@ from chorad.ast import (
     reroot_ids,
     roles_of,
 )
-from chorad.parser import parse_behaviour, parse_expr, parse_program
+from chorad.parser import parse_behaviour, parse_expr, parse_program, parse_rules
+from chorad.project import project
 
 import progen
 from chorad import corpus
@@ -110,6 +111,27 @@ def test_equality_compares_classes_values_and_operands():
     assert Call("f", (Lit(1), Var("y"))) == Call("f", (Lit(1), Var("y")), line=4)
     assert Scope("a", Skip(), {"k": 1}) != Scope("a", Skip(), {"k": 2})
     assert If(Lit(True), "a", Skip(), Skip()) != If(Lit(True), "b", Skip(), Skip())
+
+
+def test_equality_and_hash_keep_true_apart_from_1():
+    assert parse_behaviour("x@a = true") != parse_behaviour("x@a = 1")
+    assert hash(parse_behaviour("x@a = true")) != hash(parse_behaviour("x@a = 1"))
+    assert Scope("a", Skip(), {"k": True}) != Scope("a", Skip(), {"k": 1})
+    assert hash(Scope("a", Skip(), {"k": True})) != hash(Scope("a", Skip(), {"k": 1}))
+
+
+def test_trees_holding_a_scope_hash_by_their_props():
+    source = ("preamble { starter: a }\n"
+              "aioc { scope @a { x@a = 1; op: a( x ) -> b( y ) } prop { N.t = 1, N.u = 2 } }")
+    body = parse_program(source).body
+    assert hash(body) == hash(parse_program(source).body)
+    assert hash(Scope("a", Skip(), {"t": 1, "u": 2})) \
+        == hash(Scope("a", Skip(), {"u": 2, "t": 1}))
+    code = project(parse_program(source)).per_role
+    assert hash(code["a"]) == hash(project(parse_program(source)).per_role["a"])
+    rule = parse_rules("rule { on { N.t == 1 } do { scope @a { x@a = 2 } } }")[0]
+    assert hash(rule) == hash(parse_rules(
+        "rule { on { N.t == 1 } do { scope @a { x@a = 2 } } }")[0])
 
 
 def test_roles_of_collects_every_mention():

@@ -10,7 +10,8 @@ once per seed of ``SEEDS`` with ``--trace 0`` and once with ``--trace 1``,
 one run at a time.  Seeds and run length are fixed so that any two
 snapshots compare.  The snapshot holds, per workload, the median and the
 runs of every end-to-end metric and the median of every per-layer
-``parser.*``, ``check.*`` and ``project.*`` metric, plus ``src_lines``.
+``parser.*``, ``check.*``, ``project.*`` and ``explore.*`` metric, plus
+``src_lines``.
 Standard library only; a run takes about 25 s untraced.
 """
 
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("parser.", "check.", "project.")
+LAYERS = ("parser.", "check.", "project.", "explore.")
 SEEDS = (101, 102, 103)
 
 
