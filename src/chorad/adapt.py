@@ -31,8 +31,8 @@ A scope entry costs about the same however many rules are published:
   them with the scan list in publication order and evaluates each in full,
   building its name store once; the index only prunes, so the first match
   is the one a linear scan finds;
-* a match reply carries the rule's compiled code per role (``"code"``, in
-  the codec ``chorad compile`` writes) beside its printed ``"body"``; every
+* a match reply carries the replacement once, as the rule's compiled code
+  per role (``"code"``, in the codec ``chorad compile`` writes); every
   participant decodes its own share and re-roots it at the scope it replaces
   (:func:`~chorad.project.reroot_proc`).  Participants parse nothing.
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 import heapq
 import logging
 import threading
+from collections import deque
 from typing import Any, Protocol
 
 from .ast import Binary, Expr, Lit, Rule, Value, Var, pretty_print
@@ -54,6 +55,9 @@ from .project import ProcessCode, compile_rule_body, proc_to_data
 from .runtime import RoleError, eval_expr, render
 
 log = logging.getLogger("chorad.adapt")
+
+#: How many of its latest decisions a manager keeps in ``match_log``.
+MATCH_LOG_SIZE = 4096
 
 
 class Environment:
@@ -163,9 +167,8 @@ class AdaptationServer:
 
     def __init__(self, server_id: str = "s0"):
         self.server_id = server_id
-        # (rule id, rule, printed body, code per role in the body), in
-        # publication order
-        self._rules: list[tuple[str, Rule, str, dict[str, ProcessCode]]] = []
+        # (rule id, rule, code per role in the body), in publication order
+        self._rules: list[tuple[str, Rule, dict[str, ProcessCode]]] = []
         # name -> rendered literal -> positions in _rules, ascending
         self._index: dict[str, dict[str, list[int]]] = {}
         self._scan: list[int] = []
@@ -185,20 +188,20 @@ class AdaptationServer:
             violations.extend(check_rule(r))
         if has_errors(violations):
             return violations
-        compiled = [(r, pretty_print(r.body), compile_rule(r)) for r in rules]
+        compiled = [(r, compile_rule(r)) for r in rules]
         with self._lock:
-            for r, body, code in compiled:
+            for r, code in compiled:
                 self._published += 1
                 key = index_key(r.condition)
                 slot = self._scan if key is None else \
                     self._index.setdefault(key[0], {}).setdefault(key[1], [])
                 slot.append(len(self._rules))
-                self._rules.append((f"{self.server_id}/r{self._published}", r, body, code))
+                self._rules.append((f"{self.server_id}/r{self._published}", r, code))
         return violations
 
     def rules(self) -> list[tuple[str, Rule]]:
         with self._lock:
-            return [(rule_id, rule) for rule_id, rule, _, _ in self._rules]
+            return [(rule_id, rule) for rule_id, rule, _ in self._rules]
 
     def match(self, request: dict[str, Any],
               env: dict[str, Value]) -> dict[str, Any] | None:
@@ -214,12 +217,11 @@ class AdaptationServer:
         for pos in heapq.merge(*candidates):
             if pos >= published:
                 break
-            rule_id, rule, body, code = self._rules[pos]
+            rule_id, rule, code = self._rules[pos]
             if rule.roles <= allowed and _holds(rule.condition, names):
                 return {
                     "matched": True,
                     "rule": rule_id,
-                    "body": body,
                     "code": {role: proc_to_data(c) for role, c in code.items()},
                     "includes": [
                         [fn, inc.address, inc.protocol]
@@ -247,13 +249,15 @@ class AdaptationManager:
     Registering an id again moves that server to the back of the order.
     An unreachable server is skipped with a warning — adaptation degrades
     to the remaining servers rather than wedging running scopes.
+    ``match_log`` holds the last ``MATCH_LOG_SIZE`` decisions as
+    ``(scope, rule id or None)``, so a long-lived manager stays bounded.
     """
 
     def __init__(self, env: Environment | None = None):
         self.env = env or Environment()
         self._servers: list[ServerHandle] = []
         self._lock = threading.Lock()
-        self.match_log: list[tuple[str, str | None]] = []
+        self.match_log: deque[tuple[str, str | None]] = deque(maxlen=MATCH_LOG_SIZE)
 
     def register(self, handle: ServerHandle) -> None:
         with self._lock:

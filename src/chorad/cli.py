@@ -120,7 +120,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
 def cmd_compile(ns: argparse.Namespace) -> int:
     program = _checked_program(ns.file)
     app = project(program)
-    files = {"manifest.json": app_manifest(app)}
+    files = {"manifest.json": app_manifest(program, app)}
     for role, code in app.per_role.items():
         files[f"role_{role}.json"] = {"role": role, "code": proc_to_data(code)}
     out_dir = Path(ns.out or (Path(ns.file).stem + ".build"))

@@ -1,10 +1,12 @@
 """Endpoint projection: from one global behaviour to per-role process code.
 
 Each construct lowers to the local view of every role that takes part in it;
-uninvolved roles get ``Nop``.  A ``;`` or ``|`` chain drops its ``Nop`` items
-and splices in items that are chains of its own kind as it is built, so the
-code comes out flat with no pass after it.  The coordination a global
-program takes for granted is made explicit here:
+uninvolved roles get ``Nop``.  An assignment is a ``LocalAssign`` whatever
+its expression holds: the runtime issues the calls in it, at any depth.  A
+``;`` or ``|`` chain drops its ``Nop`` items and splices in items that are
+chains of its own kind as it is built, so the code comes out flat with no
+pass after it.  The coordination a global program takes for granted is made
+explicit here:
 
 * If/While evaluators broadcast the guard value to every role occurring in
   the branches/body; While followers acknowledge each iteration before the
@@ -23,7 +25,7 @@ scope they replace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 
 from .ast import (
@@ -86,15 +88,6 @@ class Nop(ProcessCode):
 class LocalAssign(ProcessCode):
     var: str
     expr: Expr
-
-
-@_node
-class CallExternal(ProcessCode):
-    """Assignment whose right-hand side is a call to an included function."""
-
-    function: str
-    args: tuple[Expr, ...]
-    var: str
 
 
 @_node
@@ -180,20 +173,11 @@ _BRANCH_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "ProcessCo
 
 
 @dataclass(frozen=True)
-class ScopeInfo:
-    coordinator: str
-    involved: tuple[str, ...]
-    props: dict[str, Value]
-    body_source: str
-
-
-@dataclass(frozen=True)
 class ProjectedApp:
     per_role: dict[str, ProcessCode]
     starter: str
     locations: dict[str, str]
     includes: dict[str, tuple[str, str | None]]  # function -> (address, protocol)
-    scopes: dict[str, ScopeInfo] = field(default_factory=dict)
 
     @property
     def roles(self) -> list[str]:
@@ -220,11 +204,7 @@ def _proj(b: Behaviour, role: str, memo: dict[int, tuple[str, ...]]) -> ProcessC
     if isinstance(b, Skip):
         return Nop()
     if isinstance(b, Assign):
-        if b.role != role:
-            return Nop()
-        if isinstance(b.expr, Call) and b.expr.function != "getInput":
-            return CallExternal(b.expr.function, b.expr.args, b.var)
-        return LocalAssign(b.var, b.expr)
+        return LocalAssign(b.var, b.expr) if b.role == role else Nop()
     if isinstance(b, Interaction):
         if role == b.sender:
             return SendTo(b.op, b.receiver, b.expr)
@@ -289,21 +269,11 @@ def project(program: Program) -> ProjectedApp:
     for inc in program.includes:
         for fn in inc.functions:
             includes[fn] = (inc.address, inc.protocol)
-    scopes = {
-        str(node.nid): ScopeInfo(
-            coordinator=node.coordinator,
-            involved=_involved(node, memo),
-            props=dict(node.props),
-            body_source=pretty_print(node.body),
-        )
-        for node in walk(program.body) if isinstance(node, Scope)
-    }
     return ProjectedApp(
         per_role=per_role,
         starter=program.preamble.starter,
         locations=dict(program.preamble.locations),
         includes=includes,
-        scopes=scopes,
     )
 
 
@@ -388,7 +358,7 @@ def reroot_proc(p: ProcessCode, prefix: tuple[int, ...]) -> ProcessCode:
 #: process code under ``"t"``.
 _TAGS: dict[type, str] = {
     Lit: "lit", Var: "var", Unary: "unary", Binary: "binary", Call: "call",
-    Nop: "nop", LocalAssign: "assign", CallExternal: "call", SendTo: "send",
+    Nop: "nop", LocalAssign: "assign", SendTo: "send",
     RecvFrom: "recv", SeqP: "seq", ParP: "par", IfLocal: "ifLocal",
     IfFollow: "ifFollow", WhileLocal: "whileLocal", WhileFollow: "whileFollow",
     ScopeCoord: "scopeCoord", ScopeFollow: "scopeFollow",
@@ -536,9 +506,12 @@ _LAYOUT = {
 }
 
 
-def app_manifest(app: ProjectedApp) -> dict:
-    """Deployment manifest written by ``compile``; per-role code ships
-    separately."""
+def app_manifest(program: Program, app: ProjectedApp) -> dict:
+    """Deployment manifest written by ``compile``: ``app``'s roles, starter,
+    locations and includes, and each scope of ``program`` by its node id
+    with its printed body; per-role code ships separately."""
+    scopes = sorted((str(node.nid), node) for node in walk(program.body)
+                    if isinstance(node, Scope))
     return {
         "starter": app.starter,
         "roles": app.roles,
@@ -549,11 +522,11 @@ def app_manifest(app: ProjectedApp) -> dict:
         },
         "scopes": {
             sid: {
-                "coordinator": info.coordinator,
-                "involved": list(info.involved),
-                "props": dict(info.props),
-                "body": info.body_source,
+                "coordinator": node.coordinator,
+                "involved": list(_involved(node, {})),
+                "props": dict(node.props),
+                "body": pretty_print(node.body),
             }
-            for sid, info in sorted(app.scopes.items())
+            for sid, node in scopes
         },
     }

@@ -12,6 +12,11 @@ service:
     ("call", fn, [val, ...])   -> Value     external function / input request
     ("match", request)         -> dict      adaptation lookup for a scope
 
+Every expression a task evaluates, an assignment's right-hand side
+included, issues the calls in it as ``call`` effects, innermost first and
+left to right; a call's arguments are read when it is issued, after the
+calls nested in its arguments have returned.
+
 The executor is a passive state machine: drivers decide which ready task to
 advance (a seeded scheduler in simulation, one thread per role live) and
 feed delivered messages in with :meth:`RoleExecutor.deliver`.  The executor
@@ -64,7 +69,6 @@ from .ast import (
     walk_expr,
 )
 from .project import (
-    CallExternal,
     IfFollow,
     IfLocal,
     LocalAssign,
@@ -504,7 +508,8 @@ class RoleExecutor:
     # -- generator helpers ---------------------------------------------------
 
     def _eval(self, e: Expr):
-        """Evaluate with any embedded calls resolved through yields."""
+        """Evaluate with any embedded calls resolved through yields, in
+        :func:`find_calls` order."""
         calls = find_calls(e)
         if not calls:
             return eval_expr(e, self.variables)
@@ -569,14 +574,6 @@ class RoleExecutor:
             return
         if isinstance(p, LocalAssign):
             value = yield from self._eval(p.expr)
-            self.variables[p.var] = value
-            yield ("local", "assign", p.var)
-            return
-        if isinstance(p, CallExternal):
-            args = []
-            for a in p.args:
-                args.append((yield from self._eval(a)))
-            value = yield ("call", p.function, args)
             self.variables[p.var] = value
             yield ("local", "assign", p.var)
             return

@@ -7,10 +7,10 @@ scenario exercised in the simulator talks to byte-identical behaviours when
 deployed live.
 
 The behaviours are deliberately small and composable: fixed values, scripted
-reply sequences, integer addition, string prefixing, alphabet shifting
-(whole strings or single-character successor steps) and shared buffers
-(named text buffers, a positional character store) cover every bundled
-scenario.
+reply sequences, integer addition, string prefixing, alphabet shifting,
+named text buffers and constant timers.  The bundled scenarios use scripted
+replies, prefixing, shifting and a function of their own; ``chorad
+functions`` serves any of them.
 
 A :class:`Router` answers the ``call`` and ``match`` requests a
 :class:`~chorad.runtime.RoleExecutor` yields.  Both drivers use it; they
@@ -63,7 +63,6 @@ class FunctionTable:
     def __init__(self) -> None:
         self._functions: dict[str, Callable[[list[Value]], Value]] = {}
         self._buffers: dict[str, str] = {}
-        self._chars: dict[int, str] = {}
         self._lock = threading.Lock()
 
     # -- registration ------------------------------------------------------
@@ -94,45 +93,6 @@ class FunctionTable:
             return shift_text(args[0], args[1])
 
         return self.register(name, fn)
-
-    def successors(self) -> "FunctionTable":
-        """Single-character alphabet steps: getNext and getDoubleNext."""
-        def step(name: str, offset: int) -> None:
-            def fn(args: list[Value]) -> Value:
-                if len(args) != 1 or not isinstance(args[0], str) \
-                        or len(args[0]) != 1:
-                    raise ServiceError(f"'{name}' needs a single character")
-                return shift_text(args[0], offset)
-
-            self.register(name, fn)
-
-        step("getNext", 1)
-        step("getDoubleNext", 2)
-        return self
-
-    def char_buffer(self) -> "FunctionTable":
-        """A positional character store: setNthChar / getNthChar."""
-        def get_fn(args: list[Value]) -> Value:
-            if len(args) != 1 or not isinstance(args[0], int) \
-                    or isinstance(args[0], bool):
-                raise ServiceError("'getNthChar' needs an index")
-            with self._lock:
-                try:
-                    return self._chars[args[0]]
-                except KeyError:
-                    raise ServiceError(
-                        f"no character at index {args[0]}") from None
-
-        def set_fn(args: list[Value]) -> Value:
-            if len(args) != 2 or not isinstance(args[0], int) \
-                    or isinstance(args[0], bool) or not isinstance(args[1], str):
-                raise ServiceError("'setNthChar' needs (index, char)")
-            with self._lock:
-                self._chars[args[0]] = args[1]
-            return args[1]
-
-        self.register("getNthChar", get_fn)
-        return self.register("setNthChar", set_fn)
 
     def prefixer(self, name: str, prefix: str) -> "FunctionTable":
         def fn(args: list[Value]) -> Value:

@@ -11,7 +11,9 @@ from chorad.adapt import (
     evaluate_condition,
     rule_applies,
 )
+from chorad.ast import Lit
 from chorad.parser import ParseError, parse_rules
+from chorad.project import LocalAssign, proc_from_data
 from chorad.runtime import eval_expr
 
 
@@ -120,7 +122,7 @@ def test_first_published_applicable_rule_wins():
     got = server.match({"coordinator": "u", "involved": [], "props": {"k": 1},
                         "vars": {}}, {})
     assert got["rule"] == "s0/r1"
-    assert '"first"' in got["body"]
+    assert proc_from_data(got["code"]["u"]) == LocalAssign(var="x", expr=Lit("first"))
 
 
 def test_match_skips_inapplicable_then_picks_next():
@@ -229,6 +231,21 @@ def test_match_log_records_decisions():
     assert mgr.match_log
     scope, rule_id = mgr.match_log[-1]
     assert scope == "1_0" and rule_id == "s0/r1"
+
+
+def test_match_log_keeps_only_the_latest_decisions():
+    from chorad.adapt import MATCH_LOG_SIZE
+
+    server = AdaptationServer()
+    server.publish('rule { on { N.k == 1 } do { x@u = 1 } }')
+    mgr = AdaptationManager()
+    mgr.register(server)
+    for i in range(10_000):
+        mgr.handle_match({**_request(), "scope": str(i), "props": {"k": i % 2}})
+    assert MATCH_LOG_SIZE < 10_000
+    assert len(mgr.match_log) == MATCH_LOG_SIZE
+    assert mgr.match_log[-1] == ("9999", "s0/r1")
+    assert mgr.match_log[-2] == ("9998", None)
 
 
 # ---------------------------------------------------------------------
@@ -396,15 +413,16 @@ def test_publishing_compiles_the_whole_batch_before_admitting_any(monkeypatch):
 
 
 def test_a_match_reply_carries_each_roles_code():
-    from chorad.project import proc_from_data, SendTo, RecvFrom
+    from chorad.project import SendTo, RecvFrom
 
     server = AdaptationServer()
     server.publish('rule { on { true } do { op: u( 1 ) -> d( r ) } }')
     got = server.match(_req(involved=("d",)), {})
+    # the replacement ships once, as code: no printed body beside it
+    assert sorted(got) == ["code", "includes", "matched", "rule"]
     assert sorted(got["code"]) == ["d", "u"]
-    assert isinstance(proc_from_data(got["code"]["u"]), SendTo)
-    assert isinstance(proc_from_data(got["code"]["d"]), RecvFrom)
-    assert "op: u( 1 ) -> d( r )" in got["body"]
+    assert proc_from_data(got["code"]["u"]) == SendTo(op="op", peer="d", expr=Lit(1))
+    assert proc_from_data(got["code"]["d"]) == RecvFrom(op="op", peer="u", var="r")
 
 
 PUBLISHED_MID_RUN = """

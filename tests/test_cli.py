@@ -98,8 +98,9 @@ def test_compile_writes_code_too_deep_for_json_in_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == f"wrote {out}/manifest.json and 2 role files\n"
-    app = project(parse_program(source))
-    expected = {"manifest.json": app_manifest(app)}
+    program = parse_program(source)
+    app = project(program)
+    expected = {"manifest.json": app_manifest(program, app)}
     for role, code in app.per_role.items():
         expected[f"role_{role}.json"] = {"role": role, "code": proc_to_data(code)}
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
@@ -122,8 +123,9 @@ def test_compile_writes_the_deepest_code_the_parser_accepts_as_json_indents_it(
     out = tmp_path / "build"
     assert main(["compile", str(f), "-o", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    app = project(parse_program(source))
-    expected = {"manifest.json": app_manifest(app)}
+    program = parse_program(source)
+    app = project(program)
+    expected = {"manifest.json": app_manifest(program, app)}
     for role, code in app.per_role.items():
         expected[f"role_{role}.json"] = {"role": role, "code": proc_to_data(code)}
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)

@@ -392,7 +392,7 @@ def test_code_too_deep_for_json_adapts_over_tcp():
         mgr_srv.server_close()
     assert not t.is_alive()
     assert stores == simulated.final_states
-    assert remote.match_log == [("1", "s0/r1")]
+    assert list(remote.match_log) == [("1", "s0/r1")]
 
 
 def test_a_message_that_arrives_as_the_listener_opens_is_kept(monkeypatch):

@@ -9,11 +9,10 @@ import json
 import pytest
 
 from chorad import ast
-from chorad.ast import NodeId, Lit
+from chorad.ast import Call, NodeId, Lit
 from chorad.check import check_program
 from chorad.parser import parse_behaviour, parse_expr, parse_program, parse_rules
 from chorad.project import (
-    CallExternal,
     IfFollow,
     IfLocal,
     LocalAssign,
@@ -65,16 +64,15 @@ def test_assignment_is_local_to_its_role():
 
 
 def test_external_call_projects_to_call_node():
+    # an assignment of a call is an assignment whose expression is the call
     app = _app('include f from "socket://h:1"\n'
                'preamble { starter: a } aioc { x@a = f( 1, 2 ) }')
-    code = app.per_role["a"]
-    assert isinstance(code, CallExternal)
-    assert code.function == "f" and code.var == "x"
+    assert app.per_role["a"] == LocalAssign(var="x", expr=Call("f", (Lit(1), Lit(2))))
 
 
 def test_get_input_stays_an_expression_call():
     app = _app('preamble { starter: a } aioc { x@a = getInput( "q" ) }')
-    assert not isinstance(app.per_role["a"], CallExternal)
+    assert app.per_role["a"] == LocalAssign(var="x", expr=Call("getInput", (Lit("q"),)))
 
 
 def test_uninvolved_role_gets_nop_for_foreign_statements():
@@ -146,8 +144,8 @@ def test_guard_only_reaches_involved_roles():
 def test_scope_aux_names_derive_from_node_path():
     sc = corpus.scenario_by_name("hello-world")
     app = project(sc.program)
-    [(sid, info)] = list(app.scopes.items())
-    coord = app.per_role[info.coordinator]
+    [(sid, info)] = list(app_manifest(sc.program, app)["scopes"].items())
+    coord = app.per_role[info["coordinator"]]
     node = coord if isinstance(coord, ScopeCoord) else next(
         p for p in coord.items if isinstance(p, ScopeCoord))
     assert node.directive_op == f"_aux_directive_{sid}"
@@ -158,21 +156,21 @@ def test_scope_aux_names_derive_from_node_path():
 def test_scope_follower_mirrors_coordinator_ops():
     sc = corpus.scenario_by_name("hello-world")
     app = project(sc.program)
-    [(sid, info)] = list(app.scopes.items())
-    for r in info.involved:
+    [(sid, info)] = list(app_manifest(sc.program, app)["scopes"].items())
+    assert info["involved"]
+    for r in info["involved"]:
         code = app.per_role[r]
         node = code if isinstance(code, ScopeFollow) else next(
             p for p in code.items if isinstance(p, ScopeFollow))
-        assert node.coordinator == info.coordinator
+        assert node.coordinator == info["coordinator"]
         assert node.directive_op == f"_aux_directive_{sid}"
 
 
 def test_scope_info_carries_props_and_body_source():
     sc = corpus.scenario_by_name("hello-world")
-    app = project(sc.program)
-    [info] = list(app.scopes.values())
-    assert info.props == {"flavour": "greeting"}
-    assert "Hello World" in info.body_source
+    [info] = list(app_manifest(sc.program, project(sc.program))["scopes"].values())
+    assert info["props"] == {"flavour": "greeting"}
+    assert "Hello World" in info["body"]
 
 
 def test_aux_op_format():
@@ -202,10 +200,18 @@ def test_projection_drops_nops_and_flattens_chains():
     assert app.per_role["b"] == SeqP(items=(LocalAssign(var="y", expr=Lit(2)),
                                             LocalAssign(var="z", expr=Lit(3))))
     assert app.per_role["c"] == Nop()
-    # a `|` that keeps one item inside a `;` is spliced into it
+    # a `|` that keeps one item inside a `;` collapses to that item
     app = _app('preamble { starter: a } aioc { x@a = 1; { y@a = 2 | z@b = 3 }; w@a = 4 }')
     assert app.per_role["a"] == SeqP(items=tuple(
         LocalAssign(var=v, expr=Lit(i)) for v, i in (("x", 1), ("y", 2), ("w", 4))))
+
+
+def test_projection_splices_a_chain_of_its_own_kind_into_a_chain():
+    # on `a` the `|` keeps one item, itself a `;` chain: its items join the outer `;`
+    app = _app('preamble { starter: a } aioc '
+               '{ x@a = 1; { { y@a = 2; v@a = 5 } | z@b = 3 }; w@a = 4 }')
+    assert app.per_role["a"] == SeqP(items=tuple(
+        LocalAssign(var=v, expr=Lit(i)) for v, i in (("x", 1), ("y", 2), ("v", 5), ("w", 4))))
 
 
 # ---------------------------------------------------------------------
@@ -256,12 +262,16 @@ rule { on { true } do { scope @d { x@d = 1; z: d( x ) -> u( w ) } } }
 """
 
 
+def _scope_paths(program) -> list[tuple[int, ...]]:
+    return sorted(x.nid.path for x in ast.walk(program.body) if isinstance(x, ast.Scope))
+
+
 def _adapted_corpus_rules():
     for sc in corpus.standard_scenarios():
         labels = {label for run in sc.adapted.values() for label in run.labels}
         for label in sorted(labels):
             for i, rule in enumerate(parse_rules(sc.rules[label])):
-                yield pytest.param(rule, sorted(sc.app.scopes), id=f"{sc.name}-{label}-{i}")
+                yield pytest.param(rule, _scope_paths(sc.program), id=f"{sc.name}-{label}-{i}")
     for i, rule in enumerate(parse_rules(_SHAPED_RULES)):
         yield pytest.param(rule, [], id=f"shaped-{i}")
 
@@ -276,7 +286,7 @@ def test_compiled_rule_code_rerooted_equals_projecting_the_rerooted_body(rule, s
     compiled = compile_rule(rule)
     body = parse_behaviour(ast.pretty_print(rule.body))  # what used to be shipped
     paths = {(), (0,), (1, 0, 3, 0, 0, 2)}
-    paths |= {NodeId(tuple(int(i) for i in sid.split("_") if i)).path for sid in scopes}
+    paths |= set(scopes)
     assert set(compiled) == ast.roles_of(body)
     for path in sorted(paths):
         for role in sorted(ast.roles_of(body) | {"coordinator-only"}):
@@ -427,7 +437,7 @@ def test_compiled_code_nests_within_a_bound_and_round_trips_through_json():
     deepest = 0
     for program in programs:
         app = project(program)
-        files = [app_manifest(app)]
+        files = [app_manifest(program, app)]
         files += [{"role": r, "code": proc_to_data(c)} for r, c in app.per_role.items()]
         for data in files:
             deepest = max(deepest, _depth(data))
@@ -460,10 +470,11 @@ def test_thousand_term_chains_print_evaluate_and_walk_without_recursion(op, term
 def test_manifest_lists_roles_and_scopes():
     sc = corpus.scenario_by_name("appointment")
     app = project(sc.program)
-    m = app_manifest(app)
+    m = app_manifest(sc.program, app)
     assert sorted(m["roles"]) == app.roles
     assert m["starter"] == app.starter
-    assert set(m["scopes"]) == set(app.scopes)
+    assert sorted(tuple(int(i) for i in sid.split("_") if i) for sid in m["scopes"]) \
+        == _scope_paths(sc.program)
 
 
 _PINNED_SOURCE = """include f from "socket://localhost:9"
@@ -504,8 +515,9 @@ _PINNED_CODE = {
                   "default": {"t": "par", "items": [
                       {"t": "send", "op": "ok", "peer": "b",
                        "expr": [{"k": "lit", "v": True}]},
-                      {"t": "call", "fn": "f",
-                       "args": [[_N], [{"k": "lit", "v": "s"}]], "var": "x"}]}},
+                      {"t": "assign", "var": "x",
+                       "expr": [_N, {"k": "lit", "v": "s"},
+                                {"k": "call", "fn": "f", "args": 2}]}]}},
          "else": {"t": "nop"}}]},
     "b": {"t": "seq", "items": [
         {"t": "whileFollow", "guardOp": "_aux_guard_1", "ackOp": "_aux_ack_1",
@@ -530,7 +542,7 @@ def test_compile_format_is_pinned():
 
 
 #: sha256 over every file ``chorad compile`` writes for the corpus and progen 0–49.
-_COMPILE_DIGEST = "2987d547d46a2fe38cc722af1cb1f316c567de9101604cf1952b091e0b7d88ed"
+_COMPILE_DIGEST = "74cf185aeed615a5326c69720425694e229587af179aee96771b6b040e684f36"
 
 
 def test_whole_compile_output_is_pinned(tmp_path):

@@ -49,33 +49,13 @@ def test_shifter_validates_argument_shapes():
         t.call("shiftChar", ["m", True])  # a bool is not an offset
 
 
-def test_successor_steps():
-    t = FunctionTable().successors()
-    assert t.call("getNext", ["a"]) == "b"
-    assert t.call("getNext", ["z"]) == "a"
-    assert t.call("getDoubleNext", ["y"]) == "a"
-    with pytest.raises(ServiceError, match="single character"):
-        t.call("getNext", ["ab"])
-
-
-@given(st.sampled_from("abcdefghijklmnopqrstuvwxyz"))
+@given(st.sampled_from("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"))
 def test_twenty_six_successor_steps_are_the_identity(ch):
-    t = FunctionTable().successors()
     out = ch
     for _ in range(26):
-        out = t.call("getNext", [out])
+        out = shift_text(out, 1)
     assert out == ch
     assert shift_text(ch, 26) == ch
-
-
-def test_char_buffer_read_your_write():
-    t = FunctionTable().char_buffer()
-    assert t.call("setNthChar", [0, "z"]) == "z"
-    assert t.call("getNthChar", [0]) == "z"
-    with pytest.raises(ServiceError, match="no character at index 3"):
-        t.call("getNthChar", [3])
-    with pytest.raises(ServiceError, match="needs an index"):
-        t.call("getNthChar", [True])
 
 
 def test_prefixer_renders_its_argument():

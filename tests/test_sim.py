@@ -10,14 +10,16 @@ from dataclasses import replace
 import pytest
 
 from chorad.adapt import AdaptationManager, AdaptationServer, Environment
+from chorad.ast import Lit
 from chorad import cli, sim
 from chorad.check import check_program
 from chorad.parser import MAX_NESTING, ParseError, parse_behaviour, parse_program
-from chorad.project import proc_from_data, proc_to_data, project
-from chorad.runtime import READY
+from chorad.project import ProjectedApp, SendTo, proc_from_data, proc_to_data, project
+from chorad.runtime import READY, Message
 from chorad.sim import (
     DEADLOCK,
     ERROR,
+    STEP_LIMIT,
     SimConfig,
     TERMINATED,
     TimelineEvent,
@@ -686,6 +688,53 @@ def test_env_event_after_the_scope_is_too_late():
                                           key="language", value="it")])
     r = simulate(sc.app, cfg)
     assert r.final_states["display"] == {"msg": "Hello World"}
+
+
+@pytest.mark.parametrize("event, error", [
+    (TimelineEvent(at_step=0, kind="teleport"), "unknown timeline event kind 'teleport'"),
+    (TimelineEvent(at_step=0, kind="publish", server="s0",
+                   source="rule { on { true } do { greeting@display = g( 1 ) } }"),
+     "timeline publish rejected: function 'g' is not declared by any include"),
+    (TimelineEvent(at_step=0, kind="publish", server="s9",
+                   source="rule { on { true } do { skip } }"),
+     "timeline publish: no server 's9' registered"),
+], ids=["unknown-kind", "rejected-rule", "unknown-server"])
+def test_a_bad_timeline_event_stops_the_simulation(event, error):
+    sc = corpus.scenario_by_name("hello-world")
+    with pytest.raises(ValueError) as info:
+        simulate(sc.app, _cfg(sc, manager=True, timeline=[event]))
+    assert str(info.value) == error
+
+
+# ---------------------------------------------------------------------
+# Verdicts no corpus run reaches
+# ---------------------------------------------------------------------
+
+
+def test_a_run_that_never_ends_stops_at_the_step_budget():
+    prog = parse_program('preamble { starter: a } aioc { while ( true )@a { x@a = 1 } }')
+    r = simulate(prog, SimConfig(max_steps=50))
+    assert (r.outcome, r.steps, r.error) == (STEP_LIMIT, 50, "step budget exhausted")
+    assert not r.ok
+
+
+def test_a_message_nobody_receives_is_reported_as_a_leak():
+    app = project(parse_program('preamble { starter: a } aioc { op: a( 1 ) -> b( x ) }'))
+    world = _World(app, SimConfig())
+    world.executors["b"].deliver(Message(kind="msg", op="stray", frm="a", to="b",
+                                         data=0, seq=9))
+    r = sim._execute(world, random.Random(0).randrange)
+    assert r.outcome == TERMINATED and r.final_states["b"] == {"x": 1}
+    assert r.leaks == ["b: 1 unconsumed msg/stray from a"]
+    assert not r.ok
+
+
+def test_a_message_to_a_role_outside_the_app_is_an_error():
+    app = ProjectedApp(per_role={"a": SendTo(op="op", peer="z", expr=Lit(1))},
+                       starter="a", locations={}, includes={})
+    r = simulate(app)
+    assert r.outcome == ERROR
+    assert r.error == "a: message addressed to unknown role 'z'"
 
 
 # ---------------------------------------------------------------------

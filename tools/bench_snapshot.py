@@ -11,7 +11,10 @@ one run at a time.  Seeds and run length are fixed so that any two
 snapshots compare.  The snapshot holds, per workload, the median and the
 runs of every end-to-end metric and the median of every per-layer
 ``parser.*``, ``check.*``, ``project.*`` and ``explore.*`` metric, plus
-``src_lines``.
+``src_lines``.  It also runs the tier-1 tests of ``--root`` once
+(``python -m pytest`` with ``src`` on the path) and records their wall
+time, their summary line and the ``TOP_DURATIONS`` slowest entries that
+``--durations`` prints.
 Standard library only; a run takes about 25 s untraced.
 """
 
@@ -21,14 +24,19 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("parser.", "check.", "project.", "explore.")
 SEEDS = (101, 102, 103)
+TOP_DURATIONS = 10
+#: One entry of pytest's ``--durations`` report: seconds, phase, test id.
+DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S.*)$")
 
 
 def run(root: Path, command: list[str], workload: str, seed: int, trace: int,
@@ -40,6 +48,25 @@ def run(root: Path, command: list[str], workload: str, seed: int, trace: int,
     print(f"{workload} seed {seed} trace {trace}: correct={result['correct']} "
           f"failed={result['failed']}/{result['attempted']}", file=sys.stderr)
     return result
+
+
+def tier1(root: Path) -> dict:
+    """One run of the tier-1 tests: wall time, summary and slowest entries."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+            "-p", "no:cacheprovider", f"--durations={TOP_DURATIONS}"]
+    started = time.perf_counter()
+    out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - started
+    lines = out.stdout.splitlines()
+    durations = [{"s": float(m[1]), "phase": m[2], "test": m[3]}
+                 for m in map(DURATION.match, lines) if m]
+    summary = next((line.strip("= ") for line in reversed(lines) if line.strip()), "")
+    print(f"tier-1: {summary} ({wall_s:.1f} s)", file=sys.stderr)
+    return {"wall_s": round(wall_s, 1), "exit_code": out.returncode, "summary": summary,
+            "durations": durations[:TOP_DURATIONS]}
 
 
 def snapshot(root: Path) -> dict:
@@ -70,6 +97,7 @@ def snapshot(root: Path) -> dict:
         "seconds": seconds,
         "host": {"python": platform.python_version(), "cpus": os.cpu_count()},
         "src_lines": src_lines,
+        "tier1": tier1(root),
         "workloads": workloads,
     }
 
