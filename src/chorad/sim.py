@@ -20,7 +20,14 @@ already expanded.  Matching states needs an exact fingerprint of the
 world: each task's history as a hash-consed id, each role's store,
 mailboxes and counters, and the world's step count, timeline position,
 inputs taken and service calls; :func:`explore` says why each part is
-there.  Only the exploring world records what the fingerprint needs.
+there.  On top, a partial-order reduction expands at each state only the
+ready tasks of one set of roles closed under waiting to receive, and puts
+to sleep the choices whose steps commute with the one taken, judged by
+what each step read and wrote.  It holds while no step fails and no
+timeline or service table is shared, so :func:`explore` applies it only
+without a timeline or services, and restarts without it when a run fails.
+Only the exploring world records what the fingerprint and the reduction
+need.
 
 The simulator reports, never judges: callers decide whether a deadlock is a
 bug or the expected outcome of a negative test.
@@ -298,21 +305,51 @@ def _items(d: dict) -> tuple:
 
 class _ReadLog(dict):
     """A role's store that notes each ``(name, value)`` a step reads, also
-    through ``dict(store)``; only the exploring world installs it."""
+    through ``dict(store)``, and each name it writes; only the exploring
+    world installs it."""
 
-    __slots__ = ("reads",)
+    __slots__ = ("reads", "writes")
 
     def __init__(self, store: dict[str, Value]) -> None:
         super().__init__(store)
         self.reads: list[tuple[str, object]] = []
+        self.writes: list[str] = []
 
     def __getitem__(self, name: str) -> Value:
         value = dict.__getitem__(self, name)
         self.reads.append((name, _exact(value)))
         return value
 
+    def __setitem__(self, name: str, value: Value) -> None:
+        self.writes.append(name)
+        dict.__setitem__(self, name, value)
+
     def __iter__(self):  # sends ``dict(store)`` through ``__getitem__``
         return dict.__iter__(self)
+
+
+#: What a step touches: ``(reads, writes)``, two sets of resources, or None
+#: for a step that conflicts with every step.
+_Footprint = tuple[set, set] | None
+
+
+def _conflict(a: _Footprint, b: _Footprint) -> bool:
+    """Whether one step writes what the other touches."""
+    if a is None or b is None:
+        return True
+    return not (a[1].isdisjoint(b[1]) and a[1].isdisjoint(b[0])
+                and b[1].isdisjoint(a[0]))
+
+
+@dataclass(eq=False)
+class _Node:
+    """A decision point as the choices queued there see it: the task ids
+    there (:meth:`_ExploringWorld.mark`), its sleep set, and the choices
+    taken there so far with their footprints."""
+
+    mark: tuple
+    sleep: dict[tuple[str, int], _Footprint]
+    done: list[tuple[tuple[str, int], _Footprint]] = field(default_factory=list)
 
 
 class _ExploringWorld(_World):
@@ -323,21 +360,28 @@ class _ExploringWorld(_World):
     ``intern[(id before, record)]``, the record being the step's resume
     value or error, the ``(name, value)`` pairs it read from its role's
     store, and its event.  A branch of a ``|`` starts from its parent's id
-    and its place in the block.  Stores log their reads, and in-process
-    service calls are logged in order, only here: :func:`simulate` and
-    the live driver pay for none of it.
+    and its place in the block.  Stores log their reads and writes, and
+    in-process service calls are logged in order, only here:
+    :func:`simulate` and the live driver pay for none of it.
 
     A run replays its queued prefix without logging; at the prefix's last
     decision, :meth:`log_from` takes up the ids that the earlier run which
     queued it had there, from :meth:`mark`.
+
+    When ``reduce`` is set, the world also keeps the run's sleep set: the
+    tasks whose next step commutes with every step taken since a sibling
+    choice explored it, keyed ``(role, tid)`` with that step's footprint.
     """
 
     def __init__(self, app: ProjectedApp, config: SimConfig,
-                 intern: dict[object, int]):
+                 intern: dict[object, int], reduce: bool):
         super().__init__(app, config)
         self.intern = intern
         self.task_ids: dict[str, dict[int, int]] | None = None  # None: not logging
         self.calls = 0  # id of the in-process service calls so far
+        self.reduce = reduce
+        self.sleep: dict[tuple[str, int], _Footprint] = {}
+        self.node: _Node | None = None  # the decision the next step is a choice at
 
     def _id(self, key: object) -> int:
         return self.intern.setdefault(key, len(self.intern))
@@ -352,6 +396,33 @@ class _ExploringWorld(_World):
         for ex in self.executors.values():
             ex.variables = _ReadLog(ex.variables)
 
+    def options(self) -> list[int]:
+        """The awake ready tasks of one closed set of roles, as indices into
+        :meth:`ready_entries`: a persistent set less the sleep set.
+
+        Each role with ready tasks is closed under "has a task waiting to
+        receive from"; the closed set with the fewest ready tasks wins."""
+        roles = self.app.roles
+        ready = {r: self.executors[r].ready_tids() for r in roles}
+        waits = {r: {key[2] for key, q in self.executors[r]._waiters.items() if q}
+                 for r in roles}
+        chosen: set[str] = set()
+        fewest = 0
+        for role in roles:
+            if not ready[role]:
+                continue
+            closed, todo = {role}, [role]
+            while todo:
+                for peer in waits.get(todo.pop(), ()):
+                    if peer not in closed:
+                        closed.add(peer)
+                        todo.append(peer)
+            n = sum(len(ready.get(r, ())) for r in closed)
+            if not chosen or n < fewest:
+                chosen, fewest = closed, n
+        return [i for i, entry in enumerate(self.ready_entries())
+                if entry[0] in chosen and entry not in self.sleep]
+
     def advance(self, role: str, tid: int) -> StepOutcome:
         if self.task_ids is None:
             return super().advance(role, tid)
@@ -359,9 +430,13 @@ class _ExploringWorld(_World):
         task = ex._tasks[tid]
         ids = self.task_ids[role]
         before = (ids.pop(tid), _exact(task.resume_value), task.resume_error)
-        reads = ex.variables.reads = []
+        store = ex.variables
+        reads = store.reads = []
+        store.writes = []
         outcome = super().advance(role, tid)
         event = outcome.event
+        if self.reduce and (self.node is not None or self.sleep):
+            self._update_sleep((role, tid), self._footprint(role, task.parent, store, event))
         if event[1] == "end":
             return outcome
         new = ids[tid] = self._id((before, tuple(reads), event))
@@ -376,6 +451,40 @@ class _ExploringWorld(_World):
                 self.calls = self._id((self.calls, address, fn, _exact(args),
                                        _exact(task.resume_value), task.resume_error))
         return outcome
+
+    @staticmethod
+    def _footprint(role: str, parent: int | None, store: _ReadLog,
+                   event: tuple) -> _Footprint:
+        """What the step with ``event`` touched, as :func:`explore` says."""
+        tid, verb = event[0], event[1]
+        reads = {("var", role, name) for name, _ in store.reads}
+        writes = {("var", role, name) for name in store.writes}
+        if verb == "send":
+            writes.add(("seq", role, event[2]))
+        elif verb == "recv":
+            writes.add(("recv", role, *event[2:]))
+        elif verb == "spawn":
+            writes.update((("tid", role), ("kids", role, tid)))
+        elif verb == "join":
+            writes.add(("kids", role, tid))
+        elif verb == "end":
+            if parent is not None:
+                reads.add(("kids", role, parent))
+        elif verb == "call":
+            if event[2] != INPUT_FUNCTION:
+                return None
+            writes.add(("input", role))
+        return reads, writes
+
+    def _update_sleep(self, entry: tuple[str, int], footprint: _Footprint) -> None:
+        """Keep asleep what commutes with the step ``entry`` just took; at a
+        decision, that is the node's sleep set and its earlier choices."""
+        node, self.node = self.node, None
+        sleep = self.sleep
+        if node is not None:
+            sleep = {**node.sleep, **dict(node.done)}
+            node.done.append((entry, footprint))
+        self.sleep = {e: f for e, f in sleep.items() if not _conflict(f, footprint)}
 
     def _role_state(self, role: str) -> int:
         ex = self.executors[role]
@@ -397,13 +506,23 @@ class _ExploringWorld(_World):
                 *map(self._role_state, self.app.roles))
 
 
-class _Seen(Exception):
-    """Abandons a run at a state the search has already expanded."""
+class _Abandon(Exception):
+    """Ends a run at a state the search has already expanded, or whose
+    persistent set is asleep."""
+
+
+class _Restart(Exception):
+    """A run of the reduced search failed, so steps of different roles no
+    longer commute; carries the runs started so far."""
+
+    def __init__(self, paths: int):
+        super().__init__(paths)
+        self.paths = paths
 
 
 @dataclass
 class ExplorationReport:
-    paths: int  # runs started, those abandoned at a seen state included
+    paths: int  # runs started, those abandoned (seen state, all asleep) included
     outcomes: dict[str, int]  # runs that ended, by outcome
     deadlocks: list[tuple[int, ...]]
     complete: bool
@@ -423,92 +542,146 @@ class ExplorationReport:
 def explore(target: Target, config: SimConfig | None = None, *,
             max_paths: int = 20_000) -> ExplorationReport:
     """Every final store, error and deadlock a (small) application can
-    reach: a stateful depth-first search over its schedules.
+    reach: a stateful depth-first search over its schedules, with
+    partial-order reduction.
 
-    A path is the sequence of indices picked into the ready list at genuine
-    decision points.  Each run follows a queued prefix, then takes choice 0
-    and queues the other choices it passes.  At each decision point past
-    the prefix it looks the world's state up; a state already expanded
-    abandons the run, since that state's other choices are already queued
-    or done.  So every reachable state is expanded once, and no final
-    store, error or deadlock is lost.  ``paths`` counts runs started,
+    A path is the sequence of indices picked into the ready list wherever
+    more than one task was ready.  Each run follows a queued prefix, then
+    takes the first of the choices it expands and queues the others.  At
+    each decision point past the prefix it looks the world's state up; a
+    state already expanded abandons the run, since that state's other
+    choices are already queued or done.  ``paths`` counts runs started,
     abandoned ones included, and so does ``max_paths``: runs beyond it
     leave ``complete`` False, and the verdict then only covers the
     explored portion.
 
-    The state must be exact, or a pruned run could hide a behaviour; it is
-    tuples of values and small ints, never a hash.  Per live task: its tid,
-    parent, state, pending resume value or error, wait key, join count and
-    task-state id.  Equal ids mean equal generators, because a step is a
-    deterministic function of its task's generator, its resume value and
-    the store values it reads, all of which the id's records hold.  Per
-    role: its store (sorted; ``true`` kept apart from ``1``), every field of
-    every queued message, the waiter order, sequence counters, next tid,
-    includes, locations and failure.  For the world: the step count and
-    timeline position, which decide when events fire and the step budget
-    cuts in; the inputs taken; and the in-process service calls in order,
-    since a table's position (a scripted reply list, a buffer) is hidden
-    in it.  Rule managers change only through the timeline.  Task events
-    keep their message ``seq``, which a later step compares with its ack.
+    The reduction (Godefroid, *Partial-Order Methods for the Verification
+    of Concurrent Systems*, 1996) keeps every final store, deadlock and
+    terminal state.  It expands, at each state, only the ready tasks of one
+    set of roles closed under "has a task waiting to receive from" (the
+    closed set with the fewest ready tasks): tasks of different roles share
+    no store, sequence counter or tid; a mailbox key names its sender, so
+    no two roles send on one key; and a send and a receive on one key reach
+    the same state in either order.  So a role outside the set can only
+    queue messages no task in the set waits for, and cannot interfere
+    before a step of the set runs.  On top, sleep sets skip orders that
+    differ only by commuting steps.  A step's footprint holds the store
+    names it reads and writes, the sequence counter of the kind it sent
+    (which stands for the mailbox key it sent on), the key it received on,
+    its spawn and join on its own children and its end on its parent's,
+    and ``getInput``'s script position; any other ``call`` conflicts with
+    every step, and ``match`` only reads a manager no step changes.  Two
+    steps conflict when one writes what the other touches; ends of siblings
+    do not.  After each choice, the choices already explored at that
+    decision that commute with it go to sleep; a sleeping task is never
+    chosen, and a run whose persistent set is all asleep ends without an
+    outcome.  A state is abandoned only if it was expanded before with a
+    sleep set that is a subset of the current one.
+
+    The reduction applies only when the config has no ``timeline`` (events
+    fire by step count) and no ``services_factory`` (a table's state is
+    shared by every role that calls it).  Cross-role commutation assumes
+    that no step fails, so when a run ends in ``error`` or ``stepLimit`` the
+    search restarts without the reduction; the runs before the restart
+    count toward ``paths`` and ``max_paths``.  If a failure or the step
+    limit is reachable at all, the reduced search reaches one of them.
+
+    State matching needs the state exact, or a pruned run could hide a
+    behaviour; it is tuples of values and small ints, never a hash.  Per
+    live task: its tid, parent, state, pending resume value or error, wait
+    key, join count and task-state id.  Equal ids mean equal generators,
+    because a step is a deterministic function of its task's generator, its
+    resume value and the store values it reads, all of which the id's
+    records hold.  Per role: its store (sorted; ``true`` kept apart from
+    ``1``), every field of every queued message, the waiter order, sequence
+    counters, next tid, includes, locations and failure.  For the world:
+    the step count and timeline position, which decide when events fire
+    and the step budget cuts in, and keep the state graph acyclic; the
+    inputs taken; and the in-process service calls in order, since a
+    table's position (a scripted reply list, a buffer) is hidden in it.
+    Rule managers change only through the timeline.  Task events keep
+    their message ``seq``, which a later step compares with its ack.
     """
-    config = replace(config or SimConfig(), hash_trace=False)
+    config = replace(config or SimConfig(), hash_trace=False, collect_trace=False)
     app = _as_app(target)
+    reduce = not config.timeline and config.services_factory is None
+    try:
+        return _search(app, config, max_paths, reduce=reduce)
+    except _Restart as restart:
+        return _search(app, config, max_paths, reduce=False, paths=restart.paths)
+
+
+def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
+            reduce: bool, paths: int = 0) -> ExplorationReport:
+    """:func:`explore`'s search, with or without the reduction; ``paths``
+    runs are already spent.  A failed run of the reduced search raises
+    :class:`_Restart`."""
     intern: dict[object, int] = {}
-    seen: set[tuple] = set()
+    # each state expanded, with the sleep sets it was expanded with
+    seen: dict[tuple, list[frozenset]] = {}
     outcomes: Counter[str] = Counter()
     finals: Counter[str] = Counter()
     deadlocks: list[tuple[int, ...]] = []
-    # (prefix, the ids at its last decision); every role's main task is id 0
-    stack: list[tuple[tuple[int, ...], tuple]] = [((), ({r: {0: 0} for r in app.roles}, 0))]
-    paths = 0
+    # (prefix, the decision its last choice is taken at); every role's main
+    # task is id 0
+    stack: list[tuple[tuple[int, ...], _Node]] = [
+        ((), _Node(({r: {0: 0} for r in app.roles}, 0), {}))]
     complete = True
     while stack:
         if paths >= max_paths:
             complete = False
             break
-        prefix, mark = stack.pop()
+        prefix, node = stack.pop()
         path: list[int] = []
-        widths: list[int] = []
-        marks: list[tuple] = []  # the ids at each decision past the prefix
-        world = _ExploringWorld(app, config, intern)
+        world = _ExploringWorld(app, config, intern, reduce)
         if not prefix:
-            world.log_from(mark)
+            world.log_from(node.mark)
 
         def choose(count: int) -> int:
-            # Forced moves are not decision points; paths record only
-            # genuine decisions, which keeps them short.
-            if count == 1:
-                return 0
             depth = len(path)
             if depth < len(prefix):
+                # Forced moves are not in paths, which keeps them short.
+                if count == 1:
+                    return 0
                 if depth == len(prefix) - 1:
-                    world.log_from(mark)
+                    world.log_from(node.mark)
+                    world.node = node
                 path.append(prefix[depth])
+                return path[-1]
+            if reduce:
+                options = world.options()
+                if not options:
+                    raise _Abandon
+            elif count == 1:
+                return 0
             else:
+                options = range(count)
+            if len(options) > 1:
                 state = world.fingerprint()
-                if state in seen:
-                    raise _Seen
-                seen.add(state)
-                marks.append(world.mark())
-                path.append(0)
-            widths.append(count)
-            return path[-1]
+                asleep = frozenset(world.sleep)
+                expanded = seen.setdefault(state, [])
+                if any(z <= asleep for z in expanded):
+                    raise _Abandon
+                expanded.append(asleep)
+                world.node = here = _Node(world.mark(), world.sleep)
+                # Deepest on top: the next path is the deepest decision's next choice.
+                stack.extend(((*path, k), here) for k in reversed(options[1:]))
+            if count > 1:
+                path.append(options[0])
+            return options[0]
 
         paths += 1
         try:
             report = _execute(world, choose)
-        except _Seen:
-            pass
-        else:
-            outcomes[report.outcome] += 1
-            if report.outcome == DEADLOCK:
-                deadlocks.append(tuple(path))
-            key = json.dumps(report.final_states, sort_keys=True, default=repr)
-            finals[key] += 1
-        # Deepest on top: the next path is the deepest decision's next choice.
-        for depth in range(len(prefix), len(path)):
-            m = marks[depth - len(prefix)]
-            stack.extend(((*path[:depth], k), m) for k in range(widths[depth] - 1, 0, -1))
+        except _Abandon:
+            continue
+        if reduce and report.outcome in (ERROR, STEP_LIMIT):
+            raise _Restart(paths)
+        outcomes[report.outcome] += 1
+        if report.outcome == DEADLOCK:
+            deadlocks.append(tuple(path))
+        key = json.dumps(report.final_states, sort_keys=True, default=repr)
+        finals[key] += 1
     return ExplorationReport(paths=paths, outcomes=dict(outcomes),
                              deadlocks=deadlocks, complete=complete,
                              finals=dict(finals))

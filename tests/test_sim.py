@@ -14,7 +14,8 @@ from chorad.ast import Lit
 from chorad import cli, sim
 from chorad.check import check_program
 from chorad.parser import MAX_NESTING, ParseError, parse_behaviour, parse_program
-from chorad.project import ProjectedApp, SendTo, proc_from_data, proc_to_data, project
+from chorad.project import (ProjectedApp, SendTo, _as_app, proc_from_data, proc_to_data,
+                            project)
 from chorad.runtime import READY, Message
 from chorad.sim import (
     DEADLOCK,
@@ -488,17 +489,13 @@ def test_missing_input_script_fails_the_run():
 def test_exploration_exhausts_hello_world():
     sc = corpus.scenario_by_name("hello-world")
     r = explore(sc.app, _cfg(sc))
-    assert r.complete and r.paths == 20
+    assert r.complete and r.paths == 1
     assert set(r.outcomes) == {TERMINATED}
     assert r.deterministic and r.deadlock_free
 
 
-@pytest.mark.parametrize("name, max_paths, paths, complete", [
-    ("hello-world", 20_000, 20, True),
-    ("duplicated-notify", 50, 50, False),
-])
-def test_exploration_runs_each_path_once(monkeypatch, name, max_paths,
-                                         paths, complete):
+def _count_worlds(monkeypatch) -> list:
+    """Every world ``explore`` builds, one per run."""
     worlds = []
 
     class CountingWorld(sim._ExploringWorld):
@@ -507,15 +504,25 @@ def test_exploration_runs_each_path_once(monkeypatch, name, max_paths,
             worlds.append(self)
 
     monkeypatch.setattr(sim, "_ExploringWorld", CountingWorld)
+    return worlds
+
+
+@pytest.mark.parametrize("name, max_paths, paths, complete", [
+    ("hello-world", 20_000, 1, True),
+    ("duplicated-notify", 50, 50, False),
+])
+def test_exploration_runs_each_path_once(monkeypatch, name, max_paths,
+                                         paths, complete):
+    worlds = _count_worlds(monkeypatch)
     sc = corpus.scenario_by_name(name)
     r = explore(sc.app, _cfg(sc, max_steps=2000), max_paths=max_paths)
     assert (r.paths, r.complete) == (paths, complete)
     assert len(worlds) == r.paths
 
 
-# Programs whose schedules race; a pruning that treated steps at different
-# roles as commuting, or that matched states on less than the exact state,
-# missed a final store on each.
+# Programs whose schedules race; a pruning that treated every two steps at
+# different roles as commuting, or that matched states on less than the
+# exact state, missed a final store on each.
 _SHARED_SERVICE = """
 include next from "socket://localhost:9"
 preamble { starter: a }
@@ -566,6 +573,36 @@ def test_exploration_tells_tasks_apart_by_what_they_read():
     assert {json.loads(f)["a"]["z"] for f in r.finals} == {11, 20, 21}
 
 
+# a fails while b's branch is mid-flight: three error finals
+_FAIL_MID_BRANCH = """
+preamble { starter: a }
+aioc {
+  go: a( 1 ) -> b( w );
+  { x@a = 1 - "s" | y@b = 2; z@b = 3; m: b( 4 ) -> a( u ) }
+}
+"""
+
+# more steps than a budget of 40: ends in stepLimit
+_LONG_LOOP = """
+preamble { starter: a }
+aioc {
+  x@a = 0;
+  go: a( 1 ) -> b( w );
+  while ( x < 100 )@a { x@a = x + 1 }
+}
+"""
+
+# Each role races two writes in a `|` of its own.
+_PAR_IN_EACH_ROLE = """
+preamble { starter: a }
+aioc {
+  { x@a = 1 | x@a = 2 };
+  r: a( x ) -> b( w );
+  { y@b = w | w@b = 3 }
+}
+"""
+
+
 def _differential_cases():
     hello = corpus.scenario_by_name("hello-world")
     misread = corpus.scenario_by_name("misread-reply")
@@ -576,6 +613,9 @@ def _differential_cases():
     yield pytest.param(parse_program(_SHARED_SERVICE), _shared_service_config(),
                        id="shared-service")
     yield pytest.param(parse_program(_THREE_FINALS), SimConfig(), id="three-finals")
+    yield pytest.param(parse_program(_FAIL_MID_BRANCH), SimConfig(), id="fail-mid-branch")
+    yield pytest.param(parse_program(_LONG_LOOP), SimConfig(max_steps=40), id="loop-cut")
+    yield pytest.param(hello.app, _cfg(hello, "it"), id="hello-world-adapted")
     # the seeds of range(0, 1000, 25) whose reference completes within 3 000 paths
     for seed in (150, 275, 450, 575, 600, 650, 675, 850, 925, 975):
         yield pytest.param(progen.random_connected_program(seed), SimConfig(),
@@ -591,6 +631,85 @@ def test_exploration_agrees_with_the_unpruned_reference(target, config):
     assert set(r.finals) == set(ref.finals)
     assert set(r.outcomes) == set(ref.outcomes)
     assert bool(r.deadlocks) == bool(ref.deadlocks)
+
+
+def _unreduced(target, config=None):
+    """The search ``explore`` falls back to: state matching, no reduction."""
+    config = replace(config or SimConfig(), hash_trace=False)
+    return sim._search(_as_app(target), config, 50_000, reduce=False)
+
+
+def test_reduced_exploration_agrees_with_the_unreduced_search():
+    for seed in range(0, 1000, 10):
+        program = progen.random_connected_program(seed)
+        r, ref = explore(program, max_paths=50_000), _unreduced(program)
+        assert r.complete and ref.complete, seed
+        assert set(r.finals) == set(ref.finals), seed
+        assert set(r.outcomes) == set(ref.outcomes), seed
+        assert bool(r.deadlocks) == bool(ref.deadlocks), seed
+
+
+def test_a_par_block_in_each_role_keeps_every_final():
+    # The unpruned reference of this program runs past 20 000 paths.
+    program = parse_program(_PAR_IN_EACH_ROLE)
+    r = explore(program)
+    assert r.complete and set(r.outcomes) == {TERMINATED}
+    assert {(json.loads(f)["a"]["x"], json.loads(f)["b"]["y"]) for f in r.finals} \
+        == {(1, 1), (1, 3), (2, 2), (2, 3)}
+    assert set(r.finals) == set(_unreduced(program).finals)
+
+
+def _spy_on_searches(monkeypatch) -> list[tuple[bool, int]]:
+    """``(reduce, paths spent before it)`` of each search ``explore`` runs."""
+    searches = []
+    real = sim._search
+
+    def spy(app, config, max_paths, *, reduce, paths=0):
+        searches.append((reduce, paths))
+        return real(app, config, max_paths, reduce=reduce, paths=paths)
+
+    monkeypatch.setattr(sim, "_search", spy)
+    return searches
+
+
+def test_a_failed_reduced_run_restarts_the_search_without_reduction(monkeypatch):
+    searches = _spy_on_searches(monkeypatch)
+    r = explore(parse_program(_FAIL_MID_BRANCH))
+    assert [reduce for reduce, _ in searches] == [True, False]
+    assert 0 < searches[1][1] < r.paths
+    assert r.complete and set(r.outcomes) == {ERROR} and len(r.finals) == 3
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(timeline=[TimelineEvent(at_step=1_000, kind="env", key="k", value=1)]),
+    _shared_service_config(),
+], ids=["timeline", "services"])
+def test_the_reduction_stays_off_with_a_timeline_or_services(monkeypatch, config):
+    searches = _spy_on_searches(monkeypatch)
+    explore(parse_program(_SHARED_SERVICE), config)
+    assert searches == [(False, 0)]
+
+
+def test_exploration_keeps_no_trace(monkeypatch):
+    worlds = _count_worlds(monkeypatch)
+    explore(parse_program(_WOKEN_TASK), SimConfig(collect_trace=True))
+    assert worlds and all(w.trace is None and not w._hashing for w in worlds)
+
+
+def _corpus_recipes():
+    for sc in corpus.standard_scenarios():
+        # Five branches call one service table in one role: no verdict
+        # within 20 000 runs.
+        if sc.name == "fork-join":
+            continue
+        for label in (None, *sc.adapted):
+            yield pytest.param(sc, label, id=f"{sc.name}-{label or 'plain'}")
+
+
+@pytest.mark.parametrize("sc, label", list(_corpus_recipes()))
+def test_every_corpus_scenario_explores_to_a_clean_verdict(sc, label):
+    r = explore(sc.app, _cfg(sc, label))
+    assert r.complete and r.deadlock_free and r.deterministic, (r.paths, r.outcomes)
 
 
 def test_exploration_finds_the_crossed_receive_deadlock():
