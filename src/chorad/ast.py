@@ -16,15 +16,16 @@ reparses of identical source and seed the deterministic names of the
 auxiliary operations inserted by projection, so every participant of a
 deployment derives the same names independently.
 
-Every pass finds a behaviour's children through one table built from the
-dataclass fields: ``walk`` visits a tree in source order and ``chain_items``
-lists the statements of a ``;`` or ``|`` chain, both without recursion, so
+One table, ``_COMPARED``, says what each compared field of a node class
+holds: a child of the class's own family (expression, behaviour or process
+code), a tuple of such children, an expression, a role or a plain value.
+Equality, hashing, numbering, the one walker ``walk`` and projection's
+codec all read it.  ``walk`` and ``chain_items`` work without recursion, so
 long programs and wide blocks stay clear of the recursion limit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Union
@@ -81,7 +82,7 @@ class _Node:
                 return False
             for name, kind in _COMPARED[type(x)]:
                 u, v = getattr(x, name), getattr(y, name)
-                if kind == 1:
+                if kind >= 3:
                     stack.append((u, v))
                 elif kind == 2:
                     if len(u) != len(v):
@@ -100,12 +101,12 @@ class _Node:
             parts.append(type(x))
             for name, kind in _COMPARED[type(x)]:
                 value = getattr(x, name)
-                if kind == 0:
+                if kind < 2:
                     parts.append(_plain_key(value))
-                elif kind == 1:
-                    stack.append(value)
-                else:
+                elif kind == 2:
                     stack += value
+                else:
+                    stack.append(value)
         return hash(tuple(parts))
 
 
@@ -121,19 +122,22 @@ def _plain_key(value: object) -> object:
     return value
 
 
-#: Per node class, its compared fields in declaration order, each with
-#: whether it holds a node (1), a tuple of nodes (2) or a plain value (0):
-#: the table of ``==`` and ``hash``, which ignore ids and positions.
+#: Per node class, its compared fields in declaration order, each with what
+#: it holds: a plain value (0), a role (1), a tuple of children (2), a child
+#: (3) or an expression held by a behaviour or by process code (4).  A child
+#: is a node of the class's own family.  ``==``, ``hash``, every walk and the
+#: codec read this table; none of them sees ids or positions.
 _COMPARED: dict[type, tuple[tuple[str, int], ...]] = {}
-_KINDS = {"Expr": 1, "Behaviour": 1, "ProcessCode": 1,
-          "tuple[Expr, ...]": 2, "tuple[ProcessCode, ...]": 2}
 
 
 def _node(cls: type) -> type:
     """The decorator of every node class: a frozen dataclass that keeps
     ``_Node``'s ``==`` and hash, entered in ``_COMPARED``."""
     cls = dataclass(frozen=True, eq=False)(cls)
-    _COMPARED[cls] = tuple((f.name, _KINDS.get(f.type, 0)) for f in fields(cls) if f.compare)
+    family = cls.__mro__[-3].__name__  # the base right under _Node
+    # the family's own entries come last, so an expression's operand is a child
+    kinds = {"Role": 1, "Expr": 4, f"tuple[{family}, ...]": 2, family: 3}
+    _COMPARED[cls] = tuple((f.name, kinds.get(f.type, 0)) for f in fields(cls) if f.compare)
     return cls
 
 
@@ -181,38 +185,12 @@ class Call(Expr):
     args: tuple[Expr, ...] = ()
 
 
-#: Per expression class, its operand fields, each with whether it holds a
-#: tuple of operands: the one table expression walks use.
-_EXPR_FIELDS = {cls: tuple((name, kind == 2) for name, kind in _COMPARED[cls] if kind)
-                for cls in Expr.__subclasses__()}
-_EXPR_FIELDS_REVERSED = {cls: names[::-1] for cls, names in _EXPR_FIELDS.items()}
-
 #: Binary operators by precedence, loosest first; the parser and the printer
 #: both read it.  Operators of level ``COMPARISON`` do not associate.
 PRECEDENCE = {"or": 1, "and": 2, "==": 3, "!=": 3, "<": 3, ">": 3, "<=": 3, ">=": 3,
               "+": 4, "-": 4, "*": 5, "/": 5}
 COMPARISON = 3
 _UNARY_LEVEL = max(PRECEDENCE.values()) + 1
-
-
-def walk_expr(e: Expr, post_order: bool = False) -> list[Expr]:
-    """Every node of ``e`` left to right, without recursion: each before its
-    operands, or with ``post_order`` after them (evaluation order)."""
-    # post-order is the reverse of a pre-order that takes operands right to left
-    table = _EXPR_FIELDS if post_order else _EXPR_FIELDS_REVERSED
-    out: list[Expr] = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        out.append(x)
-        for name, many in table[type(x)]:
-            if many:
-                stack += getattr(x, name) if post_order else reversed(getattr(x, name))
-            else:
-                stack.append(getattr(x, name))
-    if post_order:
-        out.reverse()
-    return out
 
 
 # =========================================================================
@@ -284,15 +262,6 @@ class Scope(Behaviour):
     coordinator: Role = ""
     body: Behaviour = Skip()
     props: dict[str, Value] = field(default_factory=dict)
-
-
-#: Per behaviour class, the names of its sub-behaviour fields and of its
-#: role fields, in declaration order: the one table every tree walk uses.
-_CHILD_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "Behaviour")
-                 for cls in Behaviour.__subclasses__()}
-_CHILD_FIELDS_REVERSED = {cls: names[::-1] for cls, names in _CHILD_FIELDS.items()}
-_ROLE_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "Role")
-                for cls in Behaviour.__subclasses__()}
 
 
 # =========================================================================
@@ -371,8 +340,11 @@ def assign_ids(b: Behaviour, base: NodeId = NodeId()) -> Behaviour:
         if not items:
             return Skip(nid=base, line=b.line, col=b.col)
         return join_chain(cls, items, nid=base)
-    return replace(b, nid=base, **{name: assign_ids(getattr(b, name), base.child(i))
-                                   for i, name in enumerate(_CHILD_FIELDS[cls])})
+    children: dict[str, Behaviour] = {}
+    for name, kind in _COMPARED[cls]:
+        if kind == 3:
+            children[name] = assign_ids(getattr(b, name), base.child(len(children)))
+    return replace(b, nid=base, **children)
 
 
 def reroot_ids(b: Behaviour, prefix: tuple[int, ...]) -> Behaviour:
@@ -389,17 +361,28 @@ def reroot_ids(b: Behaviour, prefix: tuple[int, ...]) -> Behaviour:
                           nid=b.nid.prefixed(prefix))
     return replace(b, nid=b.nid.prefixed(prefix),
                    **{name: reroot_ids(getattr(b, name), prefix)
-                      for name in _CHILD_FIELDS[cls]})
+                      for name, kind in _COMPARED[cls] if kind == 3})
 
 
-def walk(b: Behaviour) -> Iterator[Behaviour]:
-    """Every node of ``b`` in source order (pre-order), without recursion."""
-    stack = [b]
+def walk(node: _Node, post_order: bool = False) -> list:
+    """Every node of ``node``'s tree left to right, without recursion: each
+    before its children, or with ``post_order`` after them (evaluation
+    order).  A tree is one family: a behaviour's expressions are not in it."""
+    # post-order is the reverse of a pre-order that takes children right to left
+    out = []
+    stack = [node]
     while stack:
         x = stack.pop()
-        yield x
-        for name in _CHILD_FIELDS_REVERSED[type(x)]:
-            stack.append(getattr(x, name))
+        out.append(x)
+        row = _COMPARED[type(x)]
+        for name, kind in (row if post_order else reversed(row)):
+            if kind == 3:
+                stack.append(getattr(x, name))
+            elif kind == 2:
+                stack += getattr(x, name) if post_order else reversed(getattr(x, name))
+    if post_order:
+        out.reverse()
+    return out
 
 
 def chain_items(b: Behaviour) -> list[Behaviour]:
@@ -413,7 +396,7 @@ def chain_items(b: Behaviour) -> list[Behaviour]:
     while stack:
         x = stack.pop()
         if type(x) is cls:
-            for name in _CHILD_FIELDS_REVERSED[cls]:
+            for name, _ in reversed(_COMPARED[cls]):  # a chain node holds two children
                 stack.append(getattr(x, name))
         else:
             out.append(x)
@@ -434,8 +417,9 @@ def roles_of(b: Behaviour) -> set[Role]:
     evaluator, or coordinator."""
     out: set[Role] = set()
     for x in walk(b):
-        for name in _ROLE_FIELDS[type(x)]:
-            out.add(getattr(x, name))
+        for name, kind in _COMPARED[type(x)]:
+            if kind == 1:
+                out.add(getattr(x, name))
     return out
 
 

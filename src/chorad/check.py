@@ -46,7 +46,6 @@ from .ast import (
     chain_items,
     roles_of,
     walk,
-    walk_expr,
 )
 
 #: Protocol names that parse and are retained on includes.  Only the JSON
@@ -258,7 +257,7 @@ def _behaviour_exprs(b: Behaviour):
 def _check_calls(body: Behaviour, declared: set[str]) -> list[Violation]:
     out = []
     for node, expr in _behaviour_exprs(body):
-        for e in walk_expr(expr):
+        for e in walk(expr):
             if isinstance(e, Call) and e.function not in declared:
                 out.append(
                     Violation(
@@ -280,7 +279,7 @@ def _check_calls(body: Behaviour, declared: set[str]) -> list[Violation]:
 def check_rule(rule: Rule) -> list[Violation]:
     """Connectedness of the rule body plus name hygiene of the condition."""
     violations = check_connectedness(rule.body)
-    for e in walk_expr(rule.condition):
+    for e in walk(rule.condition):
         if isinstance(e, Var) and "." in e.name:
             ns = e.name.split(".", 1)[0]
             if ns not in ("N", "E"):
@@ -365,7 +364,7 @@ def validate_program(p: Program) -> list[Violation]:
     for node in walk(p.body):
         if isinstance(node, (If, While)):
             known = assigned.get(node.evaluator, set())
-            for e in walk_expr(node.guard):
+            for e in walk(node.guard):
                 if isinstance(e, Var) and e.name not in known:
                     violations.append(
                         Violation(

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable
 
 from .adapt import AdaptationManager, AdaptationServer, Environment
-from .ast import Program, Value
+from .ast import Program, Value, render_literal
 from .parser import parse_program
 from .project import ProjectedApp, RecvFrom, SendTo, SeqP, project
 from .services import FunctionTable
@@ -366,7 +366,7 @@ def fork_join(text: str = "abcde") -> Scenario:
         f"}}\n"
         f"\n"
         f"aioc {{\n"
-        f"  text@a = {_quote(text)};\n"
+        f"  text@a = {render_literal(text)};\n"
         f"{picks}\n"
         f"  {{\n{branches}\n  }};\n"
         f"  out@a = {joined};\n"
@@ -413,10 +413,6 @@ def fork_join(text: str = "abcde") -> Scenario:
         adapted={"double-front": AdaptedRun(("double-front",))},
         notes=f"{n} parallel shift scopes reassembled in order",
     )
-
-
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def alphabet_text(n: int) -> str:

@@ -47,13 +47,13 @@ from .ast import (
     Value,
     Var,
     While,
+    _COMPARED,
     _Node,
     _node,
     chain_items,
     pretty_print,
     roles_of,
     walk,
-    walk_expr,
 )
 
 
@@ -165,11 +165,6 @@ class ScopeFollow(ProcessCode):
     directive_op: str
     done_op: str
     default_p: ProcessCode
-
-
-#: Per process-code class, the names of its branch-body fields.
-_BRANCH_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type == "ProcessCode")
-                  for cls in ProcessCode.__subclasses__()}
 
 
 @dataclass(frozen=True)
@@ -338,12 +333,14 @@ def reroot_proc(p: ProcessCode, prefix: tuple[int, ...]) -> ProcessCode:
 
     def go(p: ProcessCode) -> ProcessCode:
         cls = type(p)
-        if cls is SeqP or cls is ParP:
-            items = tuple([go(x) for x in p.items])
-            return p if all(a is b for a, b in zip(items, p.items)) else cls(items)
         changes = {name: move(getattr(p, name)) for name in _ID_FIELDS[cls]}
-        for name in _BRANCH_FIELDS[cls]:
-            changes[name] = go(getattr(p, name))
+        for name, kind in _COMPARED[cls]:
+            if kind == 3:
+                changes[name] = go(getattr(p, name))
+            elif kind == 2:
+                items = tuple([go(x) for x in getattr(p, name)])
+                if any(a is not b for a, b in zip(items, getattr(p, name))):
+                    changes[name] = items
         return replace(p, **changes) if changes else p
 
     return go(p)
@@ -380,7 +377,7 @@ def expr_to_data(e: Expr) -> list:
     operands (a tuple of operands ships as its length), so an expression of
     any shape is two levels deep on the wire."""
     out = []
-    for x in walk_expr(e, post_order=True):
+    for x in walk(e, post_order=True):
         d = {"k": _TAGS[type(x)]}
         for name, key, many, _ in _LAYOUT[type(x)]:
             if many is None:
@@ -478,30 +475,22 @@ def _class_of(d, base: type) -> type:
     return cls
 
 
-def _holds_children(cls: type, declared: str) -> bool | None:
-    """Whether a field of ``cls`` declared ``declared`` holds a tuple of
-    nodes of ``cls``'s own kind (an expression's operands, process code's
-    branches), or None when it holds none."""
-    kind = "Expr" if issubclass(cls, Expr) else "ProcessCode"
-    return {kind: False, f"tuple[{kind}, ...]": True}.get(declared)
-
-
-#: How any other field's wire value is read back, by the field's declared
-#: type; the rest are stored as is.
+#: How a plain field's wire value is read back, by field name; the rest are
+#: stored as is.
 _DECODERS = {
-    "Expr": expr_from_data,
-    "tuple[Expr, ...]": lambda v: tuple(map(expr_from_data, v)),
-    "tuple[str, ...]": tuple,
-    "NodeId": lambda s: NodeId(tuple(int(i) for i in s.split("_") if i)),
-    "dict[str, Value]": dict,
+    "involved": tuple,
+    "scope_id": lambda s: NodeId(tuple(int(i) for i in s.split("_") if i)),
+    "props": dict,
 }
 
 #: Per class: (field, wire key, holds children, decoder) for every compared
-#: field, in declaration order (source positions are not shipped).
+#: field, in declaration order (source positions are not shipped).  Holds
+#: children is True for a tuple of children, False for one child and None
+#: for any other field.
 _LAYOUT = {
-    cls: tuple((f.name, _WIRE_KEYS.get(f.name, f.name), _holds_children(cls, f.type),
-                _DECODERS.get(f.type, lambda v: v))
-               for f in fields(cls) if f.compare)
+    cls: tuple((name, _WIRE_KEYS.get(name, name), {2: True, 3: False}.get(kind),
+                expr_from_data if kind == 4 else _DECODERS.get(name, lambda v: v))
+               for name, kind in _COMPARED[cls])
     for cls in _TAGS
 }
 

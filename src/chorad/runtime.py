@@ -66,7 +66,7 @@ from .ast import (
     Unary,
     Value,
     Var,
-    walk_expr,
+    walk,
 )
 from .project import (
     IfFollow,
@@ -154,7 +154,7 @@ _DECIDES = {"and": False, "or": True}
 
 def find_calls(e: Expr) -> list[Call]:
     """Call nodes in evaluation order (post-order, left to right)."""
-    return [x for x in walk_expr(e, post_order=True) if type(x) is Call]
+    return [x for x in walk(e, post_order=True) if type(x) is Call]
 
 
 def eval_expr(e: Expr, variables: dict[str, Value],

@@ -12,22 +12,10 @@ Function calls and adaptation lookups go to the same
 they are answered in the step that issues them, from in-process tables and
 managers only, which keeps them inside the deterministic order.
 
-Besides single seeded runs, the module can exhaustively explore the
-schedules of small applications: a depth-first search that backtracks from
-the choices it recorded (generators cannot be snapshotted, so every run
-replays its prefix from the start) and abandons a run at a state it has
-already expanded.  Matching states needs an exact fingerprint of the
-world: each task's history as a hash-consed id, each role's store,
-mailboxes and counters, and the world's step count, timeline position,
-inputs taken and service calls; :func:`explore` says why each part is
-there.  On top, a partial-order reduction expands at each state only the
-ready tasks of one set of roles closed under waiting to receive, and puts
-to sleep the choices whose steps commute with the one taken, judged by
-what each step read and wrote.  It holds while no step fails and no
-timeline or service table is shared, so :func:`explore` applies it only
-without a timeline or services, and restarts without it when a run fails.
-Only the exploring world records what the fingerprint and the reduction
-need.
+Besides single seeded runs, :func:`explore` searches every schedule of a
+small application, depth first, with state matching and a partial-order
+reduction; its docstring says how and why.  Generators cannot be
+snapshotted, so every run of the search replays its prefix from the start.
 
 The simulator reports, never judges: callers decide whether a deadlock is a
 bug or the expected outcome of a negative test.
@@ -353,24 +341,16 @@ class _Node:
 
 
 class _ExploringWorld(_World):
-    """A run that can name its state exactly: :meth:`fingerprint`.
+    """A run that can name its state exactly (:meth:`fingerprint`) and
+    keeps the reduction's sleep set; :func:`explore` says what both hold.
 
-    Each live task carries a task-state id, hash-consed through ``intern``,
-    one dict per exploration: the id after a step is
-    ``intern[(id before, record)]``, the record being the step's resume
-    value or error, the ``(name, value)`` pairs it read from its role's
-    store, and its event.  A branch of a ``|`` starts from its parent's id
-    and its place in the block.  Stores log their reads and writes, and
-    in-process service calls are logged in order, only here:
-    :func:`simulate` and the live driver pay for none of it.
-
-    A run replays its queued prefix without logging; at the prefix's last
-    decision, :meth:`log_from` takes up the ids that the earlier run which
-    queued it had there, from :meth:`mark`.
-
-    When ``reduce`` is set, the world also keeps the run's sleep set: the
-    tasks whose next step commutes with every step taken since a sibling
-    choice explored it, keyed ``(role, tid)`` with that step's footprint.
+    A task's state id after a step is ``intern[(id before, record)]``, one
+    ``intern`` per exploration; a branch of a ``|`` starts from its
+    parent's id and its place in the block.  Only this world logs store
+    reads and writes and in-process service calls: :func:`simulate` and the
+    live driver pay for none of it.  A run replays its queued prefix without
+    logging; at the prefix's last decision, :meth:`log_from` takes up the
+    ids that the run which queued it had there, from :meth:`mark`.
     """
 
     def __init__(self, app: ProjectedApp, config: SimConfig,
@@ -613,9 +593,8 @@ def explore(target: Target, config: SimConfig | None = None, *,
 
 def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
             reduce: bool, paths: int = 0) -> ExplorationReport:
-    """:func:`explore`'s search, with or without the reduction; ``paths``
-    runs are already spent.  A failed run of the reduced search raises
-    :class:`_Restart`."""
+    """:func:`explore`'s search, with or without the reduction, after
+    ``paths`` runs already spent."""
     intern: dict[object, int] = {}
     # each state expanded, with the sleep sets it was expanded with
     seen: dict[tuple, list[frozenset]] = {}
@@ -685,11 +664,6 @@ def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
     return ExplorationReport(paths=paths, outcomes=dict(outcomes),
                              deadlocks=deadlocks, complete=complete,
                              finals=dict(finals))
-
-
-def count_overhead(target: Target, config: SimConfig | None = None) -> dict[str, int]:
-    """Message counts by category for one run — the adaptation-cost meter."""
-    return dict(simulate(target, config).message_counts)
 
 
 @dataclass

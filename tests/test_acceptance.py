@@ -22,7 +22,6 @@ from chorad.sim import (
     SimConfig,
     TERMINATED,
     TimelineEvent,
-    count_overhead,
     explore,
     explore_deadlocks,
     simulate,
@@ -299,8 +298,8 @@ def test_criterion_09_overhead_counts_scale_with_scopes(capsys):
         counts = {}
         for n in (10, 20):
             sc = corpus.scenario_by_name(f"pipe-{n}")
-            counts[n] = count_overhead(
-                sc.app, SimConfig(manager_factory=sc.manager_factory()))
+            counts[n] = simulate(
+                sc.app, SimConfig(manager_factory=sc.manager_factory())).message_counts
             assert counts[n]["directive"] == counts[n]["done"] == n
             assert counts[n]["middleware"] == 2 * n
         for kind in scope_kinds:
@@ -308,8 +307,8 @@ def test_criterion_09_overhead_counts_scale_with_scopes(capsys):
             assert counts[10][kind] / 10 == counts[20][kind] / 20
 
         ping = corpus.scenario_by_name("ping-6")
-        scopeless = count_overhead(
-            ping.app, SimConfig(manager_factory=ping.manager_factory()))
+        scopeless = simulate(
+            ping.app, SimConfig(manager_factory=ping.manager_factory())).message_counts
         assert all(kind not in scopeless for kind in scope_kinds)
         note["detail"] = (f"pipe-10 {[counts[10][k] for k in scope_kinds]} vs "
                           f"pipe-20 {[counts[20][k] for k in scope_kinds]}, "

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorad.ast import (
     Assign,
+    Behaviour,
     Binary,
     Call,
+    Expr,
     If,
     Interaction,
     Lit,
@@ -28,9 +32,10 @@ from chorad.ast import (
     render_literal,
     reroot_ids,
     roles_of,
+    walk,
 )
 from chorad.parser import parse_behaviour, parse_expr, parse_program, parse_rules
-from chorad.project import project
+from chorad.project import ProcessCode, project
 
 import progen
 from chorad import corpus
@@ -143,6 +148,52 @@ def test_roles_of_collects_every_mention():
         '}'
     )
     assert roles_of(body) == {"a", "b", "c", "d", "e"}
+
+
+# ---------------------------------------------------------------------
+# Walking
+# ---------------------------------------------------------------------
+
+
+def _reference_walk(node, family: type, post_order: bool) -> list:
+    """``walk``'s order, recursively: a node's children are the nodes of
+    ``family`` in its compared fields, tuples flattened, in field order."""
+    children = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if f.compare:
+            children += [x for x in (value if isinstance(value, tuple) else (value,))
+                         if isinstance(x, family)]
+    out = [] if post_order else [node]
+    for child in children:
+        out += _reference_walk(child, family, post_order)
+    return out + [node] if post_order else out
+
+
+def _trees(program):
+    """Every tree of ``program`` with its family: the body, each expression
+    in it, and each role's projected code."""
+    yield program.body, Behaviour
+    for node in walk(program.body):
+        for f in dataclasses.fields(node):
+            if isinstance(getattr(node, f.name), Expr):
+                yield getattr(node, f.name), Expr
+    for code in project(program).per_role.values():
+        yield code, ProcessCode
+
+
+def test_walk_visits_every_family_in_the_order_of_a_recursive_walk():
+    programs = [sc.program for sc in corpus.standard_scenarios()]
+    programs += [progen.random_connected_program(seed) for seed in range(50)]
+    seen = set()
+    for program in programs:
+        for tree, family in _trees(program):
+            for post_order in (False, True):
+                got = [id(x) for x in walk(tree, post_order=post_order)]
+                assert got == [id(x) for x in _reference_walk(tree, family, post_order)]
+            seen.update(type(x).__name__ for x in walk(tree))
+    # every field kind was walked: operand tuples, branch tuples, single children
+    assert {"Call", "SeqP", "ParP", "IfLocal", "WhileFollow", "Scope"} <= seen
 
 
 # ---------------------------------------------------------------------

@@ -25,7 +25,6 @@ from chorad.ast import (
     pretty_print,
     pretty_print_program,
     walk,
-    walk_expr,
 )
 from chorad.parser import (
     Diagnostic,
@@ -292,7 +291,7 @@ def _pin_behaviour(h, b) -> None:
         for f in fields(node):
             value = getattr(node, f.name)
             if isinstance(value, Expr):
-                for e in walk_expr(value):
+                for e in walk(value):
                     h.update(f"  {type(e).__name__} {e.line} {e.col}\n".encode())
 
 
@@ -307,7 +306,7 @@ def _front_end_digest(sources: list[str], rule_files: list[str]) -> str:
     for text in rule_files:
         for rule in parse_rules(text):
             h.update(f"rule {rule.line} {rule.col}\n".encode())
-            for e in walk_expr(rule.condition):
+            for e in walk(rule.condition):
                 h.update(f"  {type(e).__name__} {e.line} {e.col}\n".encode())
             _pin_behaviour(h, rule.body)
             h.update(pretty_print(rule.body).encode())

@@ -25,7 +25,6 @@ from chorad.sim import (
     TERMINATED,
     TimelineEvent,
     _World,
-    count_overhead,
     explore,
     explore_deadlocks,
     simulate,
@@ -863,7 +862,7 @@ def test_a_message_to_a_role_outside_the_app_is_an_error():
 
 def test_scopeless_programs_have_zero_scope_traffic():
     sc = corpus.scenario_by_name("ping-6")
-    counts = count_overhead(sc.app, _cfg(sc))
+    counts = simulate(sc.app, _cfg(sc)).message_counts
     assert counts.get("directive", 0) == 0
     assert counts.get("done", 0) == 0
     assert counts.get("middleware", 0) == 0
@@ -872,8 +871,8 @@ def test_scopeless_programs_have_zero_scope_traffic():
 def test_scope_traffic_is_constant_per_scope():
     sc10 = corpus.scenario_by_name("pipe-10")
     sc20 = corpus.scenario_by_name("pipe-20")
-    c10 = count_overhead(sc10.app, _cfg(sc10, manager=True))
-    c20 = count_overhead(sc20.app, _cfg(sc20, manager=True))
+    c10 = simulate(sc10.app, _cfg(sc10, manager=True)).message_counts
+    c20 = simulate(sc20.app, _cfg(sc20, manager=True)).message_counts
     assert c10["directive"] == 10 and c10["done"] == 10
     assert c10["middleware"] == 20  # one request/reply pair per scope
     for key in ("directive", "done", "middleware"):
