@@ -186,13 +186,33 @@ class ProjectedApp:
 
 def _involved(b: If | While | Scope, memo: dict[int, tuple[str, ...]]) -> tuple[str, ...]:
     """The roles ``b`` coordinates: every role in it but its evaluator or
-    coordinator.  ``memo`` (keyed by ``id(b)``) computes it once per node for
-    all the roles a program is projected onto."""
-    out = memo.get(id(b))
-    if out is None:
-        lead = b.coordinator if isinstance(b, Scope) else b.evaluator
-        out = memo[id(b)] = tuple(sorted(roles_of(b) - {lead}))
-    return out
+    coordinator.  ``memo`` (keyed by ``id``) holds them for every ``if``,
+    ``while`` and ``scope`` in the subtree of the first one asked about, so
+    a tree's nodes are visited once for all the roles it is projected onto."""
+    if id(b) not in memo:
+        _involved_below(b, memo)
+    return memo[id(b)]
+
+
+def _involved_below(body: Behaviour, out: dict[int, tuple[str, ...]]) -> None:
+    """Enter into ``out`` what :func:`_involved` says of every ``if``,
+    ``while`` and ``scope`` in ``body``, in one post-order pass that gives
+    every node the roles of its subtree from those of its children."""
+    below: dict[int, set[str]] = {}  # roles under a node whose parent is still to come
+    for x in walk(body, post_order=True):
+        roles: set[str] = set()
+        for name, kind in _COMPARED[type(x)]:
+            if kind == 1:
+                roles.add(getattr(x, name))
+            elif kind == 3:
+                roles |= below.pop(id(getattr(x, name)))
+            elif kind == 2:
+                for child in getattr(x, name):
+                    roles |= below.pop(id(child))
+        below[id(x)] = roles
+        if isinstance(x, (If, While, Scope)):
+            lead = x.coordinator if isinstance(x, Scope) else x.evaluator
+            out[id(x)] = tuple(sorted(roles - {lead}))
 
 
 def _proj(b: Behaviour, role: str, memo: dict[int, tuple[str, ...]]) -> ProcessCode:
@@ -501,6 +521,7 @@ def app_manifest(program: Program, app: ProjectedApp) -> dict:
     with its printed body; per-role code ships separately."""
     scopes = sorted((str(node.nid), node) for node in walk(program.body)
                     if isinstance(node, Scope))
+    memo: dict[int, tuple[str, ...]] = {}
     return {
         "starter": app.starter,
         "roles": app.roles,
@@ -512,7 +533,7 @@ def app_manifest(program: Program, app: ProjectedApp) -> dict:
         "scopes": {
             sid: {
                 "coordinator": node.coordinator,
-                "involved": list(_involved(node, {})),
+                "involved": list(_involved(node, memo)),
                 "props": dict(node.props),
                 "body": pretty_print(node.body),
             }

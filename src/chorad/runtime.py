@@ -1,16 +1,21 @@
 """Role runtime: expression evaluation and the per-role execution engine.
 
-A role's projected code runs as a tree of generator tasks.  Every ``yield``
-is one schedulable step and names an effect the surrounding driver must
-service:
+A role's projected code runs as tasks whose continuations are plain data:
+a stack of frames, each a code node, a position in it and the values a
+call stack would hold (see ``_Task``).  A step runs one task to its next
+effect, which the surrounding driver must service:
 
     ("send", msg)              -> None      queue an outbound message
     ("recv", kind, op, frm)    -> Message   block until a matching message
-    ("spawn", [gen, ...])      -> [tid]     start parallel branches
+    ("spawn", [code, ...])     -> [tid]     start parallel branches
     ("join", [tid, ...])       -> None      block until the last spawn's branches finish
     ("local", verb, detail)    -> None      bookkeeping step (assignments)
     ("call", fn, [val, ...])   -> Value     external function / input request
     ("match", request)         -> dict      adaptation lookup for a scope
+
+The right-hand side is what the task resumes with at its next step.  Since
+nothing of a task lives in the interpreter's own frames, an executor can
+be copied (:meth:`RoleExecutor.fork`).
 
 Every expression a task evaluates, an assignment's right-hand side
 included, issues the calls in it as ``call`` effects, innermost first and
@@ -55,7 +60,7 @@ import bisect
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from .ast import (
     Binary,
@@ -306,25 +311,54 @@ class StepOutcome:
 
 
 class _Task:
-    __slots__ = ("tid", "gen", "state", "resume_value", "resume_error",
+    """One task: its continuation as a stack of frames, the top one last,
+    and what it waits on.
+
+    A frame is a list ``[node, pc, value, k]``: the code node it runs, its
+    position in that node, and the locals a generator frame would hold (a
+    guard value, a match reply, the index of the next peer).  The helper
+    frames the nodes push are named by a string instead of a node: ``_EVAL``
+    (an expression whose calls are under way, with the replies so far),
+    ``_SEND`` (a sent message awaiting the ack that must echo its ``seq``),
+    ``_RECV`` (a receive and its ack) and the two halves of the readiness
+    barrier.  Replies and messages are never changed once made, so
+    :meth:`copy` copies the frames one level deep.
+    """
+
+    __slots__ = ("tid", "frames", "state", "resume_value", "resume_error",
                  "wait_key", "join_remaining", "parent")
 
-    def __init__(self, tid: int, gen: Iterator):
+    def __init__(self, tid: int, frames: list[list], parent: int | None = None):
         self.tid = tid
-        self.gen = gen
+        self.frames = frames
         self.state = READY
         self.resume_value: Any = None
         self.resume_error: str | None = None
         self.wait_key: MailKey | None = None
         self.join_remaining = 0  # children this task's join still waits for
-        self.parent: int | None = None
+        self.parent = parent
+
+    def copy(self) -> "_Task":
+        t = _Task(self.tid, [f.copy() for f in self.frames], self.parent)
+        t.state, t.resume_value, t.resume_error = self.state, self.resume_value, self.resume_error
+        t.wait_key, t.join_remaining = self.wait_key, self.join_remaining
+        return t
+
+
+# Helper frame names (see _Task)
+_EVAL = "eval"
+_SEND = "send"
+_RECV = "recv"
+_LEAD = "lead"      # the starter's half of the barrier
+_FOLLOW = "follow"  # every other role's half
 
 
 class RoleExecutor:
     """One role's state: variable store, mailbox, tasks, sequence counters.
 
     Thread-agnostic; callers serialise access themselves (the simulator is
-    single-threaded, the live driver wraps each executor in a lock).
+    single-threaded, the live driver wraps each executor in a lock).  All of
+    it is plain data, so :meth:`fork` copies it.
     """
 
     def __init__(self, role: str, code: ProcessCode, *, starter: str,
@@ -352,14 +386,33 @@ class RoleExecutor:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        self._add_task(self._main())
+        """Start the main task: the readiness barrier, then the role's code."""
+        if self.role == self.starter:
+            others = sorted(r for r in self.roles if r != self.starter)
+            barrier = [_LEAD, 0, others, 0]
+        else:
+            barrier = [_FOLLOW, 0, None, 0]
+        self._add_task([[self.code, 0, None, 0], barrier])
 
-    def _add_task(self, gen: Iterator, parent: int | None = None) -> int:
+    def fork(self) -> "RoleExecutor":
+        """A copy that shares no mutable state with this executor."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.roles = list(self.roles)
+        new.locations = dict(self.locations)
+        new.includes = dict(self.includes)
+        new.variables = dict(self.variables.items())  # never through a logging store's reads
+        new._tasks = {tid: t.copy() for tid, t in self._tasks.items()}
+        new._ready = list(self._ready)
+        new._queues = {k: deque(q) for k, q in self._queues.items()}
+        new._waiters = {k: deque(q) for k, q in self._waiters.items()}
+        new._seq = dict(self._seq)
+        return new
+
+    def _add_task(self, frames: list[list], parent: int | None = None) -> int:
         tid = self._next_tid
         self._next_tid += 1
-        task = _Task(tid, gen)
-        task.parent = parent
-        self._tasks[tid] = task
+        self._tasks[tid] = _Task(tid, frames, parent)
         self._ready.append(tid)  # tids only grow, so this stays sorted
         return tid
 
@@ -406,7 +459,7 @@ class RoleExecutor:
 
     def settle_ext(self, tid: int, value: Any, error: str | None = None) -> None:
         """Resume a task waiting on a request: with ``value``, or, when
-        ``error`` is set, by raising it as a :class:`RoleError`."""
+        ``error`` is set, by failing it with a :class:`RoleError`."""
         task = self._tasks[tid]
         if task.state != WAIT_EXT:
             raise RuntimeError(f"task {tid} is not waiting on a request")
@@ -417,7 +470,7 @@ class RoleExecutor:
     # -- stepping ------------------------------------------------------------
 
     def step(self, tid: int) -> StepOutcome:
-        """Advance one task by one yield; returns what the driver must do."""
+        """Advance one task to its next effect; returns what the driver must do."""
         task = self._tasks[tid]
         if task.state != READY:
             raise RuntimeError(f"task {tid} is not ready ({task.state})")
@@ -426,13 +479,8 @@ class RoleExecutor:
         try:
             if task.resume_error is not None:
                 err, task.resume_error = task.resume_error, None
-                effect = task.gen.throw(RoleError(err, self.role))
-            else:
-                effect = task.gen.send(value)
-        except StopIteration:
-            out.event = (tid, "end")
-            self._on_task_done(task)
-            return out
+                raise RoleError(err, self.role)
+            effect = self._run(task.frames, value)
         except RoleError as exc:
             task.state = FAILED
             self.failure = str(exc)
@@ -442,6 +490,10 @@ class RoleExecutor:
             self.failure = f"{type(exc).__name__}: {exc}"
             out.event = (tid, "fail")
         else:
+            if effect is None:
+                out.event = (tid, "end")
+                self._on_task_done(task)
+                return out
             verb = effect[0]
             if verb == "send":
                 msg: Message = effect[1]
@@ -461,8 +513,7 @@ class RoleExecutor:
                     self._waiters.setdefault(key, deque()).append(tid)
                 out.event = (tid, "recv", kind, op, frm)
             elif verb == "spawn":
-                gens = effect[1]
-                tids = [self._add_task(g, parent=tid) for g in gens]
+                tids = [self._add_task([[item, 0, None, 0]], parent=tid) for item in effect[1]]
                 task.resume_value = tids
                 out.event = (tid, "spawn", len(tids))
             elif verb == "join":
@@ -474,15 +525,11 @@ class RoleExecutor:
                 out.event = (tid, "join")
             elif verb == "local":
                 out.event = (tid, "local", effect[1], effect[2])
-            elif verb in ("call", "match"):
+            else:  # "call" or "match"
                 task.state = WAIT_EXT
                 out.ext = ExtRequest(tid=tid, kind=verb, payload=effect[1:])
                 detail = effect[1] if verb == "call" else effect[1].get("scope", "")
                 out.event = (tid, verb, detail)
-            else:
-                task.state = FAILED
-                self.failure = f"unknown effect {verb!r}"
-                out.event = (tid, "fail")
         if task.state != READY:  # it waits or failed
             self._unready(tid)
         return out
@@ -505,168 +552,253 @@ class RoleExecutor:
         self._seq[kind] = seq
         return Message(kind=kind, op=op, frm=self.role, to=to, data=data, seq=seq)
 
-    # -- generator helpers ---------------------------------------------------
-
-    def _eval(self, e: Expr):
-        """Evaluate with any embedded calls resolved through yields, in
-        :func:`find_calls` order."""
-        calls = find_calls(e)
-        if not calls:
-            return eval_expr(e, self.variables)
-        resolved: dict[int, Value] = {}
-        for c in calls:
-            args = [eval_expr(a, self.variables, resolved) for a in c.args]
-            value = yield ("call", c.function, args)
-            resolved[id(c)] = value
-        return eval_expr(e, self.variables, resolved)
-
-    def _send_user(self, op: str, to: str, value: Any):
-        msg = self._mk(KIND_MSG, op, to, value)
-        yield ("send", msg)
-        ack = yield ("recv", KIND_ACK, op, to)
-        if ack.data != msg.seq:
-            raise RoleError(
-                f"acknowledgement for '{op}' out of order "
-                f"(sent {msg.seq}, acked {ack.data})",
-                self.role,
-            )
-
-    def _recv_user(self, op: str, frm: str):
-        msg = yield ("recv", KIND_MSG, op, frm)
-        yield ("send", self._mk(KIND_ACK, op, frm, msg.seq))
-        return msg.data
-
-    def _eval_guard(self, e: Expr):
-        value = yield from self._eval(e)
-        if not isinstance(value, bool):
-            raise RoleError(f"condition must be a boolean, got {render(value)!r}",
-                            self.role)
-        return value
-
     # -- the interpreter -----------------------------------------------------
 
-    def _main(self):
-        yield from self._barrier()
-        yield from self._run(self.code)
-
-    def _barrier(self):
-        """Readiness barrier doubling as address distribution."""
-        others = sorted(r for r in self.roles if r != self.starter)
-        if self.role == self.starter:
-            if self.address:
-                self.locations.setdefault(self.role, self.address)
-            for peer in others:
-                msg = yield ("recv", KIND_READY, BARRIER_OP, peer)
-                if isinstance(msg.data, str) and msg.data:
-                    self.locations[peer] = msg.data
-            for peer in others:
-                yield ("send", self._mk(KIND_START, BARRIER_OP, peer,
-                                        dict(self.locations)))
-        else:
-            yield ("send", self._mk(KIND_READY, BARRIER_OP, self.starter,
-                                    self.address))
-            msg = yield ("recv", KIND_START, BARRIER_OP, self.starter)
-            if isinstance(msg.data, dict):
-                self.locations.update(msg.data)
-
-    def _run(self, p: ProcessCode):
-        if isinstance(p, Nop):
-            return
-        if isinstance(p, LocalAssign):
-            value = yield from self._eval(p.expr)
-            self.variables[p.var] = value
-            yield ("local", "assign", p.var)
-            return
-        if isinstance(p, SendTo):
-            value = yield from self._eval(p.expr)
-            yield from self._send_user(p.op, p.peer, value)
-            return
-        if isinstance(p, RecvFrom):
-            data = yield from self._recv_user(p.op, p.peer)
-            self.variables[p.var] = data
-            return
-        if isinstance(p, SeqP):
-            for item in p.items:
-                yield from self._run(item)
-            return
-        if isinstance(p, ParP):
-            tids = yield ("spawn", [self._run(item) for item in p.items])
-            yield ("join", tids)
-            return
-        if isinstance(p, IfLocal):
-            value = yield from self._eval_guard(p.guard)
-            for peer in p.involved:
-                yield from self._send_user(p.guard_op, peer, value)
-            yield from self._run(p.then_p if value else p.else_p)
-            return
-        if isinstance(p, IfFollow):
-            value = yield from self._recv_user(p.guard_op, p.evaluator)
-            if not isinstance(value, bool):
-                raise RoleError("condition arrived as a non-boolean", self.role)
-            yield from self._run(p.then_p if value else p.else_p)
-            return
-        if isinstance(p, WhileLocal):
-            while True:
-                value = yield from self._eval_guard(p.guard)
-                for peer in p.involved:
-                    yield from self._send_user(p.guard_op, peer, value)
-                if not value:
-                    return
-                yield from self._run(p.body)
-                for peer in p.involved:
-                    yield from self._recv_user(p.ack_op, peer)
-            return
-        if isinstance(p, WhileFollow):
-            while True:
-                value = yield from self._recv_user(p.guard_op, p.evaluator)
-                if not isinstance(value, bool):
-                    raise RoleError("condition arrived as a non-boolean", self.role)
-                if not value:
-                    return
-                yield from self._run(p.body)
-                yield from self._send_user(p.ack_op, p.evaluator, True)
-            return
-        if isinstance(p, ScopeCoord):
-            yield from self._run_scope_coord(p)
-            return
-        if isinstance(p, ScopeFollow):
-            yield from self._run_scope_follow(p)
-            return
-        raise RoleError(f"cannot execute {type(p).__name__}", self.role)
-
-    def _run_scope_coord(self, p: ScopeCoord):
-        request = {
-            "scope": str(p.scope_id),
-            "coordinator": self.role,
-            "involved": list(p.involved),
-            "props": dict(p.props),
-            "vars": self.snapshot(),
-        }
-        response = yield ("match", request)
-        matched = bool(response.get("matched"))
-        code = response.get("code") or {}
-        includes = response.get("includes", [])
-        for peer in p.involved:
-            directive = ({"adapt": True, "code": code.get(peer), "includes": includes,
-                          "rule": response.get("rule")} if matched else {"adapt": False})
-            yield ("send", self._mk(KIND_DIRECTIVE, p.directive_op, peer, directive))
-        if matched:
-            self._absorb_includes(includes)
-            yield from self._run(self._replacement_share(code.get(self.role), p.scope_id))
-        else:
-            yield from self._run(p.default_p)
-        for peer in p.involved:
-            yield ("recv", KIND_DONE, p.done_op, peer)
-
-    def _run_scope_follow(self, p: ScopeFollow):
-        msg = yield ("recv", KIND_DIRECTIVE, p.directive_op, p.coordinator)
-        directive = msg.data if isinstance(msg.data, dict) else {}
-        if directive.get("adapt"):
-            self._absorb_includes(directive.get("includes", []))
-            yield from self._run(self._replacement_share(directive.get("code"), p.scope_id))
-        else:
-            yield from self._run(p.default_p)
-        yield ("send", self._mk(KIND_DONE, p.done_op, p.coordinator, True))
+    def _run(self, frames: list[list], value: Any) -> tuple | None:
+        """Run the frames to their next effect and return it, or None once
+        they are all done.  ``value`` is what the top frame resumes with:
+        the reply to the effect it returned last, or what the frame above
+        it returned.  One case per frame kind; within a case, ``pc`` says
+        where the frame stands."""
+        variables = self.variables
+        while frames:
+            f = frames[-1]
+            p, pc = f[0], f[1]
+            cls = type(p)
+            if cls is str:
+                if p is _SEND:  # [_SEND, pc, op, peer, seq]: sent, the ack to come
+                    if pc == 1:
+                        f[1] = 2
+                        return ("recv", KIND_ACK, f[2], f[3])
+                    frames.pop()
+                    if value.data != f[4]:
+                        raise RoleError(
+                            f"acknowledgement for '{f[2]}' out of order "
+                            f"(sent {f[4]}, acked {value.data})", self.role)
+                    value = None
+                elif p is _RECV:  # [_RECV, pc, op, peer, variable or None, data]
+                    if pc == 1:  # the message came
+                        f[1], f[5] = 2, value.data
+                        return ("send", self._mk(KIND_ACK, f[2], f[3], value.seq))
+                    frames.pop()
+                    value = f[5]
+                    if f[4] is not None:
+                        variables[f[4]] = value
+                elif p is _EVAL:  # [_EVAL, pc, expr, its calls, the replies so far]
+                    calls = f[3]
+                    if pc:
+                        f[4] += (value,)
+                    resolved = dict(zip(map(id, calls), f[4]))
+                    if len(f[4]) < len(calls):
+                        c = calls[len(f[4])]
+                        f[1] = 1
+                        return ("call", c.function,
+                                [eval_expr(a, variables, resolved) for a in c.args])
+                    frames.pop()
+                    value = eval_expr(f[2], variables, resolved)
+                elif p is _LEAD:  # [_LEAD, pc, other roles, k]
+                    # pc 0: note the own address; 1: wait for the next peer's
+                    # READY (k); 2: it came; 3: send the next peer START
+                    others, k = f[2], f[3]
+                    if pc == 0:
+                        if self.address:
+                            self.locations.setdefault(self.role, self.address)
+                        pc = 1
+                    elif pc == 2:
+                        if isinstance(value.data, str) and value.data:
+                            self.locations[others[k]] = value.data
+                        pc, k = 1, k + 1
+                    if pc == 1:
+                        if k < len(others):
+                            f[1], f[3] = 2, k
+                            return ("recv", KIND_READY, BARRIER_OP, others[k])
+                        f[1] = 3
+                        k = 0
+                    if k < len(others):
+                        f[3] = k + 1
+                        return ("send", self._mk(KIND_START, BARRIER_OP, others[k],
+                                                 dict(self.locations)))
+                    frames.pop()
+                elif p is _FOLLOW:
+                    if pc == 0:
+                        f[1] = 1
+                        return ("send", self._mk(KIND_READY, BARRIER_OP, self.starter,
+                                                 self.address))
+                    if pc == 1:
+                        f[1] = 2
+                        return ("recv", KIND_START, BARRIER_OP, self.starter)
+                    frames.pop()
+                    if isinstance(value.data, dict):
+                        self.locations.update(value.data)
+                else:
+                    raise RoleError(f"cannot execute a {p!r} frame", self.role)
+                continue
+            if cls is SeqP:
+                items = p.items
+                if pc < len(items) - 1:
+                    f[1] = pc + 1
+                    frames.append([items[pc], 0, None, 0])
+                elif items:  # the last item takes the sequence's place
+                    frames[-1] = [items[-1], 0, None, 0]
+                else:
+                    frames.pop()
+                continue
+            if cls is LocalAssign or cls is SendTo:
+                if pc == 0:
+                    calls = find_calls(p.expr)
+                    if calls:
+                        f[1] = 1
+                        frames.append([_EVAL, 0, p.expr, calls, ()])
+                        continue
+                    value = eval_expr(p.expr, variables)
+                if cls is SendTo:
+                    msg = self._mk(KIND_MSG, p.op, p.peer, value)
+                    frames[-1] = [_SEND, 1, p.op, p.peer, msg.seq]
+                    return ("send", msg)
+                variables[p.var] = value
+                frames.pop()
+                return ("local", "assign", p.var)
+            if cls is RecvFrom:
+                frames[-1] = [_RECV, 1, p.op, p.peer, p.var, None]
+                return ("recv", KIND_MSG, p.op, p.peer)
+            if cls is IfLocal or cls is WhileLocal:
+                # pc 0: evaluate the guard; 1: check it; 2: send it to the next
+                # peer (k); 3: the body is done; 4: take the next peer's ack
+                if pc == 0:
+                    calls = find_calls(p.guard)
+                    if calls:
+                        f[1] = 1
+                        frames.append([_EVAL, 0, p.guard, calls, ()])
+                        continue
+                    value = eval_expr(p.guard, variables)
+                    pc = 1
+                if pc == 1:
+                    if not isinstance(value, bool):
+                        raise RoleError(
+                            f"condition must be a boolean, got {render(value)!r}", self.role)
+                    f[1], f[2], f[3] = 2, value, 0
+                    pc = 2
+                involved, k = p.involved, f[3]
+                if pc == 2:
+                    if k < len(involved):
+                        f[3] = k + 1
+                        msg = self._mk(KIND_MSG, p.guard_op, involved[k], f[2])
+                        frames.append([_SEND, 1, p.guard_op, involved[k], msg.seq])
+                        return ("send", msg)
+                    if cls is IfLocal:
+                        frames[-1] = [p.then_p if f[2] else p.else_p, 0, None, 0]
+                    elif f[2]:
+                        f[1] = 3
+                        frames.append([p.body, 0, None, 0])
+                    else:
+                        frames.pop()
+                    continue
+                if pc == 3:
+                    f[1], f[3] = 4, 0
+                    k = 0
+                if k < len(involved):
+                    f[3] = k + 1
+                    frames.append([_RECV, 1, p.ack_op, involved[k], None, None])
+                    return ("recv", KIND_MSG, p.ack_op, involved[k])
+                f[1] = 0
+                continue
+            if cls is IfFollow or cls is WhileFollow:
+                # pc 0: receive the guard; 1: check it; 2: the body is done
+                if pc == 0:
+                    f[1] = 1
+                    frames.append([_RECV, 1, p.guard_op, p.evaluator, None, None])
+                    return ("recv", KIND_MSG, p.guard_op, p.evaluator)
+                if pc == 1:
+                    if not isinstance(value, bool):
+                        raise RoleError("condition arrived as a non-boolean", self.role)
+                    if cls is IfFollow:
+                        frames[-1] = [p.then_p if value else p.else_p, 0, None, 0]
+                    elif value:
+                        f[1] = 2
+                        frames.append([p.body, 0, None, 0])
+                    else:
+                        frames.pop()
+                    continue
+                f[1] = 0
+                msg = self._mk(KIND_MSG, p.ack_op, p.evaluator, True)
+                frames.append([_SEND, 1, p.ack_op, p.evaluator, msg.seq])
+                return ("send", msg)
+            if cls is ScopeCoord:
+                # pc 0: ask for a match; 1: the reply; 2: direct the next
+                # peer (k); 3: the share is done; 4: take the next peer's notice
+                involved, k = p.involved, f[3]
+                if pc == 0:
+                    f[1] = 1
+                    return ("match", {
+                        "scope": str(p.scope_id),
+                        "coordinator": self.role,
+                        "involved": list(involved),
+                        "props": dict(p.props),
+                        "vars": self.snapshot(),
+                    })
+                if pc == 1:
+                    f[1], f[2], f[3] = 2, value, 0
+                    pc, k = 2, 0
+                if pc == 2:
+                    response = f[2]
+                    matched = bool(response.get("matched"))
+                    code = response.get("code") or {}
+                    includes = response.get("includes", [])
+                    if k < len(involved):
+                        f[3] = k + 1
+                        directive = ({"adapt": True, "code": code.get(involved[k]),
+                                      "includes": includes, "rule": response.get("rule")}
+                                     if matched else {"adapt": False})
+                        return ("send", self._mk(KIND_DIRECTIVE, p.directive_op,
+                                                 involved[k], directive))
+                    f[1], f[2] = 3, None  # the reply is spent
+                    if matched:
+                        self._absorb_includes(includes)
+                        share = self._replacement_share(code.get(self.role), p.scope_id)
+                    else:
+                        share = p.default_p
+                    frames.append([share, 0, None, 0])
+                    continue
+                if pc == 3:
+                    f[1], f[3] = 4, 0
+                    k = 0
+                if k < len(involved):
+                    f[3] = k + 1
+                    return ("recv", KIND_DONE, p.done_op, involved[k])
+                frames.pop()
+                continue
+            if cls is ScopeFollow:
+                # pc 0: receive the directive; 1: run it; 2: the share is done
+                if pc == 0:
+                    f[1] = 1
+                    return ("recv", KIND_DIRECTIVE, p.directive_op, p.coordinator)
+                if pc == 1:
+                    f[1] = 2
+                    directive = value.data if isinstance(value.data, dict) else {}
+                    if directive.get("adapt"):
+                        self._absorb_includes(directive.get("includes", []))
+                        share = self._replacement_share(directive.get("code"), p.scope_id)
+                    else:
+                        share = p.default_p
+                    frames.append([share, 0, None, 0])
+                    continue
+                frames.pop()
+                return ("send", self._mk(KIND_DONE, p.done_op, p.coordinator, True))
+            if cls is ParP:
+                # pc 0: spawn a task per branch; 1: join them; 2: all done
+                if pc == 0:
+                    f[1] = 1
+                    return ("spawn", p.items)
+                if pc == 1:
+                    f[1] = 2
+                    return ("join", value)
+                frames.pop()
+                continue
+            if cls is Nop:
+                frames.pop()
+                continue
+            raise RoleError(f"cannot execute {cls.__name__}", self.role)
+        return None
 
     def _replacement_share(self, data: Any, scope_id: NodeId) -> ProcessCode:
         """This role's share of a replacement: its code as the rule server

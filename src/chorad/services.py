@@ -205,6 +205,17 @@ class Router:
         self._warned = False
         self._lock = threading.Lock()
 
+    def fork(self, *, services: dict[str, FunctionTable] | None,
+             manager: ManagerRef, counts: Counter[str] | None) -> "Router":
+        """A router for a copy of the run: it keeps this one's input script
+        positions and answers from the given tables, manager and tallies."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.services, new.manager, new.counts = services or {}, manager, counts
+        new._inputs_taken = dict(self._inputs_taken)
+        new._lock = threading.Lock()
+        return new
+
     def answer(self, ex: RoleExecutor, ext: ExtRequest) -> tuple[Any, str | None]:
         """``(reply, None)``, or ``(None, why)`` when the request fails; the
         pair is what :meth:`RoleExecutor.settle_ext` takes."""

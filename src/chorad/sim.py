@@ -14,8 +14,9 @@ managers only, which keeps them inside the deterministic order.
 
 Besides single seeded runs, :func:`explore` searches every schedule of a
 small application, depth first, with state matching and a partial-order
-reduction; its docstring says how and why.  Generators cannot be
-snapshotted, so every run of the search replays its prefix from the start.
+reduction; its docstring says how and why.  A world is plain data, so the
+search copies it at each decision (:meth:`_World.fork`) and no run
+re-executes a step another run took.
 
 The simulator reports, never judges: callers decide whether a deadlock is a
 bug or the expected outcome of a negative test.
@@ -32,11 +33,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .adapt import AdaptationManager
-from .ast import Value
+from .ast import Value, _Node
 from .project import ProjectedApp, Target, _as_app
-from .runtime import (INPUT_FUNCTION, KIND_ACK, KIND_MSG, Message, RoleExecutor,
+from .runtime import (_EVAL, INPUT_FUNCTION, KIND_ACK, KIND_MSG, Message, RoleExecutor,
                       StepOutcome, classify_message)
-from .services import FunctionTable, Router
+from .services import FunctionTable, Router, handle_call_request
 
 log = logging.getLogger("chorad.sim")
 
@@ -93,7 +94,7 @@ class SimReport:
 
 
 class _World:
-    """One run's mutable state; built fresh for every (re)execution."""
+    """One run's mutable state, all of which :meth:`fork` copies."""
 
     def __init__(self, app: ProjectedApp, config: SimConfig):
         self.app = app
@@ -111,8 +112,10 @@ class _World:
         self.router = Router(
             services=config.services_factory() if config.services_factory else None,
             manager=self.manager, inputs=config.inputs, counts=self.counts)
+        # the in-process service calls so far, as (address, function, args)
+        self.service_calls: list[tuple[str, str, tuple]] = []
         self.applied_rules: list[tuple[str, str]] = []
-        self.timeline = sorted(config.timeline, key=lambda e: e.at_step)
+        self.timeline = tuple(sorted(config.timeline, key=lambda e: e.at_step))
         self._timeline_pos = 0
         self.steps = 0
         self.op_ledger: dict[str, dict[str, int]] = {}
@@ -121,14 +124,46 @@ class _World:
         self._hash = hashlib.sha256()
         self.failure: str | None = None
 
+    def fork(self) -> "_World":
+        """A copy of this world that runs on alone: the two share no mutable
+        state.  Executors, tallies and router positions are plain data and
+        are copied.  Service tables and the manager are not, so the copy
+        gets new ones from the config's factories, replays on them the
+        service calls and fired timeline events of this run, and takes over
+        the manager's match log."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.executors = {r: ex.fork() for r, ex in self.executors.items()}
+        new.counts = Counter(self.counts)
+        new.manager = None
+        if self.config.manager_factory is not None:
+            new.manager = self.config.manager_factory()
+            for ev in self.timeline[:self._timeline_pos]:
+                _apply(ev, new.manager)
+            if hasattr(self.manager, "match_log"):
+                new.manager.match_log.extend(self.manager.match_log)
+        services = None
+        if self.config.services_factory is not None:
+            services = self.config.services_factory()
+            for address, fn, args in self.service_calls:
+                handle_call_request(services[address],
+                                    {"kind": "call", "fn": fn, "args": list(args)})
+        new.router = self.router.fork(services=services, manager=new.manager,
+                                      counts=new.counts)
+        new.service_calls = list(self.service_calls)
+        new.applied_rules = list(self.applied_rules)
+        new.op_ledger = {op: dict(entry) for op, entry in self.op_ledger.items()}
+        new.trace = None if self.trace is None else list(self.trace)
+        new._hash = self._hash.copy()
+        return new
+
     # -- bookkeeping ---------------------------------------------------------
 
     def _note(self, *fields: object) -> None:
         if not self._hashing:
             return
         line = ":".join(map(str, fields))
-        self._hash.update(line.encode())
-        self._hash.update(b"\n")
+        self._hash.update(f"{line}\n".encode())
         if self.trace is not None:
             self.trace.append(line)
 
@@ -148,29 +183,10 @@ class _World:
                and self.timeline[self._timeline_pos].at_step <= self.steps):
             ev = self.timeline[self._timeline_pos]
             self._timeline_pos += 1
-            if ev.kind == "publish":
-                self._publish(ev)
-            elif ev.kind == "env":
-                if self.manager is not None:
-                    self.manager.env.set(ev.key, ev.value)
-                self._note("@env", f"{ev.key}={ev.value!r}")
+            if ev.kind == "publish" and self.manager is None:
+                log.warning("timeline publish ignored: no adaptation manager")
             else:
-                raise ValueError(f"unknown timeline event kind {ev.kind!r}")
-
-    def _publish(self, ev: TimelineEvent) -> None:
-        if self.manager is None:
-            log.warning("timeline publish ignored: no adaptation manager")
-            return
-        for handle in self.manager.servers():
-            if handle.server_id == ev.server:
-                violations = handle.publish(ev.source)  # type: ignore[attr-defined]
-                bad = [v for v in violations if v.severity == "error"]
-                if bad:
-                    raise ValueError(
-                        f"timeline publish rejected: {bad[0].message}")
-                self._note("@publish", ev.server)
-                return
-        raise ValueError(f"timeline publish: no server '{ev.server}' registered")
+                self._note(*_apply(ev, self.manager))
 
     # -- scheduling ----------------------------------------------------------
 
@@ -194,9 +210,15 @@ class _World:
         ext = outcome.ext
         if ext is not None:
             reply, why = self.router.answer(ex, ext)
-            if ext.kind == "match" and reply and reply.get("matched"):
-                self.applied_rules.append(
-                    (str(ext.payload[0].get("scope")), reply.get("rule")))
+            if ext.kind == "match":
+                if reply and reply.get("matched"):
+                    self.applied_rules.append(
+                        (str(ext.payload[0].get("scope")), reply.get("rule")))
+            elif self.router.services:
+                fn, args = ext.payload
+                address = ex.includes.get(fn, ("",))[0]
+                if fn != INPUT_FUNCTION and address in self.router.services:
+                    self.service_calls.append((address, fn, tuple(args)))
             ex.settle_ext(ext.tid, reply, why)
         if ex.failure and self.failure is None:
             self.failure = f"{role}: {ex.failure}"
@@ -232,6 +254,24 @@ class _World:
             leaks=leaks,
             error=error,
         )
+
+
+def _apply(ev: TimelineEvent, manager: AdaptationManager | None) -> tuple:
+    """Do what ``ev`` does to ``manager``; returns the trace line's fields."""
+    if ev.kind == "env":
+        if manager is not None:
+            manager.env.set(ev.key, ev.value)
+        return ("@env", f"{ev.key}={ev.value!r}")
+    if ev.kind != "publish":
+        raise ValueError(f"unknown timeline event kind {ev.kind!r}")
+    for handle in manager.servers():
+        if handle.server_id == ev.server:
+            violations = handle.publish(ev.source)  # type: ignore[attr-defined]
+            bad = [v for v in violations if v.severity == "error"]
+            if bad:
+                raise ValueError(f"timeline publish rejected: {bad[0].message}")
+            return ("@publish", ev.server)
+    raise ValueError(f"timeline publish: no server '{ev.server}' registered")
 
 
 def _execute(world: _World, choose: Callable[[int], int]) -> SimReport:
@@ -291,22 +331,40 @@ def _items(d: dict) -> tuple:
     return tuple(sorted([(k, _exact(v)) for k, v in d.items()])) if d else ()
 
 
+class _Codes:
+    """A small int per code tree (process code or an expression), equal for
+    equal trees and held for a whole exploration.  A node is looked up by
+    identity; only a node not seen before is hashed by its structure, and
+    every node looked up is kept, so no identity is reused."""
+
+    def __init__(self) -> None:
+        self._by_id: dict[int, int] = {}
+        self._by_shape: dict[_Node, int] = {}
+        self._held: list[_Node] = []
+
+    def key(self, node: _Node) -> int:
+        k = self._by_id.get(id(node))
+        if k is None:
+            k = self._by_id[id(node)] = self._by_shape.setdefault(node, len(self._by_shape))
+            self._held.append(node)
+        return k
+
+
 class _ReadLog(dict):
-    """A role's store that notes each ``(name, value)`` a step reads, also
-    through ``dict(store)``, and each name it writes; only the exploring
-    world installs it."""
+    """A role's store that notes each name a step reads, also through
+    ``dict(store)``, and each name it writes; only the exploring world
+    installs it, and only for the reduction."""
 
     __slots__ = ("reads", "writes")
 
     def __init__(self, store: dict[str, Value]) -> None:
         super().__init__(store)
-        self.reads: list[tuple[str, object]] = []
+        self.reads: list[str] = []
         self.writes: list[str] = []
 
     def __getitem__(self, name: str) -> Value:
-        value = dict.__getitem__(self, name)
-        self.reads.append((name, _exact(value)))
-        return value
+        self.reads.append(name)
+        return dict.__getitem__(self, name)
 
     def __setitem__(self, name: str, value: Value) -> None:
         self.writes.append(name)
@@ -330,12 +388,10 @@ def _conflict(a: _Footprint, b: _Footprint) -> bool:
 
 
 @dataclass(eq=False)
-class _Node:
-    """A decision point as the choices queued there see it: the task ids
-    there (:meth:`_ExploringWorld.mark`), its sleep set, and the choices
-    taken there so far with their footprints."""
+class _Decision:
+    """A decision point as the choices queued there see it: its sleep set,
+    and the choices taken there so far with their footprints."""
 
-    mark: tuple
     sleep: dict[tuple[str, int], _Footprint]
     done: list[tuple[tuple[str, int], _Footprint]] = field(default_factory=list)
 
@@ -344,37 +400,31 @@ class _ExploringWorld(_World):
     """A run that can name its state exactly (:meth:`fingerprint`) and
     keeps the reduction's sleep set; :func:`explore` says what both hold.
 
-    A task's state id after a step is ``intern[(id before, record)]``, one
-    ``intern`` per exploration; a branch of a ``|`` starts from its
-    parent's id and its place in the block.  Only this world logs store
-    reads and writes and in-process service calls: :func:`simulate` and the
-    live driver pay for none of it.  A run replays its queued prefix without
-    logging; at the prefix's last decision, :meth:`log_from` takes up the
-    ids that the run which queued it had there, from :meth:`mark`.
+    Only this world logs store reads and writes, and only for the
+    reduction: :func:`simulate` and the live driver pay for none of it.
+    :meth:`fork` copies the sleep set and the logging stores with the rest
+    of the world.
     """
 
-    def __init__(self, app: ProjectedApp, config: SimConfig,
-                 intern: dict[object, int], reduce: bool):
+    def __init__(self, app: ProjectedApp, config: SimConfig, codes: _Codes,
+                 reduce: bool):
         super().__init__(app, config)
-        self.intern = intern
-        self.task_ids: dict[str, dict[int, int]] | None = None  # None: not logging
-        self.calls = 0  # id of the in-process service calls so far
+        self.codes = codes
         self.reduce = reduce
         self.sleep: dict[tuple[str, int], _Footprint] = {}
-        self.node: _Node | None = None  # the decision the next step is a choice at
+        self.node: _Decision | None = None  # the decision the next step is a choice at
+        self._log_stores()
 
-    def _id(self, key: object) -> int:
-        return self.intern.setdefault(key, len(self.intern))
+    def fork(self) -> "_ExploringWorld":
+        new = super().fork()
+        new.sleep = dict(self.sleep)
+        new._log_stores()
+        return new
 
-    def mark(self) -> tuple:
-        """The ids here, for :meth:`log_from` in a run that replays to here."""
-        return {r: dict(ids) for r, ids in self.task_ids.items()}, self.calls
-
-    def log_from(self, mark: tuple) -> None:
-        ids, self.calls = mark
-        self.task_ids = {r: dict(t) for r, t in ids.items()}
-        for ex in self.executors.values():
-            ex.variables = _ReadLog(ex.variables)
+    def _log_stores(self) -> None:
+        if self.reduce:
+            for ex in self.executors.values():
+                ex.variables = _ReadLog(ex.variables)
 
     def options(self) -> list[int]:
         """The awake ready tasks of one closed set of roles, as indices into
@@ -404,32 +454,15 @@ class _ExploringWorld(_World):
                 if entry[0] in chosen and entry not in self.sleep]
 
     def advance(self, role: str, tid: int) -> StepOutcome:
-        if self.task_ids is None:
+        if not self.reduce:
             return super().advance(role, tid)
         ex = self.executors[role]
-        task = ex._tasks[tid]
-        ids = self.task_ids[role]
-        before = (ids.pop(tid), _exact(task.resume_value), task.resume_error)
+        parent = ex._tasks[tid].parent
         store = ex.variables
-        reads = store.reads = []
-        store.writes = []
+        store.reads, store.writes = [], []
         outcome = super().advance(role, tid)
-        event = outcome.event
-        if self.reduce and (self.node is not None or self.sleep):
-            self._update_sleep((role, tid), self._footprint(role, task.parent, store, event))
-        if event[1] == "end":
-            return outcome
-        new = ids[tid] = self._id((before, tuple(reads), event))
-        if event[1] == "spawn":
-            for place, child in enumerate(task.resume_value):
-                ids[child] = self._id(("branch", new, place))
-        ext = outcome.ext
-        if ext is not None and ext.kind == "call" and ext.payload[0] != INPUT_FUNCTION:
-            fn, args = ext.payload
-            address = ex.includes.get(fn, ("",))[0]
-            if address in self.router.services:
-                self.calls = self._id((self.calls, address, fn, _exact(args),
-                                       _exact(task.resume_value), task.resume_error))
+        if self.node is not None or self.sleep:
+            self._update_sleep((role, tid), self._footprint(role, parent, store, outcome.event))
         return outcome
 
     @staticmethod
@@ -437,7 +470,7 @@ class _ExploringWorld(_World):
                    event: tuple) -> _Footprint:
         """What the step with ``event`` touched, as :func:`explore` says."""
         tid, verb = event[0], event[1]
-        reads = {("var", role, name) for name, _ in store.reads}
+        reads = {("var", role, name) for name in store.reads}
         writes = {("var", role, name) for name in store.writes}
         if verb == "send":
             writes.add(("seq", role, event[2]))
@@ -466,23 +499,31 @@ class _ExploringWorld(_World):
             node.done.append((entry, footprint))
         self.sleep = {e: f for e, f in sleep.items() if not _conflict(f, footprint)}
 
-    def _role_state(self, role: str) -> int:
+    def _frame(self, f: list) -> tuple:
+        """A frame as exact data, each code tree in it as its key."""
+        key = self.codes.key
+        if type(f[0]) is not str:  # a code node's frame: [node, pc, value, k]
+            return (key(f[0]), f[1], _exact(f[2]), f[3])
+        if f[0] is _EVAL:  # [_EVAL, pc, expr, its calls, replies]
+            return (f[0], f[1], key(f[2]), _exact(f[4]))
+        return tuple(map(_exact, f))
+
+    def _role_state(self, role: str) -> tuple:
         ex = self.executors[role]
-        ids = self.task_ids[role]
         tasks = tuple((t.tid, t.parent, t.state, _exact(t.resume_value),
-                       t.resume_error, t.wait_key, t.join_remaining, ids[t.tid])
+                       t.resume_error, t.wait_key, t.join_remaining,
+                       tuple(map(self._frame, t.frames)))
                       for t in ex._tasks.values())
         mail = tuple((key, tuple(map(_exact, q)))
                      for key, q in sorted(ex._queues.items()))
         waiters = tuple((key, tuple(q)) for key, q in sorted(ex._waiters.items()) if q)
-        return self._id((_items(ex.variables), tasks, mail, waiters,
-                         _items(ex._seq), ex._next_tid, _items(ex.includes),
-                         _items(ex.locations), ex.failure))
+        return (_items(ex.variables), tasks, mail, waiters, _items(ex._seq),
+                ex._next_tid, _items(ex.includes), _items(ex.locations), ex.failure)
 
     def fingerprint(self) -> tuple:
         """The run's state, exactly: equal fingerprints continue alike."""
-        return (self.steps, self._timeline_pos,
-                _items(self.router._inputs_taken), self.calls,
+        return (self.steps, self._timeline_pos, _items(self.router._inputs_taken),
+                tuple((address, fn, _exact(args)) for address, fn, args in self.service_calls),
                 *map(self._role_state, self.app.roles))
 
 
@@ -507,11 +548,17 @@ class ExplorationReport:
     deadlocks: list[tuple[int, ...]]
     complete: bool
     finals: dict[str, int]
+    leaky: int = 0  # runs that terminated with a leak
 
     @property
     def deadlock_free(self) -> bool:
         return self.complete and not self.deadlocks \
             and set(self.outcomes) <= {TERMINATED}
+
+    @property
+    def clean(self) -> bool:
+        """Deadlock free, and no explored run leaked a message."""
+        return self.deadlock_free and self.leaky == 0
 
     @property
     def deterministic(self) -> bool:
@@ -526,14 +573,16 @@ def explore(target: Target, config: SimConfig | None = None, *,
     partial-order reduction.
 
     A path is the sequence of indices picked into the ready list wherever
-    more than one task was ready.  Each run follows a queued prefix, then
-    takes the first of the choices it expands and queues the others.  At
-    each decision point past the prefix it looks the world's state up; a
-    state already expanded abandons the run, since that state's other
-    choices are already queued or done.  ``paths`` counts runs started,
-    abandoned ones included, and so does ``max_paths``: runs beyond it
-    leave ``complete`` False, and the verdict then only covers the
-    explored portion.
+    more than one task was ready.  At each decision it expands, a run
+    copies the world (:meth:`_World.fork`), queues the other choices with
+    that copy, and takes the first; a queued choice starts a new run from
+    a copy of the copy, so no step is taken twice.  Before expanding a
+    decision a run looks the world's state up; a state already expanded
+    abandons the run, since that state's other choices are already queued
+    or done.  ``paths`` counts runs started, abandoned ones included, and
+    so does ``max_paths``: runs beyond it leave ``complete`` False, and the
+    verdict then only covers the explored portion.  ``leaky`` counts the
+    runs that terminated with a leak, and ``clean`` asks for none.
 
     The reduction (Godefroid, *Partial-Order Methods for the Verification
     of Concurrent Systems*, 1996) keeps every final store, deadlock and
@@ -569,16 +618,17 @@ def explore(target: Target, config: SimConfig | None = None, *,
     State matching needs the state exact, or a pruned run could hide a
     behaviour; it is tuples of values and small ints, never a hash.  Per
     live task: its tid, parent, state, pending resume value or error, wait
-    key, join count and task-state id.  Equal ids mean equal generators,
-    because a step is a deterministic function of its task's generator, its
-    resume value and the store values it reads, all of which the id's
-    records hold.  Per role: its store (sorted; ``true`` kept apart from
-    ``1``), every field of every queued message, the waiter order, sequence
-    counters, next tid, includes, locations and failure.  For the world:
+    key, join count and continuation, which is plain data: each frame's
+    position and values, with each code tree in it as a small int that
+    equal trees share for the whole exploration.  Per role: its store
+    (sorted; ``true`` kept apart from ``1``), every field of every queued
+    message, the waiter order, sequence counters, next tid, includes,
+    locations and failure.  For the world:
     the step count and timeline position, which decide when events fire
     and the step budget cuts in, and keep the state graph acyclic; the
     inputs taken; and the in-process service calls in order, since a
-    table's position (a scripted reply list, a buffer) is hidden in it.
+    table's position (a scripted reply list, a buffer) is hidden in it and
+    follows from them.
     Rule managers change only through the timeline.  Task events keep
     their message ``seq``, which a later step compares with its ack.
     """
@@ -594,38 +644,35 @@ def explore(target: Target, config: SimConfig | None = None, *,
 def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
             reduce: bool, paths: int = 0) -> ExplorationReport:
     """:func:`explore`'s search, with or without the reduction, after
-    ``paths`` runs already spent."""
-    intern: dict[object, int] = {}
+    ``paths`` runs already spent.  Its stack holds, per queued choice, the
+    copy of the world taken at the choice's decision; the last choice
+    popped for a copy runs on the copy itself."""
     # each state expanded, with the sleep sets it was expanded with
     seen: dict[tuple, list[frozenset]] = {}
     outcomes: Counter[str] = Counter()
     finals: Counter[str] = Counter()
     deadlocks: list[tuple[int, ...]] = []
-    # (prefix, the decision its last choice is taken at); every role's main
-    # task is id 0
-    stack: list[tuple[tuple[int, ...], _Node]] = [
-        ((), _Node(({r: {0: 0} for r in app.roles}, 0), {}))]
+    leaky = 0
+    # (the world at a decision, the path to it, the choice to take there,
+    # the decision, whether no other entry holds that world); the first run
+    # starts from a new world and has no decision to take up
+    stack: list[tuple[_ExploringWorld, tuple[int, ...], int | None, _Decision | None, bool]] = [
+        (_ExploringWorld(app, config, _Codes(), reduce), (), None, None, True)]
     complete = True
     while stack:
         if paths >= max_paths:
             complete = False
             break
-        prefix, node = stack.pop()
-        path: list[int] = []
-        world = _ExploringWorld(app, config, intern, reduce)
-        if not prefix:
-            world.log_from(node.mark)
+        snapshot, path_there, taken, node, last = stack.pop()
+        world = snapshot if last else snapshot.fork()
+        world.node = node
+        path = list(path_there)
 
         def choose(count: int) -> int:
-            depth = len(path)
-            if depth < len(prefix):
-                # Forced moves are not in paths, which keeps them short.
-                if count == 1:
-                    return 0
-                if depth == len(prefix) - 1:
-                    world.log_from(node.mark)
-                    world.node = node
-                path.append(prefix[depth])
+            nonlocal taken
+            if taken is not None:  # the queued choice at the snapshot's decision
+                path.append(taken)
+                taken = None
                 return path[-1]
             if reduce:
                 options = world.options()
@@ -642,9 +689,11 @@ def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
                 if any(z <= asleep for z in expanded):
                     raise _Abandon
                 expanded.append(asleep)
-                world.node = here = _Node(world.mark(), world.sleep)
-                # Deepest on top: the next path is the deepest decision's next choice.
-                stack.extend(((*path, k), here) for k in reversed(options[1:]))
+                world.node = here = _Decision(world.sleep)
+                snap, there = world.fork(), tuple(path)
+                # Deepest on top: the next run takes the deepest decision's next choice.
+                stack.extend((snap, there, k, here, k == options[-1])
+                             for k in reversed(options[1:]))
             if count > 1:
                 path.append(options[0])
             return options[0]
@@ -659,11 +708,12 @@ def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
         outcomes[report.outcome] += 1
         if report.outcome == DEADLOCK:
             deadlocks.append(tuple(path))
+        leaky += bool(report.leaks)
         key = json.dumps(report.final_states, sort_keys=True, default=repr)
         finals[key] += 1
     return ExplorationReport(paths=paths, outcomes=dict(outcomes),
                              deadlocks=deadlocks, complete=complete,
-                             finals=dict(finals))
+                             finals=dict(finals), leaky=leaky)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from chorad.check import check_program
 from chorad.parser import MAX_NESTING, ParseError, parse_behaviour, parse_program
 from chorad.project import (ProjectedApp, SendTo, _as_app, proc_from_data, proc_to_data,
                             project)
-from chorad.runtime import READY, Message
+from chorad.runtime import READY, Message, RoleExecutor
 from chorad.sim import (
     DEADLOCK,
     ERROR,
@@ -512,11 +512,52 @@ def _count_worlds(monkeypatch) -> list:
 ])
 def test_exploration_runs_each_path_once(monkeypatch, name, max_paths,
                                          paths, complete):
-    worlds = _count_worlds(monkeypatch)
+    """No step of a search is executed twice: a run forks the world at its
+    decision and takes only the steps past it.  A step is named by the step
+    before it in its world and the task it advances; a fork inherits the
+    name of its world's last step, so a run that re-ran an earlier run's
+    prefix from a new world would name a step a second time.  A search that
+    restarts unreduced starts from a new world."""
+    calls = []
+    real_step = RoleExecutor.step
+
+    def step(self, tid):
+        calls.append(tid)
+        return real_step(self, tid)
+
+    named: list[dict[tuple, int]] = []  # per search
+    real_search, real_advance = sim._search, _World.advance
+
+    def search(*args, **kwargs):
+        named.append({})
+        return real_search(*args, **kwargs)
+
+    def advance(self, role, tid):
+        names = named[-1]
+        key = (getattr(self, "last_step", None), role, tid)
+        assert key not in names, "a step ran twice"
+        self.last_step = names[key] = len(names)
+        return real_advance(self, role, tid)
+
+    past_fork: list[int] = []  # per run, the steps it took past its fork point
+    real_execute = sim._execute
+
+    def execute(world, choose):
+        start = world.steps
+        try:
+            return real_execute(world, choose)
+        finally:
+            past_fork.append(world.steps - start)
+
+    monkeypatch.setattr(RoleExecutor, "step", step)
+    monkeypatch.setattr(sim, "_search", search)
+    monkeypatch.setattr(_World, "advance", advance)
+    monkeypatch.setattr(sim, "_execute", execute)
     sc = corpus.scenario_by_name(name)
     r = explore(sc.app, _cfg(sc, max_steps=2000), max_paths=max_paths)
     assert (r.paths, r.complete) == (paths, complete)
-    assert len(worlds) == r.paths
+    assert len(past_fork) == r.paths
+    assert len(calls) == sum(past_fork) == sum(map(len, named))
 
 
 # Programs whose schedules race; a pruning that treated every two steps at
@@ -600,6 +641,38 @@ aioc {
   { y@b = w | w@b = 3 }
 }
 """
+
+
+# Each branch writes x its old value first, so some schedules agree on the
+# store, the mailboxes and every counter but not on where the tasks stand.
+_SAME_STORE = """
+preamble { starter: a }
+aioc {
+  x@a = 0;
+  w@a = 0;
+  { { x@a = 0; x@a = 0; z@a = w } | { x@a = 0; w@a = 1 } }
+}
+"""
+
+
+def test_the_fingerprint_reads_where_each_task_stands():
+    app, codes = project(parse_program(_SAME_STORE)), sim._Codes()
+
+    def reach(*branch_steps):
+        world = sim._ExploringWorld(app, SimConfig(hash_trace=False), codes, False)
+        while world.advance("a", 0).event[1] != "spawn":
+            pass
+        for tid in branch_steps:
+            world.advance("a", tid)
+        return world.fingerprint()
+
+    # one task two steps on, or each task one step on: same store and counters
+    assert reach(1, 1) != reach(1, 2)
+    assert reach(1, 2) == reach(2, 1)
+    # a tree decoded twice is one key; another tree is another
+    code = app.per_role["a"]
+    assert codes.key(proc_from_data(proc_to_data(code))) == codes.key(code)
+    assert codes.key(code.items[-1]) != codes.key(code)
 
 
 def _differential_cases():
@@ -693,6 +766,101 @@ def test_exploration_keeps_no_trace(monkeypatch):
     worlds = _count_worlds(monkeypatch)
     explore(parse_program(_WOKEN_TASK), SimConfig(collect_trace=True))
     assert worlds and all(w.trace is None and not w._hashing for w in worlds)
+
+
+def test_exploration_counts_the_runs_that_leak(monkeypatch):
+    # Projected code answers every message it is sent before it ends, so the
+    # leak is a stray message put in b's mailbox before the first step.
+    real_init = sim._ExploringWorld.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        self.executors["b"].deliver(Message(kind="msg", op="stray", frm="a", to="b",
+                                            data=0, seq=9))
+
+    program = parse_program(_WOKEN_TASK)
+    assert explore(program).clean
+    monkeypatch.setattr(sim._ExploringWorld, "__init__", init)
+    r = explore(program)
+    assert r.complete and r.deadlock_free and len(r.finals) == 2
+    assert r.leaky == r.outcomes[TERMINATED] > 0
+    assert not r.clean
+
+
+def _fork_cases():
+    """(id, builder of the app and config to run), with every standard
+    scenario's inputs, services and a manager, plain and adapted, and two
+    with a rule published and an environment value set mid-run."""
+    for sc in corpus.standard_scenarios():
+        for label in (None, *sc.adapted):
+            yield (f"{sc.name}-{label or 'plain'}",
+                   lambda sc=sc, label=label: (sc.app, _cfg(sc, label, manager=True, seed=5)))
+    for name, label, publish_at, (key, value, set_at) in [
+            ("hello-world", "italian", 1, ("language", "it", 0)),
+            ("pipe-5", "boost-2", 10, ("stage", 1, 5))]:
+        sc = corpus.scenario_by_name(name)
+        timeline = [TimelineEvent(at_step=publish_at, kind="publish", server="s0",
+                                  source=sc.rules[label]),
+                    TimelineEvent(at_step=set_at, kind="env", key=key, value=value)]
+        yield (f"{name}-timeline", lambda sc=sc, timeline=timeline: (
+            sc.app, _cfg(sc, manager=True, seed=5, timeline=timeline)))
+    for seed in range(50):
+        yield (f"progen-{seed}", lambda seed=seed: (
+            project(progen.random_connected_program(seed)), SimConfig(seed=seed)))
+
+
+def _observed(world):
+    """What a step can change in a world, as plain data."""
+    return (world.steps, world._timeline_pos, dict(world.counts), repr(world.op_ledger),
+            list(world.applied_rules), world._hash.hexdigest(), world.failure,
+            dict(world.router._inputs_taken), list(world.service_calls),
+            {role: (dict(ex.variables.items()), {k: list(q) for k, q in ex._queues.items()},
+                    {k: list(q) for k, q in ex._waiters.items()}, list(ex.ready_tids()),
+                    dict(ex._seq), ex._next_tid, dict(ex.locations), dict(ex.includes),
+                    {tid: (t.state, t.resume_value, t.wait_key, t.join_remaining,
+                           repr(t.frames)) for tid, t in ex._tasks.items()})
+             for role, ex in world.executors.items()})
+
+
+def _match_log(world):
+    return None if world.manager is None else list(world.manager.match_log)
+
+
+def _ending(report):
+    return (report.outcome, report.error, report.steps, report.final_states,
+            report.message_counts, report.op_ledger, report.leaks,
+            report.applied_rules, report.trace_hash)
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in _fork_cases()])
+def test_a_forked_world_runs_on_alone(build):
+    """At each of a seeded run's first 20 decisions, a fork stepped to its
+    end leaves the world it came from as it was, and ends as a new world
+    stepped along the same choices does; the seeded run then ends as
+    ``simulate``'s."""
+    app, config = build()
+    world = _World(app, config)
+    rng = random.Random(config.seed)
+    picks: list[int] = []
+    forks = 0
+
+    def choose(count: int) -> int:
+        nonlocal forks
+        if count > 1 and forks < 20:
+            forks += 1
+            before = _observed(world)
+            fork, tail = world.fork(), []
+            ended = sim._execute(fork, lambda n: tail.append(n - 1) or n - 1)
+            assert _observed(world) == before
+            replay, new = iter(picks + tail), _World(app, config)
+            fresh = sim._execute(new, lambda n: next(replay))
+            assert _ending(ended) == _ending(fresh)
+            assert _match_log(fork) == _match_log(new)
+        picks.append(rng.randrange(count))
+        return picks[-1]
+
+    report = sim._execute(world, choose)
+    assert _ending(report) == _ending(simulate(app, config))
 
 
 def _corpus_recipes():
