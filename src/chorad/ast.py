@@ -385,6 +385,11 @@ def walk(node: _Node, post_order: bool = False) -> list:
     return out
 
 
+def find_calls(e: Expr) -> list[Call]:
+    """Call nodes in evaluation order (post-order, left to right)."""
+    return [x for x in walk(e, post_order=True) if type(x) is Call]
+
+
 def chain_items(b: Behaviour) -> list[Behaviour]:
     """The statements of the ``;`` or ``|`` chain rooted at ``b``, in source
     order, however the chain nests; ``[b]`` for any other node."""

@@ -26,6 +26,7 @@ scope they replace.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import islice
 
 from .ast import (
@@ -51,6 +52,7 @@ from .ast import (
     _Node,
     _node,
     chain_items,
+    find_calls,
     pretty_print,
     roles_of,
     walk,
@@ -79,6 +81,14 @@ class ProcessCode(_Node):
     """Base of process code: ``==`` and ``hash`` are the AST's iterative ones."""
 
 
+def _calls_of(name: str) -> cached_property:
+    """A node's ``calls``: :func:`~chorad.ast.find_calls` of the expression
+    in its field ``name``, as a tuple, found at the node's first evaluation
+    and kept on the node.  It is not a field, so ``==``, ``hash`` and the
+    codec never see it; a node without calls shares the one empty tuple."""
+    return cached_property(lambda node: tuple(find_calls(getattr(node, name))))
+
+
 @_node
 class Nop(ProcessCode):
     pass
@@ -88,6 +98,7 @@ class Nop(ProcessCode):
 class LocalAssign(ProcessCode):
     var: str
     expr: Expr
+    calls = _calls_of("expr")
 
 
 @_node
@@ -95,6 +106,7 @@ class SendTo(ProcessCode):
     op: str
     peer: str
     expr: Expr
+    calls = _calls_of("expr")
 
 
 @_node
@@ -121,6 +133,7 @@ class IfLocal(ProcessCode):
     guard_op: str
     then_p: ProcessCode
     else_p: ProcessCode
+    calls = _calls_of("guard")
 
 
 @_node
@@ -138,6 +151,7 @@ class WhileLocal(ProcessCode):
     guard_op: str
     ack_op: str
     body: ProcessCode
+    calls = _calls_of("guard")
 
 
 @_node

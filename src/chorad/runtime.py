@@ -20,7 +20,10 @@ be copied (:meth:`RoleExecutor.fork`).
 Every expression a task evaluates, an assignment's right-hand side
 included, issues the calls in it as ``call`` effects, innermost first and
 left to right; a call's arguments are read when it is issued, after the
-calls nested in its arguments have returned.
+calls nested in its arguments have returned.  The calls of an expression
+are found once per code node, at its first evaluation, and kept on the
+node (its ``calls``), so a loop's later iterations do not walk the
+expression again.
 
 The executor is a passive state machine: drivers decide which ready task to
 advance (a seeded scheduler in simulation, one thread per role live) and
@@ -71,7 +74,7 @@ from .ast import (
     Unary,
     Value,
     Var,
-    walk,
+    find_calls,  # noqa: F401 (part of this module's interface)
 )
 from .project import (
     IfFollow,
@@ -157,11 +160,6 @@ _OPERANDS = {
 _DECIDES = {"and": False, "or": True}
 
 
-def find_calls(e: Expr) -> list[Call]:
-    """Call nodes in evaluation order (post-order, left to right)."""
-    return [x for x in walk(e, post_order=True) if type(x) is Call]
-
-
 def eval_expr(e: Expr, variables: dict[str, Value],
               resolved_calls: dict[int, Value] | None = None) -> Value:
     """Evaluate an expression over a role's variable store.
@@ -236,14 +234,41 @@ KIND_DIRECTIVE = "directive"
 KIND_DONE = "done"
 
 
-@dataclass(frozen=True)
 class Message:
-    kind: str
-    op: str
-    frm: str
-    to: str
-    data: Any
-    seq: int
+    """One message between roles, or between a role and the middleware.
+
+    Immutable by convention: nothing sets a field of a message once it is
+    made, so forked executors and worlds share their queued messages
+    instead of copying them.  A slotted class with a plain ``__init__``
+    rather than a frozen dataclass, since most steps build one; ``==``,
+    ``hash`` and ``repr`` read the six fields in order, as a dataclass's
+    would.
+    """
+
+    __slots__ = ("kind", "op", "frm", "to", "data", "seq")
+
+    def __init__(self, kind: str, op: str, frm: str, to: str, data: Any, seq: int):
+        self.kind = kind
+        self.op = op
+        self.frm = frm
+        self.to = to
+        self.data = data
+        self.seq = seq
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.op, self.frm, self.to, self.data, self.seq)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Message:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"Message(kind={self.kind!r}, op={self.op!r}, frm={self.frm!r}, "
+                f"to={self.to!r}, data={self.data!r}, seq={self.seq!r})")
 
     def to_dict(self) -> dict[str, Any]:
         """The wire form; the sender is spelled ``from``."""
@@ -550,7 +575,7 @@ class RoleExecutor:
     def _mk(self, kind: str, op: str, to: str, data: Any) -> Message:
         seq = self._seq.get(kind, 0) + 1
         self._seq[kind] = seq
-        return Message(kind=kind, op=op, frm=self.role, to=to, data=data, seq=seq)
+        return Message(kind, op, self.role, to, data, seq)
 
     # -- the interpreter -----------------------------------------------------
 
@@ -645,7 +670,7 @@ class RoleExecutor:
                 continue
             if cls is LocalAssign or cls is SendTo:
                 if pc == 0:
-                    calls = find_calls(p.expr)
+                    calls = p.calls
                     if calls:
                         f[1] = 1
                         frames.append([_EVAL, 0, p.expr, calls, ()])
@@ -665,7 +690,7 @@ class RoleExecutor:
                 # pc 0: evaluate the guard; 1: check it; 2: send it to the next
                 # peer (k); 3: the body is done; 4: take the next peer's ack
                 if pc == 0:
-                    calls = find_calls(p.guard)
+                    calls = p.calls
                     if calls:
                         f[1] = 1
                         frames.append([_EVAL, 0, p.guard, calls, ()])

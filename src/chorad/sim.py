@@ -107,11 +107,15 @@ class _World:
                               includes=app.includes)
             ex.start()
             self.executors[role] = ex
-        self.manager = config.manager_factory() if config.manager_factory else None
+        self._manager = config.manager_factory() if config.manager_factory else None
+        # a fork's manager is built at first use, taking over this match log
+        self._log_to_take: tuple | None = None
         self.counts: Counter[str] = Counter()
+        # each message category by (kind, op); forks share it
+        self._categories: dict[tuple[str, str], str] = {}
         self.router = Router(
             services=config.services_factory() if config.services_factory else None,
-            manager=self.manager, inputs=config.inputs, counts=self.counts)
+            manager=self._manager, inputs=config.inputs, counts=self.counts)
         # the in-process service calls so far, as (address, function, args)
         self.service_calls: list[tuple[str, str, tuple]] = []
         self.applied_rules: list[tuple[str, str]] = []
@@ -128,27 +132,24 @@ class _World:
         """A copy of this world that runs on alone: the two share no mutable
         state.  Executors, tallies and router positions are plain data and
         are copied.  Service tables and the manager are not, so the copy
-        gets new ones from the config's factories, replays on them the
-        service calls and fired timeline events of this run, and takes over
-        the manager's match log."""
+        gets new ones from the config's factories: the tables at once, with
+        the service calls of this run replayed on them; the manager at its
+        first use (see :attr:`manager`), since most forks never match."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.executors = {r: ex.fork() for r, ex in self.executors.items()}
         new.counts = Counter(self.counts)
-        new.manager = None
         if self.config.manager_factory is not None:
-            new.manager = self.config.manager_factory()
-            for ev in self.timeline[:self._timeline_pos]:
-                _apply(ev, new.manager)
-            if hasattr(self.manager, "match_log"):
-                new.manager.match_log.extend(self.manager.match_log)
+            new._manager = None
+            new._log_to_take = (self._log_to_take if self._log_to_take is not None
+                                else tuple(getattr(self._manager, "match_log", ())))
         services = None
         if self.config.services_factory is not None:
             services = self.config.services_factory()
             for address, fn, args in self.service_calls:
                 handle_call_request(services[address],
                                     {"kind": "call", "fn": fn, "args": list(args)})
-        new.router = self.router.fork(services=services, manager=new.manager,
+        new.router = self.router.fork(services=services, manager=new._manager,
                                       counts=new.counts)
         new.service_calls = list(self.service_calls)
         new.applied_rules = list(self.applied_rules)
@@ -157,18 +158,39 @@ class _World:
         new._hash = self._hash.copy()
         return new
 
+    @property
+    def manager(self) -> AdaptationManager | None:
+        """The run's adaptation manager.  A fork builds its own at first
+        use, from the config's factory: it replays on it this run's fired
+        timeline events and hands it the match log it was forked with."""
+        if self._log_to_take is not None:
+            self._build_manager()
+        return self._manager
+
+    def _build_manager(self) -> None:
+        manager = self._manager = self.config.manager_factory()
+        for ev in self.timeline[:self._timeline_pos]:
+            _apply(ev, manager)
+        if hasattr(manager, "match_log"):
+            manager.match_log.extend(self._log_to_take)
+        self._log_to_take = None
+        self.router.manager = manager
+
     # -- bookkeeping ---------------------------------------------------------
 
     def _note(self, *fields: object) -> None:
-        if not self._hashing:
-            return
+        """Hash a trace line; only called with ``_hashing`` on."""
         line = ":".join(map(str, fields))
         self._hash.update(f"{line}\n".encode())
         if self.trace is not None:
             self.trace.append(line)
 
     def _count_message(self, msg: Message) -> None:
-        self.counts[classify_message(msg)] += 1
+        key = (msg.kind, msg.op)
+        category = self._categories.get(key)
+        if category is None:
+            category = self._categories[key] = classify_message(msg)
+        self.counts[category] += 1
         if msg.kind == KIND_MSG:
             entry = self.op_ledger.setdefault(msg.op, {"sent": 0, "acked": 0})
             entry["sent"] += 1
@@ -181,12 +203,15 @@ class _World:
     def fire_due_events(self) -> None:
         while (self._timeline_pos < len(self.timeline)
                and self.timeline[self._timeline_pos].at_step <= self.steps):
+            manager = self.manager  # a fork's is built before its first event fires
             ev = self.timeline[self._timeline_pos]
             self._timeline_pos += 1
-            if ev.kind == "publish" and self.manager is None:
+            if ev.kind == "publish" and manager is None:
                 log.warning("timeline publish ignored: no adaptation manager")
-            else:
-                self._note(*_apply(ev, self.manager))
+                continue
+            fields = _apply(ev, manager)
+            if self._hashing:
+                self._note(*fields)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -199,7 +224,8 @@ class _World:
         ex = self.executors[role]
         outcome = ex.step(tid)
         self.steps += 1
-        self._note(role, *outcome.event)
+        if self._hashing:
+            self._note(role, *outcome.event)
         for msg in outcome.outbound:
             self._count_message(msg)
             target = self.executors.get(msg.to)
@@ -209,6 +235,8 @@ class _World:
             target.deliver(msg)
         ext = outcome.ext
         if ext is not None:
+            if ext.kind == "match" and self._log_to_take is not None:
+                self._build_manager()
             reply, why = self.router.answer(ex, ext)
             if ext.kind == "match":
                 if reply and reply.get("matched"):
@@ -279,13 +307,15 @@ def _execute(world: _World, choose: Callable[[int], int]) -> SimReport:
     next step among the ``count`` ready tasks in
     :meth:`_World.ready_entries` order."""
     app, max_steps = world.app, world.config.max_steps
+    events = len(world.timeline)
     # each executor's own ready list, updated in place as the run goes
     ready = [(role, world.executors[role].ready_tids()) for role in app.roles]
     lists = [tids for _, tids in ready]
     while True:
         if world.failure:
             return world.finish(ERROR, world.failure)
-        world.fire_due_events()
+        if world._timeline_pos < events:
+            world.fire_due_events()
         count = sum(map(len, lists))
         if not count:
             if all(world.executors[r].finished() for r in app.roles):
@@ -304,8 +334,23 @@ def _execute(world: _World, choose: Callable[[int], int]) -> SimReport:
 def simulate(target: Target, config: SimConfig | None = None) -> SimReport:
     """One seeded, reproducible run."""
     config = config or SimConfig()
-    rng = random.Random(config.seed)
-    return _execute(_World(_as_app(target), config), rng.randrange)
+    return _execute(_World(_as_app(target), config), _seeded_pick(config.seed))
+
+
+def _seeded_pick(seed: int) -> Callable[[int], int]:
+    """What ``random.Random(seed).randrange`` picks, call for call: the
+    same rejection loop over ``getrandbits``, one Python frame a pick
+    instead of two."""
+    getrandbits = random.Random(seed).getrandbits
+
+    def pick(count: int) -> int:
+        k = count.bit_length()
+        r = getrandbits(k)
+        while r >= count:
+            r = getrandbits(k)
+        return r
+
+    return pick
 
 
 def _exact(v: object) -> object:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from chorad import sim
 from chorad.ast import PRECEDENCE, Binary, Lit, Unary, Var
 from chorad.parser import parse_expr
 from chorad.runtime import (
@@ -200,6 +201,32 @@ def test_message_wire_round_trip():
     m = Message(kind="msg", op="greet", frm="user", to="display",
                 data="Hello World", seq=3)
     assert Message.from_dict(json.loads(json.dumps(m.to_dict()))) == m
+
+
+def test_message_compares_hashes_and_prints_by_its_fields():
+    by_name = Message(kind="msg", op="o", frm="a", to="b", data=[1, "x"], seq=4)
+    by_position = Message("msg", "o", "a", "b", [1, "x"], 4)
+    assert by_name == by_position and not by_name != by_position
+    assert by_name != Message("msg", "o", "a", "b", [1, "x"], 5)
+    assert by_name != ("msg", "o", "a", "b", [1, "x"], 4)
+    assert repr(by_name) == ("Message(kind='msg', op='o', frm='a', to='b', "
+                             "data=[1, 'x'], seq=4)")
+    ack = Message("ack", "o", "b", "a", 4, 1)
+    assert hash(ack) == hash(Message(kind="ack", op="o", frm="b", to="a", data=4, seq=1))
+    assert len({ack, Message("ack", "o", "b", "a", 4, 1), by_name.seq}) == 2
+    with pytest.raises(TypeError):
+        hash(by_name)  # a list payload is unhashable, as in a tuple
+
+
+def test_message_from_dict_fills_in_the_optional_fields():
+    m = Message.from_dict({"kind": "ready", "from": "b", "to": "a"})
+    assert m == Message("ready", "", "b", "a", None, 0)
+    assert Message.from_dict(m.to_dict()) == m
+
+
+def test_a_message_fingerprints_as_every_field():
+    m = Message("msg", "o", "a", "b", [1, True], 4)
+    assert sim._exact(m) == (Message, "msg", "o", "a", "b", (list, 1, (bool, True)), 4)
 
 
 def test_wire_format_uses_from_not_frm():

@@ -9,13 +9,14 @@ from dataclasses import replace
 
 import pytest
 
+import chorad.ast
 from chorad.adapt import AdaptationManager, AdaptationServer, Environment
-from chorad.ast import Lit
+from chorad.ast import Expr, Lit, find_calls, walk
 from chorad import cli, sim
 from chorad.check import check_program
 from chorad.parser import MAX_NESTING, ParseError, parse_behaviour, parse_program
-from chorad.project import (ProjectedApp, SendTo, _as_app, proc_from_data, proc_to_data,
-                            project)
+from chorad.project import (IfLocal, LocalAssign, ProjectedApp, SendTo, WhileLocal, _as_app,
+                            proc_from_data, proc_to_data, project)
 from chorad.runtime import READY, Message, RoleExecutor
 from chorad.sim import (
     DEADLOCK,
@@ -1056,3 +1057,101 @@ def test_simulating_a_program_projects_it_first():
     prog = parse_program('preamble { starter: a } aioc { x@a = 1 }')
     r = simulate(prog, SimConfig())
     assert r.ok and r.final_states == {"a": {"x": 1}}
+
+
+# ---------------------------------------------------------------------
+# Work a step does once: calls found per node, the manager built per fork
+# ---------------------------------------------------------------------
+
+
+_EVALUATING = (LocalAssign, SendTo, IfLocal, WhileLocal)
+
+
+def _calls_cache_cases():
+    for sc in corpus.standard_scenarios():
+        for label in (None, *sc.adapted):
+            yield pytest.param(lambda sc=sc, label=label: (sc.app, _cfg(sc, label)),
+                               id=f"{sc.name}-{label or 'plain'}")
+    for seed in range(50):
+        yield pytest.param(lambda seed=seed: (
+            project(progen.random_connected_program(seed)), SimConfig(seed=seed)),
+            id=f"progen-{seed}")
+
+
+@pytest.mark.parametrize("build", list(_calls_cache_cases()))
+def test_each_nodes_kept_calls_are_the_calls_of_its_expression(build, monkeypatch):
+    """After a run, every node that kept its calls, in each role's code and
+    in each replacement share the run decoded, holds ``find_calls`` of its
+    expression; and the code compares, hashes and encodes as before."""
+    app, config = build()
+    before = {role: (hash(code), json.dumps(proc_to_data(code)),
+                     proc_from_data(proc_to_data(code)))
+              for role, code in app.per_role.items()}
+    shares = []
+    decode = RoleExecutor._replacement_share
+
+    def kept(self, data, scope_id):
+        shares.append(decode(self, data, scope_id))
+        return shares[-1]
+
+    monkeypatch.setattr(RoleExecutor, "_replacement_share", kept)
+    report = simulate(app, config)
+    assert report.outcome == TERMINATED, report.error
+    assert len(shares) >= len(report.applied_rules)
+    cached = 0
+    for root in [*app.per_role.values(), *shares]:
+        for node in walk(root):
+            if "calls" in vars(node):
+                cached += 1
+                expr = node.guard if type(node) in (IfLocal, WhileLocal) else node.expr
+                assert node.calls == tuple(find_calls(expr)), node
+    assert cached
+    for role, code in app.per_role.items():
+        digest, data, copy = before[role]
+        assert code == copy and copy == code and hash(code) == digest
+        assert json.dumps(proc_to_data(code)) == data
+
+
+def test_a_run_walks_each_expression_once_not_once_per_step(monkeypatch):
+    sc = corpus.scenario_by_name("ping-200")
+    original = chorad.ast.walk
+    walked = []
+
+    def spy(node, post_order=False):
+        walked.append(node)
+        return original(node, post_order)
+
+    for module in (chorad.ast, chorad.project, chorad.runtime, sim):
+        if getattr(module, "walk", None) is original:
+            monkeypatch.setattr(module, "walk", spy)
+    report = simulate(sc.app, _cfg(sc))
+    evaluating = [node for code in sc.app.per_role.values() for node in original(code)
+                  if type(node) in _EVALUATING]
+    assert report.ok and report.steps > 10 * len(evaluating)
+    assert 0 < sum(isinstance(node, Expr) for node in walked) <= len(evaluating)
+
+
+def test_the_seeded_pick_draws_what_randrange_draws():
+    for seed in range(20):
+        pick, rng = sim._seeded_pick(seed), random.Random(seed)
+        for _ in range(3):
+            for n in range(1, 71):
+                assert pick(n) == rng.randrange(n), (seed, n)
+
+
+def test_forks_build_the_adaptation_manager_only_when_they_match():
+    """Exploring ``appointment`` with ``free-week`` forks a world per run;
+    only the forks that reach a scope or a timeline event build a
+    manager.  The report is the one every fork building its own gave."""
+    sc = corpus.scenario_by_name("appointment")
+    config = _cfg(sc, "free-week")
+    built = []
+
+    def factory():
+        built.append(1)
+        return config.manager_factory()
+
+    r = explore(sc.app, replace(config, manager_factory=factory))
+    final = json.dumps(simulate(sc.app, config).final_states, sort_keys=True, default=repr)
+    assert (r.paths, r.complete, r.outcomes, r.finals) == (611, True, {TERMINATED: 8}, {final: 8})
+    assert 0 < 10 * len(built) < r.paths

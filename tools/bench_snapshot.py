@@ -10,8 +10,8 @@ once per seed of ``SEEDS`` with ``--trace 0`` and once with ``--trace 1``,
 one run at a time.  Seeds and run length are fixed so that any two
 snapshots compare.  The snapshot holds, per workload, the median and the
 runs of every end-to-end metric and the median of every per-layer
-``parser.*``, ``check.*``, ``project.*``, ``runtime.*``, ``sim.*`` and
-``explore.*`` metric, plus ``src_lines``.  It also runs the tier-1 tests
+``parser.*``, ``check.*``, ``project.*``, ``runtime.*``, ``sim.*``,
+``explore.*`` and ``live.*`` metric, plus ``src_lines``.  It also runs the tier-1 tests
 of ``--root`` once (``python -m pytest`` with ``src`` on the path) and
 records their wall time, their summary line and the ``TOP_DURATIONS``
 slowest entries that ``--durations`` prints.
@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("parser.", "check.", "project.", "runtime.", "sim.", "explore.")
+LAYERS = ("parser.", "check.", "project.", "runtime.", "sim.", "explore.", "live.")
 SEEDS = (101, 102, 103)
 TOP_DURATIONS = 10
 #: One entry of pytest's ``--durations`` report: seconds, phase, test id.
