@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import islice
+from typing import Iterable, NamedTuple
 
 from .ast import (
     Assign,
@@ -76,17 +77,156 @@ def aux_op(nid: NodeId, purpose: str) -> str:
 # =========================================================================
 
 
-@_node
-class ProcessCode(_Node):
-    """Base of process code: ``==`` and ``hash`` are the AST's iterative ones."""
-
-
 def _calls_of(name: str) -> cached_property:
     """A node's ``calls``: :func:`~chorad.ast.find_calls` of the expression
     in its field ``name``, as a tuple, found at the node's first evaluation
     and kept on the node.  It is not a field, so ``==``, ``hash`` and the
     codec never see it; a node without calls shares the one empty tuple."""
     return cached_property(lambda node: tuple(find_calls(getattr(node, name))))
+
+
+#: Message kinds of the role-to-role protocol (see :mod:`chorad.runtime`)
+#: that projected code sends: plain sends and guards, their
+#: acknowledgements, scope directives and completion notices.
+KIND_MSG = "msg"
+KIND_ACK = "ack"
+KIND_DIRECTIVE = "directive"
+KIND_DONE = "done"
+
+#: The built-in function that reads a role's input script.
+INPUT_FUNCTION = "getInput"
+
+
+class Footprint(NamedTuple):
+    """What running some code of one role may touch, as resources named
+    without the role: ``("var", name)`` for a store name, ``("seq", kind)``
+    for the counter that numbers the messages of a kind it sends,
+    ``("recv", kind, op, peer)`` for a mailbox key it receives on,
+    :data:`STORE` for the whole store (a write of any name reads it, a
+    scope's match with a manager writes it), :data:`TIDS` for the role's
+    next tid (a spawn) and :data:`INPUT` for its input script.  ``sends``
+    holds the mailbox keys ``(kind, op, peer)`` it sends on; ``scoped``
+    says that it enters a scope, whose replacement code, if a rule
+    matches, is not known in advance."""
+
+    reads: frozenset = frozenset()
+    writes: frozenset = frozenset()
+    sends: frozenset = frozenset()
+    scoped: bool = False
+
+
+STORE = ("store",)
+TIDS = ("tid",)
+INPUT = ("input",)
+EMPTY = Footprint()
+
+
+def union(parts: Iterable[Footprint]) -> Footprint:
+    """What running all of ``parts`` may touch."""
+    reads: set = set()
+    writes: set = set()
+    sends: set = set()
+    scoped = False
+    for f in parts:
+        reads |= f.reads
+        writes |= f.writes
+        sends |= f.sends
+        scoped = scoped or f.scoped
+    return Footprint(frozenset(reads), frozenset(writes), frozenset(sends), scoped)
+
+
+def expr_footprint(e: Expr, calls: tuple) -> Footprint:
+    """The names ``e`` reads, and the input script if one of its ``calls``
+    reads it; any other call is a service's."""
+    reads = frozenset(("var", x.name) for x in walk(e) if type(x) is Var)
+    inputs = any(c.function == INPUT_FUNCTION for c in calls)
+    return Footprint(reads, frozenset((INPUT,)) if inputs else frozenset())
+
+
+def sent(kind: str, op: str, peer: str, acked: bool) -> Footprint:
+    """A send to ``peer``, and with ``acked`` the receipt of its ack."""
+    writes = {("seq", kind)}
+    if acked:
+        writes.add(("recv", KIND_ACK, op, peer))
+    return Footprint(writes=frozenset(writes), sends=frozenset(((kind, op, peer),)))
+
+
+def received(kind: str, op: str, peer: str, acked: bool, var: str | None = None) -> Footprint:
+    """A receipt from ``peer``, with ``acked`` its ack, and the store
+    name ``var`` it is kept in, if any."""
+    writes = {("recv", kind, op, peer)}
+    sends: frozenset = frozenset()
+    if acked:
+        writes.add(("seq", KIND_ACK))
+        sends = frozenset(((KIND_ACK, op, peer),))
+    if var is None:
+        return Footprint(writes=frozenset(writes), sends=sends)
+    writes.add(("var", var))
+    return Footprint(frozenset((STORE,)), frozenset(writes), sends)
+
+
+def _footprint(node: "ProcessCode") -> Footprint:
+    """``node.footprint``: filled in for every node under ``node`` that
+    lacks one, children first and without recursion."""
+    for x in walk(node, post_order=True):
+        if "footprint" not in x.__dict__:
+            x.__dict__["footprint"] = _own_footprint(x)
+    return node.__dict__["footprint"]
+
+
+def _children(p: "ProcessCode") -> list:
+    out = []
+    for name, kind in _COMPARED[type(p)]:
+        if kind == 3:
+            out.append(getattr(p, name))
+        elif kind == 2:
+            out += getattr(p, name)
+    return out
+
+
+def _own_footprint(p: "ProcessCode") -> Footprint:
+    """What ``p`` may touch, with its children's footprints already known:
+    one case per class, as :meth:`~chorad.runtime.RoleExecutor._run` runs
+    it."""
+    cls = type(p)
+    parts = [x.__dict__["footprint"] for x in _children(p)]
+    if cls is LocalAssign:
+        parts += [expr_footprint(p.expr, p.calls),
+                  Footprint(frozenset((STORE,)), frozenset((("var", p.var),)))]
+    elif cls is SendTo:
+        parts += [expr_footprint(p.expr, p.calls), sent(KIND_MSG, p.op, p.peer, True)]
+    elif cls is RecvFrom:
+        parts.append(received(KIND_MSG, p.op, p.peer, True, p.var))
+    elif cls is ParP:
+        parts.append(Footprint(writes=frozenset((TIDS,))))
+    elif cls is IfLocal or cls is WhileLocal:
+        parts.append(expr_footprint(p.guard, p.calls))
+        parts += [sent(KIND_MSG, p.guard_op, peer, True) for peer in p.involved]
+        if cls is WhileLocal:
+            parts += [received(KIND_MSG, p.ack_op, peer, True) for peer in p.involved]
+    elif cls is IfFollow or cls is WhileFollow:
+        parts.append(received(KIND_MSG, p.guard_op, p.evaluator, True))
+        if cls is WhileFollow:
+            parts.append(sent(KIND_MSG, p.ack_op, p.evaluator, True))
+    elif cls is ScopeCoord:
+        parts += [sent(KIND_DIRECTIVE, p.directive_op, peer, False) for peer in p.involved]
+        parts += [received(KIND_DONE, p.done_op, peer, False) for peer in p.involved]
+        parts.append(Footprint(scoped=True))
+    elif cls is ScopeFollow:
+        parts += [received(KIND_DIRECTIVE, p.directive_op, p.coordinator, False),
+                  sent(KIND_DONE, p.done_op, p.coordinator, False), Footprint(scoped=True)]
+    return union(parts)
+
+
+@_node
+class ProcessCode(_Node):
+    """Base of process code: ``==`` and ``hash`` are the AST's iterative ones.
+
+    Every node has a ``footprint``: what running it may touch
+    (:class:`Footprint`), found when first asked for and kept on the node
+    like ``calls``.  Only ``explore`` asks."""
+
+    footprint = cached_property(_footprint)
 
 
 @_node
@@ -119,6 +259,14 @@ class RecvFrom(ProcessCode):
 @_node
 class SeqP(ProcessCode):
     items: tuple[ProcessCode, ...]
+
+    @cached_property
+    def suffixes(self) -> tuple[Footprint, ...]:
+        """Per position ``i``, the footprint of ``items[i:]``."""
+        out = [EMPTY]
+        for item in reversed(self.items):
+            out.append(union((item.footprint, out[-1])))
+        return tuple(reversed(out))
 
 
 @_node

@@ -77,6 +77,11 @@ from .ast import (
     find_calls,  # noqa: F401 (part of this module's interface)
 )
 from .project import (
+    INPUT_FUNCTION,  # noqa: F401 (part of this module's interface)
+    KIND_ACK,
+    KIND_DIRECTIVE,
+    KIND_DONE,
+    KIND_MSG,
     IfFollow,
     IfLocal,
     LocalAssign,
@@ -96,8 +101,6 @@ from .project import (
 )
 
 BARRIER_OP = "_aux_barrier"
-
-INPUT_FUNCTION = "getInput"
 
 
 class RoleError(Exception):
@@ -224,14 +227,12 @@ def eval_expr(e: Expr, variables: dict[str, Value],
 # Messages
 # =========================================================================
 
-# Role-to-role kinds; middleware conversations use their own kinds and are
-# classified wholesale below.
-KIND_MSG = "msg"
-KIND_ACK = "ack"
+# Role-to-role kinds: those projected code sends (KIND_MSG, KIND_ACK,
+# KIND_DIRECTIVE, KIND_DONE) come from projection, and the barrier's are
+# here; middleware conversations use their own kinds and are classified
+# wholesale below.
 KIND_READY = "ready"
 KIND_START = "start"
-KIND_DIRECTIVE = "directive"
-KIND_DONE = "done"
 
 
 class Message:

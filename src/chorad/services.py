@@ -58,21 +58,32 @@ TIMER_NAMES = ("startTimer", "endTimer", "stopTimer", "start", "end")
 
 
 class FunctionTable:
-    """Named behaviours plus the shared state some of them close over."""
+    """Named behaviours plus the shared state some of them close over.
+
+    A behaviour registered as pure answers from its arguments alone: it
+    keeps no state, so calls to it commute and a run need not remember
+    them.  Scripted replies, buffers and timers are not pure.
+    """
 
     def __init__(self) -> None:
         self._functions: dict[str, Callable[[list[Value]], Value]] = {}
+        self._impure: set[str] = set()
         self._buffers: dict[str, str] = {}
         self._lock = threading.Lock()
 
     # -- registration ------------------------------------------------------
 
-    def register(self, name: str, fn: Callable[[list[Value]], Value]) -> "FunctionTable":
+    def register(self, name: str, fn: Callable[[list[Value]], Value], *,
+                 pure: bool = False) -> "FunctionTable":
         self._functions[name] = fn
+        if pure:
+            self._impure.discard(name)
+        else:
+            self._impure.add(name)
         return self
 
     def fixed(self, name: str, value: Value) -> "FunctionTable":
-        return self.register(name, lambda args: value)
+        return self.register(name, lambda args: value, pure=True)
 
     def scripted(self, name: str, values: Sequence[Value]) -> "FunctionTable":
         remaining = list(values)
@@ -92,7 +103,7 @@ class FunctionTable:
                 raise ServiceError(f"'{name}' needs (text, offset)")
             return shift_text(args[0], args[1])
 
-        return self.register(name, fn)
+        return self.register(name, fn, pure=True)
 
     def prefixer(self, name: str, prefix: str) -> "FunctionTable":
         def fn(args: list[Value]) -> Value:
@@ -100,7 +111,7 @@ class FunctionTable:
                 raise ServiceError(f"'{name}' needs one argument")
             return prefix + render(args[0])
 
-        return self.register(name, fn)
+        return self.register(name, fn, pure=True)
 
     def adder(self, name: str = "add") -> "FunctionTable":
         def fn(args: list[Value]) -> Value:
@@ -109,7 +120,7 @@ class FunctionTable:
                 raise ServiceError(f"'{name}' needs two integers")
             return args[0] + args[1]
 
-        return self.register(name, fn)
+        return self.register(name, fn, pure=True)
 
     def buffers(self, get_name: str = "bufferGet",
                 set_name: str = "bufferSet") -> "FunctionTable":
@@ -132,15 +143,21 @@ class FunctionTable:
 
     def timers(self) -> "FunctionTable":
         # Measurement hooks from the performance scenarios; they carry no
-        # semantics here, so every spelling reports a constant.
+        # semantics here, so every spelling reports a constant.  A real
+        # timer reads the clock, so they are not pure.
         for name in TIMER_NAMES:
-            self.fixed(name, 0)
+            self.register(name, lambda args: 0)
         return self
 
     # -- use ---------------------------------------------------------------
 
     def names(self) -> list[str]:
         return sorted(self._functions)
+
+    def is_pure(self, name: str | None = None) -> bool:
+        """Whether the function ``name``, or with no name every function
+        here, was registered as pure."""
+        return not self._impure if name is None else name not in self._impure
 
     def call(self, name: str, args: list[Value]) -> Value:
         try:

@@ -34,9 +34,13 @@ from typing import Callable
 
 from .adapt import AdaptationManager
 from .ast import Value, _Node
-from .project import ProjectedApp, Target, _as_app
-from .runtime import (_EVAL, INPUT_FUNCTION, KIND_ACK, KIND_MSG, Message, RoleExecutor,
-                      StepOutcome, classify_message)
+from .project import (EMPTY, INPUT, STORE, TIDS, Footprint, ParP, ProjectedApp, ScopeCoord,
+                      ScopeFollow, SeqP, Target, _as_app, expr_footprint, received, sent,
+                      union)
+from .runtime import (_EVAL, _LEAD, _RECV, _SEND, BARRIER_OP, INPUT_FUNCTION,
+                      KIND_ACK, KIND_DONE, KIND_MSG, KIND_READY, KIND_START, READY,
+                      WAIT_JOIN, WAIT_RECV, Message, RoleExecutor, StepOutcome, _Task,
+                      classify_message)
 from .services import FunctionTable, Router, handle_call_request
 
 log = logging.getLogger("chorad.sim")
@@ -116,7 +120,8 @@ class _World:
         self.router = Router(
             services=config.services_factory() if config.services_factory else None,
             manager=self._manager, inputs=config.inputs, counts=self.counts)
-        # the in-process service calls so far, as (address, function, args)
+        # the in-process calls so far of functions that are not pure, as
+        # (address, function, args)
         self.service_calls: list[tuple[str, str, tuple]] = []
         self.applied_rules: list[tuple[str, str]] = []
         self.timeline = tuple(sorted(config.timeline, key=lambda e: e.at_step))
@@ -245,7 +250,8 @@ class _World:
             elif self.router.services:
                 fn, args = ext.payload
                 address = ex.includes.get(fn, ("",))[0]
-                if fn != INPUT_FUNCTION and address in self.router.services:
+                table = self.router.services.get(address)
+                if fn != INPUT_FUNCTION and table is not None and not table.is_pure(fn):
                     self.service_calls.append((address, fn, tuple(args)))
             ex.settle_ext(ext.tid, reply, why)
         if ex.failure and self.failure is None:
@@ -396,9 +402,11 @@ class _Codes:
 
 
 class _ReadLog(dict):
-    """A role's store that notes each name a step reads, also through
-    ``dict(store)``, and each name it writes; only the exploring world
-    installs it, and only for the reduction."""
+    """A role's store that notes each name a step reads and each name it
+    writes; only the exploring world installs it, and only for the
+    reduction.  ``dict(store)`` copies without noting reads: a scope's
+    match, the one step that reads the whole store, has its own
+    resource."""
 
     __slots__ = ("reads", "writes")
 
@@ -415,21 +423,84 @@ class _ReadLog(dict):
         self.writes.append(name)
         dict.__setitem__(self, name, value)
 
-    def __iter__(self):  # sends ``dict(store)`` through ``__getitem__``
-        return dict.__iter__(self)
 
-
-#: What a step touches: ``(reads, writes)``, two sets of resources, or None
-#: for a step that conflicts with every step.
+#: What a step touches: ``(reads, writes)``, two sets of the resources of
+#: its role (named as in :class:`~chorad.project.Footprint`), or None for a
+#: step that conflicts with every step of its role.
 _Footprint = tuple[set, set] | None
+
+#: What a task may yet touch: ``(reads, writes, sends, top)``, the first
+#: three as in :class:`~chorad.project.Footprint`, and ``top`` for a task
+#: that may run code not known yet (conflicting with every step of its
+#: role, sending on every key).
+_Future = tuple[frozenset, frozenset, frozenset, bool]
+
+
+_STORE_ONLY = frozenset((STORE,))
 
 
 def _conflict(a: _Footprint, b: _Footprint) -> bool:
-    """Whether one step writes what the other touches."""
+    """Whether one step writes what the other touches; both are of one
+    role, since steps of different roles share no resource.  Two matches
+    both "write" :data:`~chorad.project.STORE`, yet only read the store,
+    so that alone is no conflict."""
     if a is None or b is None:
         return True
-    return not (a[1].isdisjoint(b[1]) and a[1].isdisjoint(b[0])
-                and b[1].isdisjoint(a[0]))
+    if not (a[1].isdisjoint(b[0]) and b[1].isdisjoint(a[0])):
+        return True
+    if a[1].isdisjoint(b[1]):
+        return False
+    return STORE not in a[1] or bool(a[1] & b[1] - _STORE_ONLY)
+
+
+def _frame_key(f: list) -> tuple:
+    """What :func:`_frame_future` reads of the frame ``f``, with code
+    trees by id."""
+    p = f[0]
+    if type(p) is not str:
+        return (id(p), f[1])
+    if p is _EVAL:
+        return (p, id(f[2]))
+    if p is _LEAD:
+        return (p, tuple(f[2]))
+    if p is _RECV:
+        return (p, f[1], f[2], f[3], f[4])
+    return (p, f[1], f[2], f[3])  # _SEND: its op and peer
+
+
+def _frame_future(f: list, ex: RoleExecutor) -> Footprint:
+    """What the frame ``f`` of one of ``ex``'s tasks may yet touch: its
+    code from its position on, one case per frame kind of
+    :meth:`~chorad.runtime.RoleExecutor._run`.  A loop counts whole; a
+    ``|`` whose branches were spawned counts only its join, the branches
+    being tasks of their own; a scope whose share was pushed counts only
+    its completion notices, the share being a frame of its own."""
+    p, pc = f[0], f[1]
+    if type(p) is str:
+        if p is _SEND:  # [_SEND, pc, op, peer, seq]
+            return Footprint(writes=frozenset((("recv", KIND_ACK, f[2], f[3]),))) \
+                if pc == 1 else EMPTY
+        if p is _RECV:  # [_RECV, pc, op, peer, variable or None, data]: received
+            kept = Footprint(frozenset((STORE,)), frozenset((("var", f[4]),))) \
+                if f[4] is not None else EMPTY
+            return union((sent(KIND_ACK, f[2], f[3], False), kept)) if pc == 1 else kept
+        if p is _EVAL:  # [_EVAL, pc, expr, its calls, replies]
+            return expr_footprint(f[2], f[3])
+        if p is _LEAD:  # [_LEAD, pc, other roles, k]
+            return union([received(KIND_READY, BARRIER_OP, peer, False) for peer in f[2]]
+                         + [sent(KIND_START, BARRIER_OP, peer, False) for peer in f[2]])
+        return union((sent(KIND_READY, BARRIER_OP, ex.starter, False),  # _FOLLOW
+                      received(KIND_START, BARRIER_OP, ex.starter, False)))
+    cls = type(p)
+    if cls is SeqP:
+        return p.suffixes[pc]
+    if cls is ParP:
+        return p.footprint if pc == 0 else EMPTY
+    if cls is ScopeCoord and pc >= 3:
+        return union([received(KIND_DONE, p.done_op, peer, False) for peer in p.involved])
+    if cls is ScopeFollow and pc == 2:
+        return sent(KIND_DONE, p.done_op, p.coordinator, False)
+    return p.footprint
 
 
 @dataclass(eq=False)
@@ -456,8 +527,12 @@ class _ExploringWorld(_World):
         super().__init__(app, config)
         self.codes = codes
         self.reduce = reduce
+        # with a manager a match reads the whole store, and a scope's
+        # replacement code is not known in advance
+        self.matching = config.manager_factory is not None
         self.sleep: dict[tuple[str, int], _Footprint] = {}
         self.node: _Decision | None = None  # the decision the next step is a choice at
+        self._futures: dict[tuple, tuple] = {}  # see _future; forks share it
         self._log_stores()
 
     def fork(self) -> "_ExploringWorld":
@@ -471,67 +546,185 @@ class _ExploringWorld(_World):
             for ex in self.executors.values():
                 ex.variables = _ReadLog(ex.variables)
 
-    def options(self) -> list[int]:
-        """The awake ready tasks of one closed set of roles, as indices into
-        :meth:`ready_entries`: a persistent set less the sleep set.
+    def options(self, count: int) -> list[int]:
+        """A persistent set less the sleep set, as indices into the
+        ``count`` entries of :meth:`ready_entries`.  With at most one
+        awake ready task, or an awake one alone in its role, that is the
+        task; otherwise it is the awake ready tasks of the smallest
+        closure (:meth:`_closure`) that starts from one of them."""
+        sleep = self.sleep
+        if count == 1 and not sleep:
+            return [0]
+        i = 0
+        for role in self.app.roles:
+            ex = self.executors[role]
+            n = len(ex._ready)
+            if n == 1 and len(ex._tasks) == 1 and (role, ex._ready[0]) not in sleep:
+                return [i]  # no step of its role but its own
+            i += n
+        entries = self.ready_entries()
+        awake = [e for e in entries if e not in sleep]
+        if len(awake) > 1:
+            edges: dict[tuple[str, int], tuple[str, list]] = {}
+            best = awake
+            for start in awake:
+                chosen = self._closure(start, sleep, len(best), edges)
+                if chosen is not None:
+                    best = chosen
+                    if len(best) == 1:
+                        break
+            awake = best
+        chosen = set(awake)
+        return [i for i, e in enumerate(entries) if e in chosen]
 
-        Each role with ready tasks is closed under "has a task waiting to
-        receive from"; the closed set with the fewest ready tasks wins."""
-        roles = self.app.roles
-        ready = {r: self.executors[r].ready_tids() for r in roles}
-        waits = {r: {key[2] for key, q in self.executors[r]._waiters.items() if q}
-                 for r in roles}
-        chosen: set[str] = set()
-        fewest = 0
-        for role in roles:
-            if not ready[role]:
-                continue
-            closed, todo = {role}, [role]
-            while todo:
-                for peer in waits.get(todo.pop(), ()):
-                    if peer not in closed:
-                        closed.add(peer)
-                        todo.append(peer)
-            n = sum(len(ready.get(r, ())) for r in closed)
-            if not chosen or n < fewest:
-                chosen, fewest = closed, n
-        return [i for i, entry in enumerate(self.ready_entries())
-                if entry[0] in chosen and entry not in self.sleep]
+    def _closure(self, start: tuple[str, int], sleep: dict, limit: int,
+                 edges: dict) -> list | None:
+        """The awake ready tasks of a set of tasks that holds ``start``
+        and is closed under the rules of :meth:`_edges`, or None once
+        there are ``limit`` of them.  A task held up by a join on a child
+        in the set does not count as in conflict with a step: it cannot
+        pass the join before a step of the set runs, and the join itself
+        commutes with every step."""
+        members, todo, chosen = {start}, [start], [start]
+        holding = set()  # the parents of members, as (role, tid)
+        tasks = {role: ex._tasks for role, ex in self.executors.items()}
+        while todo:
+            entry = todo.pop()
+            holding.add((entry[0], tasks[entry[0]][entry[1]].parent))
+            rule, found = edges.get(entry) or edges.setdefault(entry, self._edges(*entry))
+            if rule == WAIT_JOIN:
+                if any(child in members for child in found):
+                    continue
+                found = found[:1]
+            for other in found:
+                if other in members:
+                    continue
+                task = tasks[other[0]][other[1]]
+                if rule == READY and other in holding and (
+                        task.state == WAIT_JOIN
+                        or (type(task.frames[-1][0]) is ParP and task.frames[-1][1] == 1)):
+                    continue
+                members.add(other)
+                todo.append(other)
+                if task.state == READY and other not in sleep:
+                    chosen.append(other)
+                    if len(chosen) >= limit:
+                        return None
+        return chosen
+
+    def _edges(self, role: str, tid: int) -> tuple[str, list]:
+        """The tasks a closure must take in with the task ``tid`` of
+        ``role``, by the rule its state picks:
+
+        * ready: every task of its role whose future (:meth:`_future`)
+          conflicts with its next step (:meth:`_next_step`);
+        * waiting to receive: every task whose future sends on the key it
+          waits on;
+        * waiting to join: its children, one of which is enough.
+        """
+        ex = self.executors[role]
+        task = ex._tasks[tid]
+        if task.state == READY:
+            if len(ex._tasks) == 1:
+                return READY, []
+            others = [(u.tid, self._future(role, u))
+                      for u in ex._tasks.values() if u is not task]
+            # the next step is run on copies only if the future of some
+            # task conflicts with this one's
+            own = self._future(role, task)
+            if not own[3]:
+                others = [(u, f) for u, f in others if f[3] or _conflict(own, f)]
+            if others:
+                step = self._next_step(role, task)
+                others = [(u, f) for u, f in others if f[3] or _conflict(step, f)]
+            return READY, [(role, u) for u, _ in others]
+        if task.state == WAIT_RECV:
+            kind, op, peer = task.wait_key
+            sender = self.executors.get(peer)
+            key = (kind, op, role)
+            found = []
+            for u in (sender._tasks.values() if sender is not None else ()):
+                future = self._future(peer, u)
+                if future[3] or key in future[2]:
+                    found.append((peer, u.tid))
+            return WAIT_RECV, found
+        if task.state == WAIT_JOIN:
+            return WAIT_JOIN, [(role, u.tid) for u in ex._tasks.values() if u.parent == tid]
+        return task.state, []
+
+    def _future(self, role: str, task: _Task) -> _Future:
+        """What ``task`` may yet touch: the union, over its frames, of each
+        frame's code from its position on (:func:`_frame_future`).  A task
+        whose code enters a scope while a manager can replace it is
+        ``top``.  Kept by where each frame stands, for every world of the
+        search; the key holds the ids of code trees that the value keeps
+        alive."""
+        key = tuple(map(_frame_key, task.frames))
+        hit = self._futures.get(key)
+        if hit is None:
+            ex = self.executors[role]
+            fp = union([_frame_future(f, ex) for f in task.frames])
+            hit = self._futures[key] = ((fp.reads, fp.writes, fp.sends, fp.scoped and self.matching),
+                                        [f[2] if f[0] is _EVAL else f[0] for f in task.frames])
+        return hit[0]
+
+    def _next_step(self, role: str, task: _Task) -> _Footprint:
+        """The footprint of ``task``'s next step, found by running the step
+        on copies of the task's frames and of the role's store, counters,
+        locations and includes, which are all a step changes of its role
+        besides its mailbox and tasks."""
+        if task.resume_error is not None:
+            return None
+        ex = self.executors[role]
+        saved = ex.variables, ex._seq, ex.locations, ex.includes
+        store = _ReadLog(saved[0])
+        ex.variables, ex._seq = store, dict(saved[1])
+        ex.locations, ex.includes = dict(saved[2]), dict(saved[3])
+        try:
+            effect = ex._run([f.copy() for f in task.frames], task.resume_value)
+        except Exception:  # the step fails, as RoleExecutor.step would see it
+            return None
+        finally:
+            ex.variables, ex._seq, ex.locations, ex.includes = saved
+        if effect is None:
+            event: tuple = (task.tid, "end")
+        elif effect[0] == "send":
+            event = (task.tid, "send", effect[1].kind)
+        elif effect[0] in ("recv", "call"):
+            event = (task.tid, *effect)
+        else:
+            event = (task.tid, effect[0])
+        return self._footprint(store, event)
 
     def advance(self, role: str, tid: int) -> StepOutcome:
         if not self.reduce:
             return super().advance(role, tid)
-        ex = self.executors[role]
-        parent = ex._tasks[tid].parent
-        store = ex.variables
+        store = self.executors[role].variables
         store.reads, store.writes = [], []
         outcome = super().advance(role, tid)
         if self.node is not None or self.sleep:
-            self._update_sleep((role, tid), self._footprint(role, parent, store, outcome.event))
+            self._update_sleep((role, tid), self._footprint(store, outcome.event))
         return outcome
 
-    @staticmethod
-    def _footprint(role: str, parent: int | None, store: _ReadLog,
-                   event: tuple) -> _Footprint:
+    def _footprint(self, store: _ReadLog, event: tuple) -> _Footprint:
         """What the step with ``event`` touched, as :func:`explore` says."""
-        tid, verb = event[0], event[1]
-        reads = {("var", role, name) for name in store.reads}
-        writes = {("var", role, name) for name in store.writes}
+        verb = event[1]
+        reads = {("var", name) for name in store.reads}
+        writes = {("var", name) for name in store.writes}
+        if writes:
+            reads.add(STORE)
         if verb == "send":
-            writes.add(("seq", role, event[2]))
+            writes.add(("seq", event[2]))
         elif verb == "recv":
-            writes.add(("recv", role, *event[2:]))
+            writes.add(("recv", *event[2:5]))
         elif verb == "spawn":
-            writes.update((("tid", role), ("kids", role, tid)))
-        elif verb == "join":
-            writes.add(("kids", role, tid))
-        elif verb == "end":
-            if parent is not None:
-                reads.add(("kids", role, parent))
+            writes.add(TIDS)
         elif verb == "call":
-            if event[2] != INPUT_FUNCTION:
-                return None
-            writes.add(("input", role))
+            if event[2] == INPUT_FUNCTION:
+                writes.add(INPUT)
+        elif verb == "match":
+            if self.matching:
+                writes.add(STORE)
         return reads, writes
 
     def _update_sleep(self, entry: tuple[str, int], footprint: _Footprint) -> None:
@@ -542,7 +735,9 @@ class _ExploringWorld(_World):
         if node is not None:
             sleep = {**node.sleep, **dict(node.done)}
             node.done.append((entry, footprint))
-        self.sleep = {e: f for e, f in sleep.items() if not _conflict(f, footprint)}
+        role = entry[0]
+        self.sleep = {e: f for e, f in sleep.items()
+                      if e[0] != role or not _conflict(f, footprint)}
 
     def _frame(self, f: list) -> tuple:
         """A frame as exact data, each code tree in it as its key."""
@@ -631,34 +826,69 @@ def explore(target: Target, config: SimConfig | None = None, *,
 
     The reduction (Godefroid, *Partial-Order Methods for the Verification
     of Concurrent Systems*, 1996) keeps every final store, deadlock and
-    terminal state.  It expands, at each state, only the ready tasks of one
-    set of roles closed under "has a task waiting to receive from" (the
-    closed set with the fewest ready tasks): tasks of different roles share
-    no store, sequence counter or tid; a mailbox key names its sender, so
-    no two roles send on one key; and a send and a receive on one key reach
-    the same state in either order.  So a role outside the set can only
-    queue messages no task in the set waits for, and cannot interfere
-    before a step of the set runs.  On top, sleep sets skip orders that
-    differ only by commuting steps.  A step's footprint holds the store
-    names it reads and writes, the sequence counter of the kind it sent
-    (which stands for the mailbox key it sent on), the key it received on,
-    its spawn and join on its own children and its end on its parent's,
-    and ``getInput``'s script position; any other ``call`` conflicts with
-    every step, and ``match`` only reads a manager no step changes.  Two
-    steps conflict when one writes what the other touches; ends of siblings
-    do not.  After each choice, the choices already explored at that
-    decision that commute with it go to sleep; a sleeping task is never
-    chosen, and a run whose persistent set is all asleep ends without an
-    outcome.  A state is abandoned only if it was expanded before with a
-    sleep set that is a subset of the current one.
+    terminal state.  At each state it expands a persistent set of ready
+    tasks, built as a stubborn set (Valmari, "Stubborn sets for reduced
+    state space generation", 1990): starting from one awake ready task,
+    it takes in
+    - with a ready task, every task of the same role whose future may
+      conflict with the task's next step;
+    - with a task waiting to receive, every task whose future sends on
+      the key it waits on;
+    - with a task waiting to join, one of its children;
+    and of the closures from each awake ready task it keeps one with the
+    fewest awake ready tasks.  The next step is the step itself, run on
+    copies of the task and of its role's state.  A task's future is the
+    union, over its frames, of the static footprint of the frame's code
+    from its position on (:class:`~chorad.project.Footprint`): a loop
+    counts whole, a ``|`` whose branches were spawned counts its join
+    only, and code that enters a scope while a manager can replace it may
+    do anything.
+
+    Why such a set is persistent: steps of different roles touch nothing
+    in common, since each role has its own store, counters and tids, a
+    mailbox key names its sender, so no two roles send on one key, and a
+    send and a receive on one key reach the same state in either order.
+    So a task outside the set can only take steps that commute with every
+    next step in the set: none of its future conflicts with one, and any
+    task it spawns runs code of its future.  A waiting task in the set
+    stays blocked until a step of the set runs: whatever can send on its
+    key is in the set, and so is a child it joins.  A parent held at a
+    join on a child in the set cannot pass the join before that, and the
+    join and a child's end reach the same state in either order, so its
+    later code does not count.  Hence no sequence of steps outside the set
+    changes, enables or disables what the set's tasks do next.
+
+    On top, sleep sets skip orders that differ only by commuting steps.  A
+    step's footprint holds the store names it reads and writes, the
+    sequence counter of the kind it sent (which stands for the mailbox key
+    it sent on), the key it received on, the role's next tid for a spawn,
+    and ``getInput``'s script position; a service call, pure whenever the
+    reduction runs, touches only the names its arguments read.  With a
+    manager, a ``match`` reads the whole store: a store write reads
+    :data:`~chorad.project.STORE` and a match writes it, and two matches
+    do not conflict.  Two steps conflict when they are of one role and one
+    writes what the other touches.  After each choice, the choices already
+    explored at that decision that commute with it go to sleep; a sleeping
+    task is never chosen, and a run whose persistent set is all asleep
+    ends without an outcome.  A state is abandoned only if it was expanded
+    before with a sleep set that is a subset of the current one.
 
     The reduction applies only when the config has no ``timeline`` (events
-    fire by step count) and no ``services_factory`` (a table's state is
-    shared by every role that calls it).  Cross-role commutation assumes
-    that no step fails, so when a run ends in ``error`` or ``stepLimit`` the
-    search restarts without the reduction; the runs before the restart
-    count toward ``paths`` and ``max_paths``.  If a failure or the step
-    limit is reachable at all, the reduced search reaches one of them.
+    fire by step count) and every function of every service table is pure
+    (:meth:`~chorad.services.FunctionTable.register`): a stateful table is
+    shared by every role that calls it.  A failing step ends the run, so
+    it conflicts with every step, which footprints do not say; so when a
+    run ends in ``error`` or ``stepLimit`` the search restarts without the
+    reduction, and the runs before the restart count toward ``paths`` and
+    ``max_paths``.  A reachable failure is still reached before the
+    restart.  Take the system in which a failing step stops only its own
+    task and raises a flag that no step reads: there it touches what its
+    footprint says, the sets above stay persistent, and the reduction
+    keeps every terminal state.  If a failure is reachable, so is a
+    terminal state with the flag raised; the reduced search follows a path
+    to one, and the run along that path ends in ``error`` at its first
+    failing step.  A run cut by the step budget is covered alike, the cut
+    being a failure of the step that reaches the budget.
 
     State matching needs the state exact, or a pruned run could hide a
     behaviour; it is tuples of values and small ints, never a hash.  Per
@@ -673,13 +903,15 @@ def explore(target: Target, config: SimConfig | None = None, *,
     and the step budget cuts in, and keep the state graph acyclic; the
     inputs taken; and the in-process service calls in order, since a
     table's position (a scripted reply list, a buffer) is hidden in it and
-    follows from them.
+    follows from them; calls of pure functions change no table and are
+    left out.
     Rule managers change only through the timeline.  Task events keep
     their message ``seq``, which a later step compares with its ack.
     """
     config = replace(config or SimConfig(), hash_trace=False, collect_trace=False)
     app = _as_app(target)
-    reduce = not config.timeline and config.services_factory is None
+    tables = config.services_factory() if config.services_factory else {}
+    reduce = not config.timeline and all(t.is_pure() for t in tables.values())
     try:
         return _search(app, config, max_paths, reduce=reduce)
     except _Restart as restart:
@@ -720,7 +952,7 @@ def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
                 taken = None
                 return path[-1]
             if reduce:
-                options = world.options()
+                options = world.options(count)
                 if not options:
                     raise _Abandon
             elif count == 1:

@@ -144,6 +144,30 @@ class _Gen:
             parts.append(text)
         return ";\n".join(parts), frontier
 
+    def nested_par(self, frontier: set[str], depth: int, budget: list[int]):
+        """A ``|`` of two branches of one or two statements each, where a
+        statement may itself be such a ``|`` down to depth 3.  A branch
+        reads only what was bound before the block or in itself."""
+        saved = self._snapshot()
+        branches, finals, bound = [], set(), self._snapshot()
+        for _ in range(2):
+            self.bound = {r: list(v) for r, v in saved.items()}
+            parts, here = [], frontier
+            for _ in range(self.rng.randint(1, 2)):
+                if budget[0] <= 0 and parts:
+                    break
+                if depth < 3 and self.rng.random() < 0.35:
+                    text, here = self.nested_par(here, depth + 1, budget)
+                else:
+                    text, here = self.stmt(here, depth, budget, False, basic=True)
+                parts.append(text)
+            branches.append("; ".join(parts))
+            finals |= here
+            for r in self.roles:
+                bound[r] += [v for v in self.bound[r] if v not in bound[r]]
+        self.bound = bound
+        return "{ " + " | ".join(branches) + " }", finals
+
 
 def random_program_source(seed: int, *, allow_par: bool = True) -> str:
     rng = random.Random(seed)
@@ -164,6 +188,27 @@ def random_connected_source(seed: int, *, allow_par: bool = True) -> str:
         if not has_errors(check_program(parse_program(source))):
             return source
     raise AssertionError(f"seed {seed}: no connected program in 50 attempts")
+
+
+def random_nested_par_source(seed: int) -> str:
+    """Source of a connected program whose body is one ``|`` block nested
+    to depth 3, with branches of at most two statements and a budget of
+    4 to 10 statements; retries derived seeds as
+    :func:`random_connected_source` does."""
+    for attempt in range(50):
+        rng = random.Random(seed * 1009 + attempt)
+        roles = ROLES[:rng.choice((2, 3))]
+        gen = _Gen(rng, roles)
+        body, _ = gen.nested_par({roles[0]}, 1, [rng.randint(4, 10)])
+        source = f"preamble {{ starter: {roles[0]} }}\n\naioc {{\n{body}\n}}\n"
+        if not has_errors(check_program(parse_program(source))):
+            return source
+    raise AssertionError(f"seed {seed}: no connected program in 50 attempts")
+
+
+def random_nested_par_program(seed: int):
+    """The parsed program of :func:`random_nested_par_source`."""
+    return parse_program(random_nested_par_source(seed))
 
 
 def random_connected_program(seed: int, *, allow_par: bool = True):

@@ -90,6 +90,18 @@ def test_unknown_function_is_a_service_error():
         FunctionTable().call("nope", [])
 
 
+def test_only_stateless_behaviours_are_pure():
+    pure = FunctionTable().fixed("f", 1).shifter().prefixer("p", "x").adder()
+    assert pure.is_pure() and pure.is_pure("shift") and pure.is_pure("f")
+    for stateful in (FunctionTable().scripted("next", [1]), FunctionTable().buffers(),
+                     FunctionTable().timers(), FunctionTable().register("g", len)):
+        assert not stateful.is_pure()
+    mixed = FunctionTable().fixed("f", 1).scripted("next", [1])
+    assert mixed.is_pure("f") and not mixed.is_pure("next") and not mixed.is_pure()
+    # registering a name again replaces its purity with the behaviour
+    assert mixed.register("next", len, pure=True).is_pure()
+
+
 def test_names_are_sorted():
     t = FunctionTable().fixed("z", 1).fixed("a", 2)
     assert t.names() == ["a", "z"]
