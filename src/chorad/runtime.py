@@ -427,7 +427,7 @@ class RoleExecutor:
         new.roles = list(self.roles)
         new.locations = dict(self.locations)
         new.includes = dict(self.includes)
-        new.variables = dict(self.variables.items())  # never through a logging store's reads
+        new.variables = dict(self.variables)
         new._tasks = {tid: t.copy() for tid, t in self._tasks.items()}
         new._ready = list(self._ready)
         new._queues = {k: deque(q) for k, q in self._queues.items()}

@@ -402,11 +402,11 @@ class _Codes:
 
 
 class _ReadLog(dict):
-    """A role's store that notes each name a step reads and each name it
-    writes; only the exploring world installs it, and only for the
-    reduction.  ``dict(store)`` copies without noting reads: a scope's
-    match, the one step that reads the whole store, has its own
-    resource."""
+    """A copy of a role's store that notes each name a step reads and each
+    name it writes: :meth:`_ExploringWorld._next_step` runs a step on one
+    to learn its footprint, so no world's own store pays for the logging.
+    ``dict(store)`` copies without noting reads: a scope's match, the one
+    step that reads the whole store, has its own resource."""
 
     __slots__ = ("reads", "writes")
 
@@ -503,88 +503,49 @@ def _frame_future(f: list, ex: RoleExecutor) -> Footprint:
     return p.footprint
 
 
-@dataclass(eq=False)
-class _Decision:
-    """A decision point as the choices queued there see it: its sleep set,
-    and the choices taken there so far with their footprints."""
-
-    sleep: dict[tuple[str, int], _Footprint]
-    done: list[tuple[tuple[str, int], _Footprint]] = field(default_factory=list)
-
-
 class _ExploringWorld(_World):
-    """A run that can name its state exactly (:meth:`fingerprint`) and
-    keeps the reduction's sleep set; :func:`explore` says what both hold.
+    """A run that can name its state exactly (:meth:`fingerprint`) and pick
+    a persistent set of its ready tasks (:meth:`options`); :func:`explore`
+    says what both hold."""
 
-    Only this world logs store reads and writes, and only for the
-    reduction: :func:`simulate` and the live driver pay for none of it.
-    :meth:`fork` copies the sleep set and the logging stores with the rest
-    of the world.
-    """
-
-    def __init__(self, app: ProjectedApp, config: SimConfig, codes: _Codes,
-                 reduce: bool):
+    def __init__(self, app: ProjectedApp, config: SimConfig, codes: _Codes):
         super().__init__(app, config)
         self.codes = codes
-        self.reduce = reduce
         # with a manager a match reads the whole store, and a scope's
         # replacement code is not known in advance
         self.matching = config.manager_factory is not None
-        self.sleep: dict[tuple[str, int], _Footprint] = {}
-        self.node: _Decision | None = None  # the decision the next step is a choice at
         self._futures: dict[tuple, tuple] = {}  # see _future; forks share it
-        self._log_stores()
 
-    def fork(self) -> "_ExploringWorld":
-        new = super().fork()
-        new.sleep = dict(self.sleep)
-        new._log_stores()
-        return new
-
-    def _log_stores(self) -> None:
-        if self.reduce:
-            for ex in self.executors.values():
-                ex.variables = _ReadLog(ex.variables)
-
-    def options(self, count: int) -> list[int]:
-        """A persistent set less the sleep set, as indices into the
-        ``count`` entries of :meth:`ready_entries`.  With at most one
-        awake ready task, or an awake one alone in its role, that is the
-        task; otherwise it is the awake ready tasks of the smallest
-        closure (:meth:`_closure`) that starts from one of them."""
-        sleep = self.sleep
-        if count == 1 and not sleep:
-            return [0]
+    def options(self) -> list[int]:
+        """A persistent set, as indices into :meth:`ready_entries`.  With
+        a ready task alone in its role, that is the task; otherwise it is
+        the ready tasks of the smallest closure (:meth:`_closure`) that
+        starts from one of them."""
         i = 0
         for role in self.app.roles:
             ex = self.executors[role]
             n = len(ex._ready)
-            if n == 1 and len(ex._tasks) == 1 and (role, ex._ready[0]) not in sleep:
+            if n == 1 and len(ex._tasks) == 1:
                 return [i]  # no step of its role but its own
             i += n
-        entries = self.ready_entries()
-        awake = [e for e in entries if e not in sleep]
-        if len(awake) > 1:
-            edges: dict[tuple[str, int], tuple[str, list]] = {}
-            best = awake
-            for start in awake:
-                chosen = self._closure(start, sleep, len(best), edges)
-                if chosen is not None:
-                    best = chosen
-                    if len(best) == 1:
-                        break
-            awake = best
-        chosen = set(awake)
+        entries = best = self.ready_entries()
+        edges: dict[tuple[str, int], tuple[str, list]] = {}
+        for start in entries:
+            chosen = self._closure(start, len(best), edges)
+            if chosen is not None:
+                best = chosen
+                if len(best) == 1:
+                    break
+        chosen = set(best)
         return [i for i, e in enumerate(entries) if e in chosen]
 
-    def _closure(self, start: tuple[str, int], sleep: dict, limit: int,
-                 edges: dict) -> list | None:
-        """The awake ready tasks of a set of tasks that holds ``start``
-        and is closed under the rules of :meth:`_edges`, or None once
-        there are ``limit`` of them.  A task held up by a join on a child
-        in the set does not count as in conflict with a step: it cannot
-        pass the join before a step of the set runs, and the join itself
-        commutes with every step."""
+    def _closure(self, start: tuple[str, int], limit: int, edges: dict) -> list | None:
+        """The ready tasks of a set of tasks that holds ``start`` and is
+        closed under the rules of :meth:`_edges`, or None once there are
+        ``limit`` of them.  A task held up by a join on a child in the set
+        does not count as in conflict with a step: it cannot pass the join
+        before a step of the set runs, and the join itself commutes with
+        every step."""
         members, todo, chosen = {start}, [start], [start]
         holding = set()  # the parents of members, as (role, tid)
         tasks = {role: ex._tasks for role, ex in self.executors.items()}
@@ -606,7 +567,7 @@ class _ExploringWorld(_World):
                     continue
                 members.add(other)
                 todo.append(other)
-                if task.state == READY and other not in sleep:
+                if task.state == READY:
                     chosen.append(other)
                     if len(chosen) >= limit:
                         return None
@@ -696,16 +657,6 @@ class _ExploringWorld(_World):
             event = (task.tid, effect[0])
         return self._footprint(store, event)
 
-    def advance(self, role: str, tid: int) -> StepOutcome:
-        if not self.reduce:
-            return super().advance(role, tid)
-        store = self.executors[role].variables
-        store.reads, store.writes = [], []
-        outcome = super().advance(role, tid)
-        if self.node is not None or self.sleep:
-            self._update_sleep((role, tid), self._footprint(store, outcome.event))
-        return outcome
-
     def _footprint(self, store: _ReadLog, event: tuple) -> _Footprint:
         """What the step with ``event`` touched, as :func:`explore` says."""
         verb = event[1]
@@ -726,18 +677,6 @@ class _ExploringWorld(_World):
             if self.matching:
                 writes.add(STORE)
         return reads, writes
-
-    def _update_sleep(self, entry: tuple[str, int], footprint: _Footprint) -> None:
-        """Keep asleep what commutes with the step ``entry`` just took; at a
-        decision, that is the node's sleep set and its earlier choices."""
-        node, self.node = self.node, None
-        sleep = self.sleep
-        if node is not None:
-            sleep = {**node.sleep, **dict(node.done)}
-            node.done.append((entry, footprint))
-        role = entry[0]
-        self.sleep = {e: f for e, f in sleep.items()
-                      if e[0] != role or not _conflict(f, footprint)}
 
     def _frame(self, f: list) -> tuple:
         """A frame as exact data, each code tree in it as its key."""
@@ -768,8 +707,7 @@ class _ExploringWorld(_World):
 
 
 class _Abandon(Exception):
-    """Ends a run at a state the search has already expanded, or whose
-    persistent set is asleep."""
+    """Ends a run at a state the search has already expanded."""
 
 
 class _Restart(Exception):
@@ -783,7 +721,7 @@ class _Restart(Exception):
 
 @dataclass
 class ExplorationReport:
-    paths: int  # runs started, those abandoned (seen state, all asleep) included
+    paths: int  # runs started, those abandoned at a seen state included
     outcomes: dict[str, int]  # runs that ended, by outcome
     deadlocks: list[tuple[int, ...]]
     complete: bool
@@ -828,21 +766,20 @@ def explore(target: Target, config: SimConfig | None = None, *,
     of Concurrent Systems*, 1996) keeps every final store, deadlock and
     terminal state.  At each state it expands a persistent set of ready
     tasks, built as a stubborn set (Valmari, "Stubborn sets for reduced
-    state space generation", 1990): starting from one awake ready task,
-    it takes in
+    state space generation", 1990): starting from one ready task, it
+    takes in
     - with a ready task, every task of the same role whose future may
       conflict with the task's next step;
     - with a task waiting to receive, every task whose future sends on
       the key it waits on;
     - with a task waiting to join, one of its children;
-    and of the closures from each awake ready task it keeps one with the
-    fewest awake ready tasks.  The next step is the step itself, run on
-    copies of the task and of its role's state.  A task's future is the
-    union, over its frames, of the static footprint of the frame's code
-    from its position on (:class:`~chorad.project.Footprint`): a loop
-    counts whole, a ``|`` whose branches were spawned counts its join
-    only, and code that enters a scope while a manager can replace it may
-    do anything.
+    and of the closures from each ready task it keeps one with the fewest
+    ready tasks.  The next step is the step itself, run on copies of the
+    task and of its role's state.  A task's future is the union, over its
+    frames, of the static footprint of the frame's code from its position
+    on (:class:`~chorad.project.Footprint`): a loop counts whole, a ``|``
+    whose branches were spawned counts its join only, and code that
+    enters a scope while a manager can replace it may do anything.
 
     Why such a set is persistent: steps of different roles touch nothing
     in common, since each role has its own store, counters and tids, a
@@ -858,20 +795,24 @@ def explore(target: Target, config: SimConfig | None = None, *,
     later code does not count.  Hence no sequence of steps outside the set
     changes, enables or disables what the set's tasks do next.
 
-    On top, sleep sets skip orders that differ only by commuting steps.  A
-    step's footprint holds the store names it reads and writes, the
-    sequence counter of the kind it sent (which stands for the mailbox key
-    it sent on), the key it received on, the role's next tid for a spawn,
-    and ``getInput``'s script position; a service call, pure whenever the
-    reduction runs, touches only the names its arguments read.  With a
-    manager, a ``match`` reads the whole store: a store write reads
-    :data:`~chorad.project.STORE` and a match writes it, and two matches
-    do not conflict.  Two steps conflict when they are of one role and one
-    writes what the other touches.  After each choice, the choices already
-    explored at that decision that commute with it go to sleep; a sleeping
-    task is never chosen, and a run whose persistent set is all asleep
-    ends without an outcome.  A state is abandoned only if it was expanded
-    before with a sleep set that is a subset of the current one.
+    The next step's footprint holds the store names it reads and writes,
+    the sequence counter of the kind it sent (which stands for the mailbox
+    key it sent on), the key it received on, the role's next tid for a
+    spawn, and ``getInput``'s script position; a service call, pure
+    whenever the reduction runs, touches only the names its arguments
+    read.  With a manager, a ``match`` reads the whole store: a store
+    write reads :data:`~chorad.project.STORE` and a match writes it, and
+    two matches do not conflict.  Two steps conflict when they are of one
+    role and one writes what the other touches.
+
+    Why persistent sets and state matching are the whole reduction: the
+    fingerprint holds the step count, so every step leads to a new state
+    and the state graph is acyclic.  On a finite acyclic graph, a search
+    that expands a persistent set at every state it reaches keeps every
+    deadlock and terminal state (Godefroid, 1996), with no proviso against
+    cycles that ignore a task.  The persistent set is a function of the
+    state, so expanding a state a second time would queue the same choices
+    again; a state already expanded is therefore abandoned.
 
     The reduction applies only when the config has no ``timeline`` (events
     fire by step count) and every function of every service table is pure
@@ -924,25 +865,23 @@ def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
     ``paths`` runs already spent.  Its stack holds, per queued choice, the
     copy of the world taken at the choice's decision; the last choice
     popped for a copy runs on the copy itself."""
-    # each state expanded, with the sleep sets it was expanded with
-    seen: dict[tuple, list[frozenset]] = {}
+    seen: set[tuple] = set()  # each state expanded
     outcomes: Counter[str] = Counter()
     finals: Counter[str] = Counter()
     deadlocks: list[tuple[int, ...]] = []
     leaky = 0
     # (the world at a decision, the path to it, the choice to take there,
-    # the decision, whether no other entry holds that world); the first run
-    # starts from a new world and has no decision to take up
-    stack: list[tuple[_ExploringWorld, tuple[int, ...], int | None, _Decision | None, bool]] = [
-        (_ExploringWorld(app, config, _Codes(), reduce), (), None, None, True)]
+    # whether no other entry holds that world); the first run starts from a
+    # new world and has no choice to take up
+    stack: list[tuple[_ExploringWorld, tuple[int, ...], int | None, bool]] = [
+        (_ExploringWorld(app, config, _Codes()), (), None, True)]
     complete = True
     while stack:
         if paths >= max_paths:
             complete = False
             break
-        snapshot, path_there, taken, node, last = stack.pop()
+        snapshot, path_there, taken, last = stack.pop()
         world = snapshot if last else snapshot.fork()
-        world.node = node
         path = list(path_there)
 
         def choose(count: int) -> int:
@@ -951,28 +890,19 @@ def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
                 path.append(taken)
                 taken = None
                 return path[-1]
-            if reduce:
-                options = world.options(count)
-                if not options:
-                    raise _Abandon
-            elif count == 1:
+            if count == 1:
                 return 0
-            else:
-                options = range(count)
+            options = world.options() if reduce else range(count)
             if len(options) > 1:
                 state = world.fingerprint()
-                asleep = frozenset(world.sleep)
-                expanded = seen.setdefault(state, [])
-                if any(z <= asleep for z in expanded):
+                if state in seen:
                     raise _Abandon
-                expanded.append(asleep)
-                world.node = here = _Decision(world.sleep)
+                seen.add(state)
                 snap, there = world.fork(), tuple(path)
                 # Deepest on top: the next run takes the deepest decision's next choice.
-                stack.extend((snap, there, k, here, k == options[-1])
+                stack.extend((snap, there, k, k == options[-1])
                              for k in reversed(options[1:]))
-            if count > 1:
-                path.append(options[0])
+            path.append(options[0])
             return options[0]
 
         paths += 1
