@@ -32,12 +32,17 @@ A scope entry costs about the same however many rules are published:
   building its name store once; the index only prunes, so the first match
   is the one a linear scan finds;
 * a match reply carries the replacement once, as the rule's compiled code
-  per role (``"code"``, in the codec ``chorad compile`` writes); every
-  participant decodes its own share and re-roots it at the scope it replaces
+  per role (``"code"``, in the codec ``chorad compile`` writes), encoded at
+  publication and shared by every reply; every participant decodes its own
+  share and re-roots it at the scope it replaces
   (:func:`~chorad.project.reroot_proc`).  Participants parse nothing.
 
 The index is a discrimination network in the manner of Rete (Forgy, 1982),
 kept to equality tests.
+
+Environments, servers and managers fork as data, so a run can be copied
+whole: a server's fork shares its admitted rules, one immutable value, and
+a manager's fork copies the environment and the match log.
 """
 
 from __future__ import annotations
@@ -82,6 +87,10 @@ class Environment:
     def snapshot(self) -> dict[str, Value]:
         with self._lock:
             return dict(self._data)
+
+    def fork(self) -> "Environment":
+        """A copy that runs on alone."""
+        return Environment(self.snapshot())
 
 
 def _names(props: dict[str, Value], variables: dict[str, Value],
@@ -163,16 +172,15 @@ class AdaptationServer:
     rendered literal of one ``name == literal`` conjunct of its condition;
     rules without one are kept on a scan list.  A request evaluates only the
     rules its own values select plus the scan list, in publication order.
+    :meth:`publish` replaces the admitted rules whole, so readers need no lock.
     """
 
     def __init__(self, server_id: str = "s0"):
         self.server_id = server_id
-        # (rule id, rule, code per role in the body), in publication order
-        self._rules: list[tuple[str, Rule, dict[str, ProcessCode]]] = []
-        # name -> rendered literal -> positions in _rules, ascending
-        self._index: dict[str, dict[str, list[int]]] = {}
-        self._scan: list[int] = []
-        self._published = 0
+        # (rules, index, scan): (rule id, rule, match reply) in publication
+        # order; name -> rendered literal -> positions in rules, ascending;
+        # positions of the rules without an index key
+        self._admitted: tuple[tuple, dict, tuple] = ((), {}, ())
         self._lock = threading.Lock()
 
     def publish(self, source: str):
@@ -188,47 +196,49 @@ class AdaptationServer:
             violations.extend(check_rule(r))
         if has_errors(violations):
             return violations
-        compiled = [(r, compile_rule(r)) for r in rules]
+        compiled = [(r, {role: proc_to_data(c) for role, c in compile_rule(r).items()})
+                    for r in rules]
         with self._lock:
+            admitted, index, scan = self._admitted
+            index = {name: dict(by_text) for name, by_text in index.items()}
             for r, code in compiled:
-                self._published += 1
-                key = index_key(r.condition)
-                slot = self._scan if key is None else \
-                    self._index.setdefault(key[0], {}).setdefault(key[1], [])
-                slot.append(len(self._rules))
-                self._rules.append((f"{self.server_id}/r{self._published}", r, code))
+                pos, key = len(admitted), index_key(r.condition)
+                if key is None:
+                    scan += (pos,)
+                else:
+                    by_text = index.setdefault(key[0], {})
+                    by_text[key[1]] = by_text.get(key[1], ()) + (pos,)
+                rule_id = f"{self.server_id}/r{pos + 1}"
+                admitted += ((rule_id, r, {"matched": True, "rule": rule_id, "code": code,
+                                           "includes": [[fn, inc.address, inc.protocol]
+                                                        for inc in r.includes
+                                                        for fn in inc.functions]}),)
+            self._admitted = admitted, index, scan
         return violations
 
     def rules(self) -> list[tuple[str, Rule]]:
-        with self._lock:
-            return [(rule_id, rule) for rule_id, rule, _ in self._rules]
+        return [(rule_id, rule) for rule_id, rule, _ in self._admitted[0]]
+
+    def fork(self) -> "AdaptationServer":
+        """A server that holds these rules and runs on alone."""
+        new = AdaptationServer(self.server_id)
+        new._admitted = self._admitted
+        return new
 
     def match(self, request: dict[str, Any],
               env: dict[str, Value]) -> dict[str, Any] | None:
-        """First applicable rule in publication order, or None."""
+        """The reply of the first applicable rule in publication order, or
+        None.  Replies are shared: read them, never change them."""
         names = _request_names(request, env)
         allowed = _scope_roles(request)
-        with self._lock:
-            published = len(self._rules)
-            candidates = [self._scan] + [
-                hits for name, by_text in self._index.items() if name in names
-                and (hits := by_text.get(render(names[name])))]
-        # the lists only grow, at positions past `published`
+        rules, index, scan = self._admitted
+        candidates = [scan] + [
+            hits for name, by_text in index.items() if name in names
+            and (hits := by_text.get(render(names[name])))]
         for pos in heapq.merge(*candidates):
-            if pos >= published:
-                break
-            rule_id, rule, code = self._rules[pos]
+            _, rule, reply = rules[pos]
             if rule.roles <= allowed and _holds(rule.condition, names):
-                return {
-                    "matched": True,
-                    "rule": rule_id,
-                    "code": {role: proc_to_data(c) for role, c in code.items()},
-                    "includes": [
-                        [fn, inc.address, inc.protocol]
-                        for inc in rule.includes
-                        for fn in inc.functions
-                    ],
-                }
+                return reply
         return None
 
 
@@ -258,6 +268,16 @@ class AdaptationManager:
         self._servers: list[ServerHandle] = []
         self._lock = threading.Lock()
         self.match_log: deque[tuple[str, str | None]] = deque(maxlen=MATCH_LOG_SIZE)
+
+    def fork(self) -> "AdaptationManager":
+        """A manager with a fork of each server (a handle that cannot fork,
+        such as a remote server, is shared) and copies of the environment
+        and the match log."""
+        new = AdaptationManager(self.env.fork())
+        with self._lock:
+            new._servers = [s.fork() if hasattr(s, "fork") else s for s in self._servers]
+            new.match_log = self.match_log.copy()
+        return new
 
     def register(self, handle: ServerHandle) -> None:
         with self._lock:

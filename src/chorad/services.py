@@ -58,16 +58,18 @@ TIMER_NAMES = ("startTimer", "endTimer", "stopTimer", "start", "end")
 
 
 class FunctionTable:
-    """Named behaviours plus the shared state some of them close over.
+    """Named behaviours plus their state as plain data: the scripted replies
+    left and the named buffers.  A behaviour is called with the table it is
+    called on, so a :meth:`fork` answers from its own copy of the state.
 
-    A behaviour registered as pure answers from its arguments alone: it
-    keeps no state, so calls to it commute and a run need not remember
-    them.  Scripted replies, buffers and timers are not pure.
+    A behaviour registered as pure answers from its arguments alone: calls
+    to it commute.  Scripted replies, buffers and timers are not pure.
     """
 
     def __init__(self) -> None:
-        self._functions: dict[str, Callable[[list[Value]], Value]] = {}
+        self._functions: dict[str, Callable[..., Value]] = {}
         self._impure: set[str] = set()
+        self._scripts: dict[str, tuple[Value, ...]] = {}
         self._buffers: dict[str, str] = {}
         self._lock = threading.Lock()
 
@@ -75,6 +77,11 @@ class FunctionTable:
 
     def register(self, name: str, fn: Callable[[list[Value]], Value], *,
                  pure: bool = False) -> "FunctionTable":
+        """Serve ``fn(args)`` as ``name``.  It must answer from its arguments
+        alone: a table keeps all its state in its scripts and buffers."""
+        return self._serve(name, lambda table, args: fn(args), pure)
+
+    def _serve(self, name: str, fn: Callable[..., Value], pure: bool) -> "FunctionTable":
         self._functions[name] = fn
         if pure:
             self._impure.discard(name)
@@ -86,15 +93,17 @@ class FunctionTable:
         return self.register(name, lambda args: value, pure=True)
 
     def scripted(self, name: str, values: Sequence[Value]) -> "FunctionTable":
-        remaining = list(values)
+        self._scripts[name] = tuple(values)
 
-        def fn(args: list[Value]) -> Value:
-            with self._lock:
-                if not remaining:
+        def fn(table: FunctionTable, args: list[Value]) -> Value:
+            with table._lock:
+                left = table._scripts[name]
+                if not left:
                     raise ServiceError(f"'{name}' has no scripted replies left")
-                return remaining.pop(0)
+                table._scripts[name] = left[1:]
+                return left[0]
 
-        return self.register(name, fn)
+        return self._serve(name, fn, False)
 
     def shifter(self, name: str = "shift") -> "FunctionTable":
         def fn(args: list[Value]) -> Value:
@@ -124,22 +133,22 @@ class FunctionTable:
 
     def buffers(self, get_name: str = "bufferGet",
                 set_name: str = "bufferSet") -> "FunctionTable":
-        def get_fn(args: list[Value]) -> Value:
+        def get_fn(table: FunctionTable, args: list[Value]) -> Value:
             if len(args) != 1:
                 raise ServiceError(f"'{get_name}' needs a buffer name")
-            with self._lock:
-                return self._buffers.get(render(args[0]), "")
+            with table._lock:
+                return table._buffers.get(render(args[0]), "")
 
-        def set_fn(args: list[Value]) -> Value:
+        def set_fn(table: FunctionTable, args: list[Value]) -> Value:
             if len(args) != 2:
                 raise ServiceError(f"'{set_name}' needs (name, text)")
             value = render(args[1])
-            with self._lock:
-                self._buffers[render(args[0])] = value
+            with table._lock:
+                table._buffers[render(args[0])] = value
             return value
 
-        self.register(get_name, get_fn)
-        return self.register(set_name, set_fn)
+        self._serve(get_name, get_fn, False)
+        return self._serve(set_name, set_fn, False)
 
     def timers(self) -> "FunctionTable":
         # Measurement hooks from the performance scenarios; they carry no
@@ -148,6 +157,19 @@ class FunctionTable:
         for name in TIMER_NAMES:
             self.register(name, lambda args: 0)
         return self
+
+    def fork(self) -> "FunctionTable":
+        """A table with these behaviours and a copy of this one's state."""
+        new = FunctionTable()
+        new._functions, new._impure = dict(self._functions), set(self._impure)
+        with self._lock:
+            new._scripts, new._buffers = dict(self._scripts), dict(self._buffers)
+        return new
+
+    def state(self) -> tuple:
+        """The scripted replies left and the buffers, as sorted items."""
+        with self._lock:
+            return tuple(sorted(self._scripts.items())), tuple(sorted(self._buffers.items()))
 
     # -- use ---------------------------------------------------------------
 
@@ -164,7 +186,7 @@ class FunctionTable:
             fn = self._functions[name]
         except KeyError:
             raise ServiceError(f"no function named '{name}' here") from None
-        return fn(list(args))
+        return fn(self, list(args))
 
 
 def handle_call_request(table: FunctionTable, request: dict) -> dict:
@@ -222,13 +244,16 @@ class Router:
         self._warned = False
         self._lock = threading.Lock()
 
-    def fork(self, *, services: dict[str, FunctionTable] | None,
-             manager: ManagerRef, counts: Counter[str] | None) -> "Router":
-        """A router for a copy of the run: it keeps this one's input script
-        positions and answers from the given tables, manager and tallies."""
+    def fork(self, counts: Counter[str] | None) -> "Router":
+        """A router for a copy of the run that tallies into ``counts``: it
+        keeps this one's input script positions and forks its tables and
+        its manager (an address, or a manager that cannot fork, is shared)."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
-        new.services, new.manager, new.counts = services or {}, manager, counts
+        new.services = {address: t.fork() for address, t in self.services.items()}
+        if hasattr(self.manager, "fork"):
+            new.manager = self.manager.fork()
+        new.counts = counts
         new._inputs_taken = dict(self._inputs_taken)
         new._lock = threading.Lock()
         return new

@@ -14,9 +14,10 @@ managers only, which keeps them inside the deterministic order.
 
 Besides single seeded runs, :func:`explore` searches every schedule of a
 small application, depth first, with state matching and a partial-order
-reduction; its docstring says how and why.  A world is plain data, so the
-search copies it at each decision (:meth:`_World.fork`) and no run
-re-executes a step another run took.
+reduction; its docstring says how and why.  A world is plain data, its
+service tables and adaptation manager included, so the search copies it
+at each decision (:meth:`_World.fork`): no run re-executes a step another
+run took, and each factory of the config runs once per search.
 
 The simulator reports, never judges: callers decide whether a deadlock is a
 bug or the expected outcome of a negative test.
@@ -41,7 +42,7 @@ from .runtime import (_EVAL, _LEAD, _RECV, _SEND, BARRIER_OP, INPUT_FUNCTION,
                       KIND_ACK, KIND_DONE, KIND_MSG, KIND_READY, KIND_START, READY,
                       WAIT_JOIN, WAIT_RECV, Message, RoleExecutor, StepOutcome, _Task,
                       classify_message)
-from .services import FunctionTable, Router, handle_call_request
+from .services import FunctionTable, Router
 
 log = logging.getLogger("chorad.sim")
 
@@ -98,9 +99,10 @@ class SimReport:
 
 
 class _World:
-    """One run's mutable state, all of which :meth:`fork` copies."""
+    """One run's mutable state, all of which :meth:`fork` copies.  Given a
+    ``router``, it forks that router's tables and manager, calling no factory."""
 
-    def __init__(self, app: ProjectedApp, config: SimConfig):
+    def __init__(self, app: ProjectedApp, config: SimConfig, router: Router | None = None):
         self.app = app
         self.config = config
         self.executors: dict[str, RoleExecutor] = {}
@@ -111,18 +113,13 @@ class _World:
                               includes=app.includes)
             ex.start()
             self.executors[role] = ex
-        self._manager = config.manager_factory() if config.manager_factory else None
-        # a fork's manager is built at first use, taking over this match log
-        self._log_to_take: tuple | None = None
         self.counts: Counter[str] = Counter()
         # each message category by (kind, op); forks share it
         self._categories: dict[tuple[str, str], str] = {}
-        self.router = Router(
+        self.router = router.fork(self.counts) if router else Router(
             services=config.services_factory() if config.services_factory else None,
-            manager=self._manager, inputs=config.inputs, counts=self.counts)
-        # the in-process calls so far of functions that are not pure, as
-        # (address, function, args)
-        self.service_calls: list[tuple[str, str, tuple]] = []
+            manager=config.manager_factory() if config.manager_factory else None,
+            inputs=config.inputs, counts=self.counts)
         self.applied_rules: list[tuple[str, str]] = []
         self.timeline = tuple(sorted(config.timeline, key=lambda e: e.at_step))
         self._timeline_pos = 0
@@ -136,50 +133,18 @@ class _World:
     def fork(self) -> "_World":
         """A copy of this world that runs on alone: the two share no mutable
         state.  Executors, tallies and router positions are plain data and
-        are copied.  Service tables and the manager are not, so the copy
-        gets new ones from the config's factories: the tables at once, with
-        the service calls of this run replayed on them; the manager at its
-        first use (see :attr:`manager`), since most forks never match."""
+        are copied, and the router forks the service tables and the
+        manager, so the copy calls no factory and replays nothing."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.executors = {r: ex.fork() for r, ex in self.executors.items()}
         new.counts = Counter(self.counts)
-        if self.config.manager_factory is not None:
-            new._manager = None
-            new._log_to_take = (self._log_to_take if self._log_to_take is not None
-                                else tuple(getattr(self._manager, "match_log", ())))
-        services = None
-        if self.config.services_factory is not None:
-            services = self.config.services_factory()
-            for address, fn, args in self.service_calls:
-                handle_call_request(services[address],
-                                    {"kind": "call", "fn": fn, "args": list(args)})
-        new.router = self.router.fork(services=services, manager=new._manager,
-                                      counts=new.counts)
-        new.service_calls = list(self.service_calls)
+        new.router = self.router.fork(new.counts)
         new.applied_rules = list(self.applied_rules)
         new.op_ledger = {op: dict(entry) for op, entry in self.op_ledger.items()}
         new.trace = None if self.trace is None else list(self.trace)
         new._hash = self._hash.copy()
         return new
-
-    @property
-    def manager(self) -> AdaptationManager | None:
-        """The run's adaptation manager.  A fork builds its own at first
-        use, from the config's factory: it replays on it this run's fired
-        timeline events and hands it the match log it was forked with."""
-        if self._log_to_take is not None:
-            self._build_manager()
-        return self._manager
-
-    def _build_manager(self) -> None:
-        manager = self._manager = self.config.manager_factory()
-        for ev in self.timeline[:self._timeline_pos]:
-            _apply(ev, manager)
-        if hasattr(manager, "match_log"):
-            manager.match_log.extend(self._log_to_take)
-        self._log_to_take = None
-        self.router.manager = manager
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -206,15 +171,29 @@ class _World:
     # -- timeline ------------------------------------------------------------
 
     def fire_due_events(self) -> None:
+        manager = self.router.manager
         while (self._timeline_pos < len(self.timeline)
                and self.timeline[self._timeline_pos].at_step <= self.steps):
-            manager = self.manager  # a fork's is built before its first event fires
             ev = self.timeline[self._timeline_pos]
             self._timeline_pos += 1
-            if ev.kind == "publish" and manager is None:
+            if ev.kind == "env":
+                if manager is not None:
+                    manager.env.set(ev.key, ev.value)
+                fields: tuple = ("@env", f"{ev.key}={ev.value!r}")
+            elif ev.kind != "publish":
+                raise ValueError(f"unknown timeline event kind {ev.kind!r}")
+            elif manager is None:
                 log.warning("timeline publish ignored: no adaptation manager")
                 continue
-            fields = _apply(ev, manager)
+            else:
+                handle = next((h for h in manager.servers() if h.server_id == ev.server), None)
+                if handle is None:
+                    raise ValueError(f"timeline publish: no server '{ev.server}' registered")
+                violations = handle.publish(ev.source)  # type: ignore[attr-defined]
+                bad = [v for v in violations if v.severity == "error"]
+                if bad:
+                    raise ValueError(f"timeline publish rejected: {bad[0].message}")
+                fields = ("@publish", ev.server)
             if self._hashing:
                 self._note(*fields)
 
@@ -240,19 +219,9 @@ class _World:
             target.deliver(msg)
         ext = outcome.ext
         if ext is not None:
-            if ext.kind == "match" and self._log_to_take is not None:
-                self._build_manager()
             reply, why = self.router.answer(ex, ext)
-            if ext.kind == "match":
-                if reply and reply.get("matched"):
-                    self.applied_rules.append(
-                        (str(ext.payload[0].get("scope")), reply.get("rule")))
-            elif self.router.services:
-                fn, args = ext.payload
-                address = ex.includes.get(fn, ("",))[0]
-                table = self.router.services.get(address)
-                if fn != INPUT_FUNCTION and table is not None and not table.is_pure(fn):
-                    self.service_calls.append((address, fn, tuple(args)))
+            if ext.kind == "match" and reply and reply.get("matched"):
+                self.applied_rules.append((str(ext.payload[0].get("scope")), reply.get("rule")))
             ex.settle_ext(ext.tid, reply, why)
         if ex.failure and self.failure is None:
             self.failure = f"{role}: {ex.failure}"
@@ -288,24 +257,6 @@ class _World:
             leaks=leaks,
             error=error,
         )
-
-
-def _apply(ev: TimelineEvent, manager: AdaptationManager | None) -> tuple:
-    """Do what ``ev`` does to ``manager``; returns the trace line's fields."""
-    if ev.kind == "env":
-        if manager is not None:
-            manager.env.set(ev.key, ev.value)
-        return ("@env", f"{ev.key}={ev.value!r}")
-    if ev.kind != "publish":
-        raise ValueError(f"unknown timeline event kind {ev.kind!r}")
-    for handle in manager.servers():
-        if handle.server_id == ev.server:
-            violations = handle.publish(ev.source)  # type: ignore[attr-defined]
-            bad = [v for v in violations if v.severity == "error"]
-            if bad:
-                raise ValueError(f"timeline publish rejected: {bad[0].message}")
-            return ("@publish", ev.server)
-    raise ValueError(f"timeline publish: no server '{ev.server}' registered")
 
 
 def _execute(world: _World, choose: Callable[[int], int]) -> SimReport:
@@ -508,8 +459,9 @@ class _ExploringWorld(_World):
     a persistent set of its ready tasks (:meth:`options`); :func:`explore`
     says what both hold."""
 
-    def __init__(self, app: ProjectedApp, config: SimConfig, codes: _Codes):
-        super().__init__(app, config)
+    def __init__(self, app: ProjectedApp, config: SimConfig, codes: _Codes,
+                 router: Router | None = None):
+        super().__init__(app, config, router)
         self.codes = codes
         # with a manager a match reads the whole store, and a scope's
         # replacement code is not known in advance
@@ -702,7 +654,8 @@ class _ExploringWorld(_World):
     def fingerprint(self) -> tuple:
         """The run's state, exactly: equal fingerprints continue alike."""
         return (self.steps, self._timeline_pos, _items(self.router._inputs_taken),
-                tuple((address, fn, _exact(args)) for address, fn, args in self.service_calls),
+                tuple((address, _exact(table.state()))
+                      for address, table in self.router.services.items()),
                 *map(self._role_state, self.app.roles))
 
 
@@ -839,42 +792,43 @@ def explore(target: Target, config: SimConfig | None = None, *,
     equal trees share for the whole exploration.  Per role: its store
     (sorted; ``true`` kept apart from ``1``), every field of every queued
     message, the waiter order, sequence counters, next tid, includes,
-    locations and failure.  For the world:
-    the step count and timeline position, which decide when events fire
-    and the step budget cuts in, and keep the state graph acyclic; the
-    inputs taken; and the in-process service calls in order, since a
-    table's position (a scripted reply list, a buffer) is hidden in it and
-    follows from them; calls of pure functions change no table and are
-    left out.
-    Rule managers change only through the timeline.  Task events keep
-    their message ``seq``, which a later step compares with its ack.
+    locations and failure.  For the world: the step count and timeline
+    position, which decide when events fire and the step budget cuts in,
+    and keep the state graph acyclic; the inputs taken; and each
+    in-process service table's state, its scripted replies left and its
+    buffers (:meth:`~chorad.services.FunctionTable.state`), which stays
+    bounded however long the run.  Rule managers change only through the
+    timeline.  Task events keep their message ``seq``, which a later step
+    compares with its ack.
     """
     config = replace(config or SimConfig(), hash_trace=False, collect_trace=False)
-    app = _as_app(target)
-    tables = config.services_factory() if config.services_factory else {}
-    reduce = not config.timeline and all(t.is_pure() for t in tables.values())
+    app, codes = _as_app(target), _Codes()
+    world = _ExploringWorld(app, config, codes)
+    built = world.router.fork(None)  # the tables and manager as built, for a restart
+    reduce = not config.timeline and all(t.is_pure() for t in built.services.values())
     try:
-        return _search(app, config, max_paths, reduce=reduce)
+        return _search(world, max_paths, reduce=reduce)
     except _Restart as restart:
-        return _search(app, config, max_paths, reduce=False, paths=restart.paths)
+        return _search(_ExploringWorld(app, config, codes, built), max_paths,
+                       reduce=False, paths=restart.paths)
 
 
-def _search(app: ProjectedApp, config: SimConfig, max_paths: int, *,
+def _search(world: _ExploringWorld, max_paths: int, *,
             reduce: bool, paths: int = 0) -> ExplorationReport:
-    """:func:`explore`'s search, with or without the reduction, after
-    ``paths`` runs already spent.  Its stack holds, per queued choice, the
-    copy of the world taken at the choice's decision; the last choice
-    popped for a copy runs on the copy itself."""
+    """:func:`explore`'s search from ``world``, with or without the
+    reduction, after ``paths`` runs already spent.  Its stack holds, per
+    queued choice, the copy of the world taken at the choice's decision;
+    the last choice popped for a copy runs on the copy itself."""
     seen: set[tuple] = set()  # each state expanded
     outcomes: Counter[str] = Counter()
     finals: Counter[str] = Counter()
     deadlocks: list[tuple[int, ...]] = []
     leaky = 0
     # (the world at a decision, the path to it, the choice to take there,
-    # whether no other entry holds that world); the first run starts from a
-    # new world and has no choice to take up
+    # whether no other entry holds that world); the first run starts from
+    # ``world`` and has no choice to take up
     stack: list[tuple[_ExploringWorld, tuple[int, ...], int | None, bool]] = [
-        (_ExploringWorld(app, config, _Codes()), (), None, True)]
+        (world, (), None, True)]
     complete = True
     while stack:
         if paths >= max_paths:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from chorad.adapt import (
@@ -233,6 +236,41 @@ def test_match_log_records_decisions():
     assert scope == "1_0" and rule_id == "s0/r1"
 
 
+def _manager_view(mgr):
+    """What a manager's user can see of it: each server's rules with their
+    ids, the environment and the match log."""
+    return ([(s.server_id, s.rules()) for s in mgr.servers()], mgr.env.snapshot(),
+            list(mgr.match_log))
+
+
+def test_a_forked_manager_runs_on_alone():
+    """Publishing, writing the environment and matching on a fork leave
+    the original as it was, and the other way round; each numbers the
+    rules it admits from where the two parted."""
+    server = AdaptationServer()
+    server.publish('rule { on { E.mode == "on" } do { x@u = 1 } }')
+    original = AdaptationManager(Environment({"mode": "off"}))
+    original.register(server)
+    original.handle_match(_request())
+    for changed, kept in ((lambda m: m, lambda m: m.fork()),
+                          (lambda m: m.fork(), lambda m: m)):
+        base = original.fork()
+        a, b = changed(base), kept(base)
+        before = _manager_view(b)
+        assert before == _manager_view(a)
+        assert not a.servers()[0].publish('rule { on { true } do { x@u = 2 } }')
+        a.env.set("mode", "on")
+        assert a.handle_match(_request())["rule"] == "s0/r1"
+        assert _manager_view(b) == before
+        assert [rid for rid, _ in a.servers()[0].rules()] == ["s0/r1", "s0/r2"]
+        assert a.match_log[-1] == ("1_0", "s0/r1") and b.match_log[-1] == ("1_0", None)
+        # b numbers its next rule as if a had published nothing
+        assert not b.servers()[0].publish('rule { on { true } do { x@u = 3 } }')
+        assert [rid for rid, _ in b.servers()[0].rules()] == ["s0/r1", "s0/r2"]
+        assert b.handle_match(_request())["rule"] == "s0/r2"
+        assert a.servers()[0].rules()[1][1].body != b.servers()[0].rules()[1][1].body
+
+
 def test_match_log_keeps_only_the_latest_decisions():
     from chorad.adapt import MATCH_LOG_SIZE
 
@@ -410,6 +448,57 @@ def test_publishing_compiles_the_whole_batch_before_admitting_any(monkeypatch):
     assert not server.publish('rule { on { x == 1 } do { r@u = 1 } }')
     assert [rid for rid, _ in server.rules()] == ["s0/r1"]
     assert _matched(server, _req(vars={"x": 1}), {}) == "s0/r1"
+
+
+def test_matches_read_whole_batches_while_other_threads_publish():
+    """``publish`` replaces the admitted rules whole, so a match that takes
+    no lock never sees an index entry before its rule, and publishers lose
+    no rule.  Batch (t, i) holds ``k == "t.i"`` and then ``k == "t.i" and
+    true``; a match for it answers None or the first of the two."""
+    server, errors, done = AdaptationServer(), [], threading.Event()
+    threads_n, batches = 4, 80
+
+    def publisher(t):
+        for i in range(batches):
+            key = f'"{t}.{i}"'
+            assert not server.publish(f"rule {{ on {{ k == {key} }} do {{ x@u = 1 }} }}\n"
+                                      f"rule {{ on {{ k == {key} and true }} do {{ x@u = 2 }} }}")
+
+    def matcher(t):
+        i = 0
+        while not done.is_set():
+            got = server.match(_req(vars={"k": f"{t}.{i % batches}"}), {})
+            if got is not None and int(got["rule"].split("/r")[1]) % 2 != 1:
+                errors.append(got["rule"])
+            i += 1
+
+    def guarded(fn, t):
+        try:
+            fn(t)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        publishers = [threading.Thread(target=guarded, args=(publisher, t))
+                      for t in range(threads_n)]
+        matchers = [threading.Thread(target=guarded, args=(matcher, t))
+                    for t in range(threads_n)]
+        for th in matchers + publishers:
+            th.start()
+        for th in publishers:
+            th.join(timeout=60)
+        done.set()
+        for th in matchers:
+            th.join(timeout=10)
+        assert not any(th.is_alive() for th in matchers + publishers)
+    finally:
+        done.set()
+        sys.setswitchinterval(switch)
+    assert errors == []
+    ids = [rule_id for rule_id, _ in server.rules()]
+    assert ids == [f"s0/r{n}" for n in range(1, 2 * threads_n * batches + 1)]
 
 
 def test_a_match_reply_carries_each_roles_code():

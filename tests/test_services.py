@@ -78,6 +78,22 @@ def test_buffers_are_shared_within_a_table():
     assert t.call("bufferGet", ["inbox"]) == "hello"
 
 
+def test_a_forked_table_keeps_its_own_replies_and_buffers():
+    t = FunctionTable().scripted("next", [1, 2, 3]).buffers().adder()
+    assert t.call("next", []) == 1 and t.call("bufferSet", ["k", "old"]) == "old"
+    fork = t.fork()
+    assert fork.state() == t.state() == ((("next", (2, 3)),), (("k", "old"),))
+    assert fork.call("next", []) == 2 and fork.call("next", []) == 3
+    assert fork.call("bufferSet", ["k", "new"]) == "new"
+    assert t.call("bufferGet", ["k"]) == "old" and t.call("next", []) == 2
+    assert fork.call("bufferGet", ["k"]) == "new"
+    with pytest.raises(ServiceError, match="no scripted replies left"):
+        fork.call("next", [])
+    assert t.state() == ((("next", (3,)),), (("k", "old"),))
+    assert fork.state() == ((("next", ()),), (("k", "new"),))
+    assert fork.call("add", [2, 3]) == 5 and fork.names() == t.names()
+
+
 def test_timers_answer_to_every_spelling():
     t = FunctionTable().timers()
     for name in TIMER_NAMES:

@@ -603,6 +603,29 @@ def test_exploration_sees_both_orders_of_a_shared_service():
     assert r.complete and len(r.finals) == 2
 
 
+# Two roles write one buffer in parallel, then a reads it.
+_SHARED_BUFFER = """
+include bufferSet, bufferGet from "socket://localhost:9"
+preamble { starter: a }
+aioc {
+  go: a( 1 ) -> b( w );
+  { s@a = bufferSet( "k", "A" ) | t@b = bufferSet( "k", "B" ) };
+  r: b( t ) -> a( q );
+  x@a = bufferGet( "k" )
+}
+"""
+
+
+def test_exploration_tells_states_apart_by_their_buffers():
+    """Both orders of the writes leave the stores alike; only the buffer
+    tells them apart, so a search that matched states without it would
+    lose one of the two finals."""
+    config = SimConfig(services_factory=lambda: {"socket://localhost:9": FunctionTable().buffers()})
+    r = explore(parse_program(_SHARED_BUFFER), config)
+    assert r.complete and r.deadlock_free
+    assert {json.loads(f)["a"]["x"] for f in r.finals} == {"A", "B"}
+
+
 def test_exploration_sees_both_orders_of_a_woken_task():
     r = explore(parse_program(_WOKEN_TASK))
     assert r.complete and len(r.finals) == 2
@@ -709,7 +732,8 @@ def test_exploration_agrees_with_the_unpruned_reference(target, config):
 def _unreduced(target, config=None):
     """The search ``explore`` falls back to: state matching, no reduction."""
     config = replace(config or SimConfig(), hash_trace=False)
-    return sim._search(_as_app(target), config, 50_000, reduce=False)
+    world = sim._ExploringWorld(_as_app(target), config, sim._Codes())
+    return sim._search(world, 50_000, reduce=False)
 
 
 def test_reduced_exploration_agrees_with_the_unreduced_search():
@@ -761,9 +785,9 @@ def _spy_on_searches(monkeypatch) -> list[tuple[bool, int]]:
     searches = []
     real = sim._search
 
-    def spy(app, config, max_paths, *, reduce, paths=0):
+    def spy(world, max_paths, *, reduce, paths=0):
         searches.append((reduce, paths))
-        return real(app, config, max_paths, reduce=reduce, paths=paths)
+        return real(world, max_paths, reduce=reduce, paths=paths)
 
     monkeypatch.setattr(sim, "_search", spy)
     return searches
@@ -775,6 +799,14 @@ def test_a_failed_reduced_run_restarts_the_search_without_reduction(monkeypatch)
     assert [reduce for reduce, _ in searches] == [True, False]
     assert 0 < searches[1][1] < r.paths
     assert r.complete and set(r.outcomes) == {ERROR} and len(r.finals) == 3
+    # the restart starts from the tables and manager as built, calling no factory
+    built = []
+    again = explore(parse_program(_FAIL_MID_BRANCH), SimConfig(
+        services_factory=lambda: built.append("services") or {"x": FunctionTable().adder()},
+        manager_factory=lambda: built.append("manager") or AdaptationManager()))
+    assert [reduce for reduce, _ in searches[2:]] == [True, False]
+    assert (again.paths, again.outcomes, again.finals) == (r.paths, r.outcomes, r.finals)
+    assert sorted(built) == ["manager", "services"]
 
 
 @pytest.mark.parametrize("config", [
@@ -789,13 +821,14 @@ def test_the_reduction_stays_off_with_a_timeline_or_services(monkeypatch, config
 
 def test_the_reduction_stays_on_with_pure_services_only(monkeypatch):
     """``fork-join``'s tables are pure, so its exploration is reduced, and
-    no call of a pure function enters a world's call history."""
+    the calls of a run leave every table's state as it was."""
     searches = _spy_on_searches(monkeypatch)
-    worlds = _count_worlds(monkeypatch)
     sc = corpus.scenario_by_name("fork-join")
     r = explore(sc.app, _cfg(sc))
     assert searches == [(True, 0)] and r.complete and r.paths == 1
-    assert worlds and all(w.service_calls == [] for w in worlds)
+    world = _World(sc.app, _cfg(sc))
+    assert sim._execute(world, lambda n: 0).message_counts["middleware"] > 0
+    assert all(t.state() == ((), ()) for t in world.router.services.values())
 
 
 def test_exploration_keeps_no_trace(monkeypatch):
@@ -849,7 +882,8 @@ def _observed(world):
     """What a step can change in a world, as plain data."""
     return (world.steps, world._timeline_pos, dict(world.counts), repr(world.op_ledger),
             list(world.applied_rules), world._hash.hexdigest(), world.failure,
-            dict(world.router._inputs_taken), list(world.service_calls),
+            dict(world.router._inputs_taken),
+            {address: table.state() for address, table in world.router.services.items()},
             {role: (dict(ex.variables.items()), {k: list(q) for k, q in ex._queues.items()},
                     {k: list(q) for k, q in ex._waiters.items()}, list(ex.ready_tids()),
                     dict(ex._seq), ex._next_tid, dict(ex.locations), dict(ex.includes),
@@ -859,7 +893,8 @@ def _observed(world):
 
 
 def _match_log(world):
-    return None if world.manager is None else list(world.manager.match_log)
+    manager = world.router.manager
+    return None if manager is None else list(manager.match_log)
 
 
 def _ending(report):
@@ -1174,22 +1209,31 @@ def test_the_seeded_pick_draws_what_randrange_draws():
                 assert pick(n) == rng.randrange(n), (seed, n)
 
 
-def test_forks_build_the_adaptation_manager_only_when_they_match():
-    """Exploring ``appointment`` with ``free-week`` forks a world per run;
-    only the forks that reach a scope or a timeline event build a
-    manager.  The report is the one every fork building its own gave."""
-    sc = corpus.scenario_by_name("appointment")
-    config = _cfg(sc, "free-week")
+@pytest.mark.parametrize("name, label, pins", [
+    pytest.param("appointment", "free-week", (611, True, {TERMINATED: 8}, 8),
+                 id="appointment-free-week"),
+    pytest.param("fork-join", "double-front", (2444, True, {TERMINATED: 255}, 255),
+                 id="fork-join-double-front"),
+])
+def test_exploration_builds_the_manager_and_tables_once(name, label, pins):
+    """``explore`` builds its first world from the config's factories and
+    forks every other world from it, so each factory runs once.  The
+    report is the one it gave when forks rebuilt their manager."""
+    sc = corpus.scenario_by_name(name)
+    config = _cfg(sc, label)
     built = []
 
-    def factory():
-        built.append(1)
-        return config.manager_factory()
+    def counted(kind, factory):
+        return lambda: built.append(kind) or factory()
 
-    r = explore(sc.app, replace(config, manager_factory=factory))
+    r = explore(sc.app, replace(config,
+                                manager_factory=counted("manager", config.manager_factory),
+                                services_factory=counted("services", config.services_factory)))
     final = json.dumps(simulate(sc.app, config).final_states, sort_keys=True, default=repr)
-    assert (r.paths, r.complete, r.outcomes, r.finals) == (611, True, {TERMINATED: 8}, {final: 8})
-    assert 0 < 10 * len(built) < r.paths
+    paths, complete, outcomes, runs = pins
+    assert (r.paths, r.complete, r.outcomes, r.finals) == (paths, complete, outcomes,
+                                                           {final: runs})
+    assert sorted(built) == ["manager", "services"]
 
 
 def _footprint_cases():

@@ -9,9 +9,8 @@ the checkout ``--root`` on each of its workloads for its ``run_seconds``:
 once per seed of ``SEEDS`` with ``--trace 0`` and once with ``--trace 1``,
 one run at a time.  Seeds and run length are fixed so that any two
 snapshots compare.  The snapshot holds, per workload, the median and the
-runs of every end-to-end metric and the median of every per-layer
-``parser.*``, ``check.*``, ``project.*``, ``runtime.*``, ``sim.*``,
-``explore.*`` and ``live.*`` metric, plus ``src_lines``.  It also runs the tier-1 tests
+runs of every end-to-end metric and the median of every per-layer metric
+a traced run prints, plus ``src_lines``.  It also runs the tier-1 tests
 of ``--root`` once (``python -m pytest`` with ``src`` on the path) and
 records their wall time, their summary line and the ``TOP_DURATIONS``
 slowest entries that ``--durations`` prints.
@@ -32,7 +31,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("parser.", "check.", "project.", "runtime.", "sim.", "explore.", "live.")
 SEEDS = (101, 102, 103)
 TOP_DURATIONS = 10
 #: One entry of pytest's ``--durations`` report: seconds, phase, test id.
@@ -82,7 +80,7 @@ def snapshot(root: Path) -> dict:
             end_to_end[m["name"]] = {"median": statistics.median(values), "runs": values,
                                      "unit": m["unit"]}
         per_layer = {name: statistics.median(r["metrics"][name]["value"] for r in traced)
-                     for name in traced[0]["metrics"] if name.startswith(LAYERS)}
+                     for name in traced[0]["metrics"] if name != "src_lines"}
         src_lines = traced[0]["metrics"]["src_lines"]["value"]
         workloads[w] = {
             "correct": all(r["correct"] for r in plain + traced),
