@@ -1,7 +1,7 @@
 """Static validation: connectedness of behaviours, rule checks, program hygiene.
 
 Connectedness is what makes naive projection safe to run without a central
-orchestrator, and it is checked in polynomial time on the source tree:
+orchestrator, and it is checked on the source tree:
 
 * sequence condition — for every ``Seq(a, b)``, the initiator of each initial
   event of ``b`` must occur in some final event of ``a``.  Whoever starts the
@@ -18,6 +18,11 @@ with auxiliary broadcasts.  A scope's final events are those of its body
 (the coordinator alone if the body is empty): the closing barrier orders the
 coordinator after every participant, and each participant after its own part.
 
+A check is one pass, linear in program size: it walks the body once and
+reads that node list backwards, every node after its children, to fill a
+table of initial and final events.  Hygiene reads the same list, walking
+each expression once; only the parallel condition walks each ``|`` branch.
+
 To keep reports readable the checker suppresses cascading sequence
 violations: once a node is implicated in one, later pairs involving it are
 assumed to be fallout from the same break.
@@ -32,7 +37,6 @@ from .ast import (
     Behaviour,
     Call,
     If,
-    Include,
     Interaction,
     NodeId,
     Par,
@@ -43,8 +47,6 @@ from .ast import (
     Skip,
     Var,
     While,
-    chain_items,
-    roles_of,
     walk,
 )
 
@@ -87,85 +89,83 @@ class Violation:
         return f"{filename}:{self.line}:{self.col}: {self.kind}: {self.message}"
 
 
-def _sig(b: Behaviour, *roles: str) -> EventSignature:
-    return EventSignature(tuple(roles), node=b.nid, line=b.line, col=b.col)
+def _sig(b: Behaviour, *roles: str) -> frozenset[EventSignature]:
+    return frozenset({EventSignature(tuple(roles), node=b.nid, line=b.line, col=b.col)})
+
+
+def _events(nodes: list[Behaviour]) -> dict[int, tuple[frozenset, frozenset]]:
+    """``id(node) -> (initial, final)`` for every node of ``nodes``, a walk.
+    Read backwards, a walk reaches each node after its children, whose
+    entries build its own.  Two events with the same roles are one
+    signature; a union keeps the one that comes first in the source."""
+    table = {}
+    for b in reversed(nodes):
+        cls = type(b)
+        if cls is Seq:
+            (init, fin), (init2, fin2) = table[id(b.first)], table[id(b.second)]
+            table[id(b)] = (init or init2, fin2 or fin)
+        elif cls is Par:
+            (init, fin), (init2, fin2) = table[id(b.left)], table[id(b.right)]
+            table[id(b)] = (init | init2, fin | fin2)
+        elif cls is Skip:
+            table[id(b)] = (frozenset(), frozenset())
+        elif cls is Assign:
+            sig = _sig(b, b.role)
+            table[id(b)] = (sig, sig)
+        elif cls is Interaction:
+            sig = _sig(b, b.sender, b.receiver)
+            table[id(b)] = (sig, sig)
+        elif cls is If:
+            # an empty branch concludes with the guard evaluation itself
+            sig = _sig(b, b.evaluator)
+            fin, fin2 = table[id(b.then_branch)][1], table[id(b.else_branch)][1]
+            table[id(b)] = (sig, (fin or sig) | (fin2 or sig))
+        elif cls is While:
+            sig = _sig(b, b.evaluator)
+            table[id(b)] = (sig, sig)
+        elif cls is Scope:
+            sig = _sig(b, b.coordinator)
+            table[id(b)] = (sig, table[id(b.body)][1] or sig)
+        else:
+            raise TypeError(f"not a behaviour node: {b!r}")
+    return table
 
 
 def trans_initial(b: Behaviour) -> frozenset[EventSignature]:
-    """Signatures of the events that can begin ``b``."""
-    if isinstance(b, Skip):
-        return frozenset()
-    if isinstance(b, Assign):
-        return frozenset({_sig(b, b.role)})
-    if isinstance(b, Interaction):
-        return frozenset({_sig(b, b.sender, b.receiver)})
-    if isinstance(b, Seq):
-        node: Behaviour = b
-        while isinstance(node, Seq):  # spine-iterative: Seq nests deep
-            first = trans_initial(node.first)
-            if first:
-                return first
-            node = node.second
-        return trans_initial(node)
-    if isinstance(b, Par):
-        return frozenset().union(*map(trans_initial, chain_items(b)))
-    if isinstance(b, (If, While)):
-        return frozenset({_sig(b, b.evaluator)})
-    if isinstance(b, Scope):
-        return frozenset({_sig(b, b.coordinator)})
-    raise TypeError(f"not a behaviour node: {b!r}")
+    """Signatures of the events that can begin ``b``, from its table entry."""
+    return _events(walk(b))[id(b)][0]
 
 
 def trans_final(b: Behaviour) -> frozenset[EventSignature]:
-    """Signatures of the events that can conclude ``b``."""
-    if isinstance(b, Skip):
-        return frozenset()
-    if isinstance(b, (Assign, Interaction)):
-        return trans_initial(b)
-    if isinstance(b, Seq):
-        spine = []
-        node: Behaviour = b
-        while isinstance(node, Seq):  # spine-iterative: Seq nests deep
-            spine.append(node)
-            node = node.second
-        out = trans_final(node)
-        while not out and spine:
-            out = trans_final(spine.pop().first)
-        return out
-    if isinstance(b, Par):
-        return frozenset().union(*map(trans_final, chain_items(b)))
-    if isinstance(b, If):
-        out = set()
-        for branch in (b.then_branch, b.else_branch):
-            fin = trans_final(branch)
-            # an empty branch concludes with the guard evaluation itself
-            out |= fin if fin else {_sig(b, b.evaluator)}
-        return frozenset(out)
-    if isinstance(b, While):
-        return frozenset({_sig(b, b.evaluator)})
-    if isinstance(b, Scope):
-        fin = trans_final(b.body)
-        return fin if fin else frozenset({_sig(b, b.coordinator)})
-    raise TypeError(f"not a behaviour node: {b!r}")
+    """Signatures of the events that can conclude ``b``, from its table entry."""
+    return _events(walk(b))[id(b)][1]
 
 
-def _interaction_keys(b: Behaviour, out: dict[tuple[str, str, str], Interaction]) -> None:
+def _interaction_keys(b: Behaviour) -> dict[tuple[str, str, str], Interaction]:
     """First occurrence of each (op, sender, receiver) key, scopes included."""
-    for x in walk(b):
-        if isinstance(x, Interaction):
-            out.setdefault((x.op, x.sender, x.receiver), x)
+    # read backwards, so the first occurrence is the one that stays
+    return {(x.op, x.sender, x.receiver): x
+            for x in reversed(walk(b)) if type(x) is Interaction}
 
 
 def check_connectedness(b: Behaviour) -> list[Violation]:
     """All sequence/parallel violations in ``b``, in source order."""
+    return _connectedness(walk(b))
+
+
+def _connectedness(nodes: list[Behaviour]) -> list[Violation]:
+    """:func:`check_connectedness` of the behaviour ``nodes`` is a walk of."""
+    events = _events(nodes)
     violations: list[Violation] = []
     implicated: set[tuple[int, ...]] = set()
     par_found: dict[int, list[Violation]] = {}  # id(Par node) -> its violations
 
-    for node in walk(b):
-        if isinstance(node, Seq):
-            _check_seq(node, violations, implicated)
-        elif isinstance(node, Par):
+    for node in nodes:
+        cls = type(node)
+        if cls is Seq:
+            _check_seq(events[id(node.first)][1], events[id(node.second)][0],
+                       violations, implicated)
+        elif cls is Par:
             if id(node) not in par_found:
                 par_found.update(_check_par_chain(node))
             violations.extend(par_found.pop(id(node)))
@@ -177,20 +177,18 @@ def _implicated(path: tuple[int, ...], implicated: set[tuple[int, ...]]) -> bool
     return any(path[:k] in implicated for k in range(len(path) + 1))
 
 
-def _check_seq(node: Seq, violations: list[Violation],
-               implicated: set[tuple[int, ...]]) -> None:
-    finals = sorted(trans_final(node.first), key=lambda s: (s.node.path, s.roles))
+def _check_seq(finals: frozenset[EventSignature], initials: frozenset[EventSignature],
+               violations: list[Violation], implicated: set[tuple[int, ...]]) -> None:
+    """The sequence condition across one ``;``, from its two sides' events:
+    at most one report, on the first adrift initial event in source order."""
     if not finals:
         return
-    seen = set()
-    for r in finals:
-        seen.update(r.roles)
-    for init in sorted(trans_initial(node.second), key=lambda s: (s.node.path, s.roles)):
-        if init.initiator in seen:
-            continue
-        left = finals[0]
-        if _implicated(left.node.path, implicated) \
-                or _implicated(init.node.path, implicated):
+    left = min(finals, key=lambda s: (s.node.path, s.roles))
+    if _implicated(left.node.path, implicated):
+        return
+    seen = {role for r in finals for role in r.roles}
+    for init in sorted(initials, key=lambda s: (s.node.path, s.roles)):
+        if init.initiator in seen or _implicated(init.node.path, implicated):
             continue
         implicated.add(left.node.path)
         implicated.add(init.node.path)
@@ -204,6 +202,7 @@ def _check_seq(node: Seq, violations: list[Violation],
                 col=init.col,
             )
         )
+        return  # any later pair has ``left`` in it, so it is the same break
 
 
 def _check_par_chain(node: Par) -> dict[int, list[Violation]]:
@@ -217,12 +216,10 @@ def _check_par_chain(node: Par) -> dict[int, list[Violation]]:
     spine = [node]
     while isinstance(spine[-1].right, Par):
         spine.append(spine[-1].right)
-    rest: dict[tuple[str, str, str], Interaction] = {}
-    _interaction_keys(spine[-1].right, rest)
+    rest = _interaction_keys(spine[-1].right)
     out: dict[int, list[Violation]] = {}
     for par in reversed(spine):
-        left: dict[tuple[str, str, str], Interaction] = {}
-        _interaction_keys(par.left, left)
+        left = _interaction_keys(par.left)
         found = out[id(par)] = []
         for key in sorted(k for k in left if k in rest):
             a, b = left[key], rest[key]
@@ -242,24 +239,38 @@ def _check_par_chain(node: Par) -> dict[int, list[Violation]]:
 
 
 # =========================================================================
-# Expression hygiene helpers
+# Hygiene, rule and program checks
 # =========================================================================
 
 
-def _behaviour_exprs(b: Behaviour):
-    for node in walk(b):
-        if isinstance(node, (Assign, Interaction)):
-            yield node, node.expr
-        elif isinstance(node, (If, While)):
-            yield node, node.guard
-
-
-def _check_calls(body: Behaviour, declared: set[str]) -> list[Violation]:
-    out = []
-    for node, expr in _behaviour_exprs(body):
+def _facts(nodes: list[Behaviour], declared: set[str],
+           ) -> tuple[list[Violation], list[tuple[Behaviour, Var]], dict[str, set[str]]]:
+    """The undeclared calls and guard reads of ``nodes``, a walk, in source
+    order, each expression walked once; and every role in it, mapped to the
+    variables bound there (assignments and interaction targets)."""
+    calls: list[Violation] = []
+    reads: list[tuple[Behaviour, Var]] = []
+    bound: dict[str, set[str]] = {}
+    for node in nodes:
+        cls = type(node)
+        guard = cls is If or cls is While
+        if cls is Assign:
+            bound.setdefault(node.role, set()).add(node.var)
+            expr = node.expr
+        elif cls is Interaction:
+            bound.setdefault(node.sender, set())
+            bound.setdefault(node.receiver, set()).add(node.var)
+            expr = node.expr
+        elif guard:
+            bound.setdefault(node.evaluator, set())
+            expr = node.guard
+        else:
+            if cls is Scope:
+                bound.setdefault(node.coordinator, set())
+            continue
         for e in walk(expr):
-            if isinstance(e, Call) and e.function not in declared:
-                out.append(
+            if type(e) is Call and e.function not in declared:
+                calls.append(
                     Violation(
                         "name",
                         f"function '{e.function}' is not declared by any include",
@@ -268,17 +279,15 @@ def _check_calls(body: Behaviour, declared: set[str]) -> list[Violation]:
                         col=e.col,
                     )
                 )
-    return out
-
-
-# =========================================================================
-# Rule and program checks
-# =========================================================================
+            elif guard and type(e) is Var:
+                reads.append((node, e))
+    return calls, reads, bound
 
 
 def check_rule(rule: Rule) -> list[Violation]:
     """Connectedness of the rule body plus name hygiene of the condition."""
-    violations = check_connectedness(rule.body)
+    nodes = walk(rule.body)
+    violations = _connectedness(nodes)
     for e in walk(rule.condition):
         if isinstance(e, Var) and "." in e.name:
             ns = e.name.split(".", 1)[0]
@@ -302,28 +311,21 @@ def check_rule(rule: Rule) -> list[Violation]:
             )
     declared = {f for inc in rule.includes for f in inc.functions}
     declared.update(BUILTIN_FUNCTIONS)
-    violations.extend(_check_calls(rule.body, declared))
+    violations.extend(_facts(nodes, declared)[0])
     return violations
-
-
-def _assigned_vars(b: Behaviour) -> dict[str, set[str]]:
-    """role -> variables the program binds at that role (assignments and
-    interaction targets)."""
-    out: dict[str, set[str]] = {}
-    for node in walk(b):
-        if isinstance(node, Assign):
-            out.setdefault(node.role, set()).add(node.var)
-        elif isinstance(node, Interaction):
-            out.setdefault(node.receiver, set()).add(node.var)
-    return out
 
 
 def validate_program(p: Program) -> list[Violation]:
     """Name/role hygiene; guard-variable analysis reports warnings only."""
-    violations: list[Violation] = []
-    roles = roles_of(p.body)
+    return _validate(p, walk(p.body))
 
-    if p.preamble.starter not in roles and p.preamble.starter not in p.preamble.locations:
+
+def _validate(p: Program, nodes: list[Behaviour]) -> list[Violation]:
+    """:func:`validate_program` of ``p``, whose body ``nodes`` is a walk of."""
+    declared = {fn for inc in p.includes for fn in inc.functions}
+    calls, reads, bound = _facts(nodes, declared | set(BUILTIN_FUNCTIONS))
+    violations: list[Violation] = []
+    if p.preamble.starter not in bound and p.preamble.starter not in p.preamble.locations:
         violations.append(
             Violation(
                 "role",
@@ -331,7 +333,7 @@ def validate_program(p: Program) -> list[Violation]:
             )
         )
 
-    seen_fns: dict[str, Include] = {}
+    seen_fns: set[str] = set()
     for inc in p.includes:
         for fn in inc.functions:
             if fn in seen_fns:
@@ -344,7 +346,7 @@ def validate_program(p: Program) -> list[Violation]:
                     )
                 )
             else:
-                seen_fns[fn] = inc
+                seen_fns.add(fn)
         if inc.protocol and inc.protocol not in KNOWN_PROTOCOLS:
             violations.append(
                 Violation(
@@ -356,33 +358,27 @@ def validate_program(p: Program) -> list[Violation]:
                     severity="warning",
                 )
             )
-
-    declared = set(seen_fns) | set(BUILTIN_FUNCTIONS)
-    violations.extend(_check_calls(p.body, declared))
-
-    assigned = _assigned_vars(p.body)
-    for node in walk(p.body):
-        if isinstance(node, (If, While)):
-            known = assigned.get(node.evaluator, set())
-            for e in walk(node.guard):
-                if isinstance(e, Var) and e.name not in known:
-                    violations.append(
-                        Violation(
-                            "role",
-                            f"guard reads '{e.name}' which is never assigned at"
-                            f" role '{node.evaluator}'",
-                            nodes=(node.nid,),
-                            line=e.line,
-                            col=e.col,
-                            severity="warning",
-                        )
-                    )
+    violations.extend(calls)
+    for node, e in reads:
+        if e.name not in bound[node.evaluator]:
+            violations.append(
+                Violation(
+                    "role",
+                    f"guard reads '{e.name}' which is never assigned at"
+                    f" role '{node.evaluator}'",
+                    nodes=(node.nid,),
+                    line=e.line,
+                    col=e.col,
+                    severity="warning",
+                )
+            )
     return violations
 
 
 def check_program(p: Program) -> list[Violation]:
     """Full static gate: hygiene plus connectedness, in that order."""
-    return validate_program(p) + check_connectedness(p.body)
+    nodes = walk(p.body)
+    return _validate(p, nodes) + _connectedness(nodes)
 
 
 def has_errors(violations: list[Violation]) -> bool:

@@ -62,8 +62,9 @@ class FunctionTable:
     left and the named buffers.  A behaviour is called with the table it is
     called on, so a :meth:`fork` answers from its own copy of the state.
 
-    A behaviour registered as pure answers from its arguments alone: calls
-    to it commute.  Scripted replies, buffers and timers are not pure.
+    No behaviour keeps state of its own.  One registered as pure replies from
+    its arguments alone, so calls to it commute; scripts, buffers and timers
+    are not pure.
     """
 
     def __init__(self) -> None:
@@ -77,8 +78,9 @@ class FunctionTable:
 
     def register(self, name: str, fn: Callable[[list[Value]], Value], *,
                  pure: bool = False) -> "FunctionTable":
-        """Serve ``fn(args)`` as ``name``.  It must answer from its arguments
-        alone: a table keeps all its state in its scripts and buffers."""
+        """Serve ``fn(args)`` as ``name``.  ``fn`` keeps no state of its own,
+        since a fork copies only the table's; ``pure`` says that its reply
+        depends on its arguments alone, not on the outside world."""
         return self._serve(name, lambda table, args: fn(args), pure)
 
     def _serve(self, name: str, fn: Callable[..., Value], pure: bool) -> "FunctionTable":
@@ -176,10 +178,9 @@ class FunctionTable:
     def names(self) -> list[str]:
         return sorted(self._functions)
 
-    def is_pure(self, name: str | None = None) -> bool:
-        """Whether the function ``name``, or with no name every function
-        here, was registered as pure."""
-        return not self._impure if name is None else name not in self._impure
+    def is_pure(self) -> bool:
+        """Whether every function here was registered as pure."""
+        return not self._impure
 
     def call(self, name: str, args: list[Value]) -> Value:
         try:

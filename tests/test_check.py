@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from chorad.ast import Interaction, Par, walk
+from chorad import check
+from chorad.ast import Assign, Behaviour, Interaction, Par, walk
 from chorad.check import (
     check_connectedness,
     check_program,
@@ -154,6 +155,31 @@ def test_outsider_after_if_is_flagged():
         '};\n'
         'op3: c( 1 ) -> a( y )'))
     assert len(vs) == 1 and vs[0].kind == "sequence"
+
+
+def _assign_nid(body, var):
+    return next(x.nid for x in walk(body) if isinstance(x, Assign) and x.var == var)
+
+
+def test_tied_final_events_of_a_block_name_the_first_branch():
+    # both branches end at a: one final event, the one in the first branch
+    body = parse_behaviour('{\n  x@a = 1\n|\n  y@a = 2\n};\nz@b = 3')
+    [v] = check_connectedness(body)
+    assert v.nodes[0] == _assign_nid(body, "x")
+    assert v.message.endswith("(line 2)")
+
+
+def test_tied_final_events_of_an_if_name_the_then_branch():
+    body = parse_behaviour(
+        'if ( 1 < 2 )@a {\n'
+        '  x@a = 1\n'
+        '} else {\n'
+        '  y@a = 2\n'
+        '};\n'
+        'op: b( 1 ) -> a( z )')
+    [v] = check_connectedness(body)
+    assert v.nodes[0] == _assign_nid(body, "x")
+    assert v.message.endswith("(line 2)")
 
 
 # ---------------------------------------------------------------------
@@ -355,3 +381,23 @@ def test_deep_sequential_programs_stay_within_the_stack():
     # parse (numbering into normal form) + checking at depth ~1200
     sc = corpus.scenario_by_name("pipe-seq-1200")
     assert check_program(sc.program) == []
+
+
+def test_a_block_free_check_walks_the_body_once(monkeypatch):
+    # one walk feeds both conditions and every hygiene check; only the
+    # parallel condition walks again, once per branch of a `|` block
+    walked = []
+
+    def spy(node, *args, **kwargs):
+        if isinstance(node, Behaviour):
+            walked.append(node)
+        return walk(node, *args, **kwargs)
+
+    monkeypatch.setattr(check, "walk", spy)
+    prog = corpus.pipe_unrolled(20).program
+    assert check_program(prog) == []
+    assert len(walked) == 1 and walked[0] is prog.body
+    walked.clear()
+    [rule] = parse_rules(corpus.pipe_boost_rules((1,)))
+    assert check_rule(rule) == []
+    assert len(walked) == 1 and walked[0] is rule.body
