@@ -161,6 +161,8 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 
 def cmd_sim(ns: argparse.Namespace) -> int:
+    inputs: dict[str, list[Value]] = {}
+    services_factory = manager_factory = None
     if ns.scenario:
         try:
             scenario = corpus_mod.scenario_by_name(ns.scenario)
@@ -170,7 +172,6 @@ def cmd_sim(ns: argparse.Namespace) -> int:
         target = scenario.app
         inputs = dict(scenario.inputs)
         services_factory = scenario.services
-        manager_factory = None
         if ns.adapted:
             if ns.adapted not in scenario.adapted:
                 print(f"error: scenario has no adapted run '{ns.adapted}' "
@@ -181,14 +182,15 @@ def cmd_sim(ns: argparse.Namespace) -> int:
             manager_factory = scenario.manager_factory(*recipe.labels)
             if recipe.inputs is not None:
                 inputs = dict(recipe.inputs)
+    elif not ns.file:
+        print("error: give a FILE or --scenario NAME", file=sys.stderr)
+        return 2
+    elif ns.adapted:
+        print("error: --adapted needs --scenario", file=sys.stderr)
+        return 2
     else:
-        if not ns.file:
-            print("error: give a FILE or --scenario NAME", file=sys.stderr)
-            return 2
         target = _checked_program(ns.file)
-        inputs = _inputs_from_args(ns.input)
-        services_factory = None
-        manager_factory = None
+    inputs.update(_inputs_from_args(ns.input))
     config = SimConfig(seed=ns.seed, max_steps=ns.steps, inputs=inputs,
                        services_factory=services_factory,
                        manager_factory=manager_factory,

@@ -99,19 +99,18 @@ INPUT_FUNCTION = "getInput"
 
 class Footprint(NamedTuple):
     """What running some code of one role may touch, as resources named
-    without the role: ``("var", name)`` for a store name, ``("seq", kind)``
-    for the counter that numbers the messages of a kind it sends,
+    without the role: ``("var", name)`` for a store name,
+    ``("seq", kind, op, peer)`` for a channel it sends on (its counter
+    and the mailbox key of ``peer`` it fills, which are one resource),
     ``("recv", kind, op, peer)`` for a mailbox key it receives on,
     :data:`STORE` for the whole store (a write of any name reads it, a
     scope's match with a manager writes it), :data:`TIDS` for the role's
-    next tid (a spawn) and :data:`INPUT` for its input script.  ``sends``
-    holds the mailbox keys ``(kind, op, peer)`` it sends on; ``scoped``
+    next tid (a spawn) and :data:`INPUT` for its input script.  ``scoped``
     says that it enters a scope, whose replacement code, if a rule
     matches, is not known in advance."""
 
     reads: frozenset = frozenset()
     writes: frozenset = frozenset()
-    sends: frozenset = frozenset()
     scoped: bool = False
 
 
@@ -125,14 +124,12 @@ def union(parts: Iterable[Footprint]) -> Footprint:
     """What running all of ``parts`` may touch."""
     reads: set = set()
     writes: set = set()
-    sends: set = set()
     scoped = False
     for f in parts:
         reads |= f.reads
         writes |= f.writes
-        sends |= f.sends
         scoped = scoped or f.scoped
-    return Footprint(frozenset(reads), frozenset(writes), frozenset(sends), scoped)
+    return Footprint(frozenset(reads), frozenset(writes), scoped)
 
 
 def expr_footprint(e: Expr, calls: tuple) -> Footprint:
@@ -145,24 +142,22 @@ def expr_footprint(e: Expr, calls: tuple) -> Footprint:
 
 def sent(kind: str, op: str, peer: str, acked: bool) -> Footprint:
     """A send to ``peer``, and with ``acked`` the receipt of its ack."""
-    writes = {("seq", kind)}
+    writes = {("seq", kind, op, peer)}
     if acked:
         writes.add(("recv", KIND_ACK, op, peer))
-    return Footprint(writes=frozenset(writes), sends=frozenset(((kind, op, peer),)))
+    return Footprint(writes=frozenset(writes))
 
 
 def received(kind: str, op: str, peer: str, acked: bool, var: str | None = None) -> Footprint:
     """A receipt from ``peer``, with ``acked`` its ack, and the store
     name ``var`` it is kept in, if any."""
     writes = {("recv", kind, op, peer)}
-    sends: frozenset = frozenset()
     if acked:
-        writes.add(("seq", KIND_ACK))
-        sends = frozenset(((KIND_ACK, op, peer),))
+        writes.add(("seq", KIND_ACK, op, peer))
     if var is None:
-        return Footprint(writes=frozenset(writes), sends=sends)
+        return Footprint(writes=frozenset(writes))
     writes.add(("var", var))
-    return Footprint(frozenset((STORE,)), frozenset(writes), sends)
+    return Footprint(frozenset((STORE,)), frozenset(writes))
 
 
 def _footprint(node: "ProcessCode") -> Footprint:

@@ -38,6 +38,8 @@ scheduling and transport differ.
 
 Message-for-message protocol, common to every driver:
 
+* a role numbers its messages from 1 per channel ``(kind, op, to)``, and
+  a channel's messages all reach one mailbox key of ``to``;
 * plain interactions are rendezvous: each ``kind="msg"`` send blocks until
   the receiver's ``kind="ack"`` echoing the sequence number arrives, and the
   receiver acknowledges as part of consuming the message;
@@ -407,7 +409,7 @@ class RoleExecutor:
         self._next_tid = 0
         self._queues: dict[MailKey, deque[Message]] = {}
         self._waiters: dict[MailKey, deque[int]] = {}
-        self._seq: dict[str, int] = {}
+        self._seq: dict[tuple[str, str, str], int] = {}  # (kind, op, to) -> last seq
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -574,8 +576,8 @@ class RoleExecutor:
     # -- message construction ----------------------------------------------
 
     def _mk(self, kind: str, op: str, to: str, data: Any) -> Message:
-        seq = self._seq.get(kind, 0) + 1
-        self._seq[kind] = seq
+        key = (kind, op, to)
+        seq = self._seq[key] = self._seq.get(key, 0) + 1
         return Message(kind, op, self.role, to, data, seq)
 
     # -- the interpreter -----------------------------------------------------

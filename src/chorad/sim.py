@@ -380,11 +380,11 @@ class _ReadLog(dict):
 #: step that conflicts with every step of its role.
 _Footprint = tuple[set, set] | None
 
-#: What a task may yet touch: ``(reads, writes, sends, top)``, the first
-#: three as in :class:`~chorad.project.Footprint`, and ``top`` for a task
-#: that may run code not known yet (conflicting with every step of its
-#: role, sending on every key).
-_Future = tuple[frozenset, frozenset, frozenset, bool]
+#: What a task may yet touch: ``(reads, writes, top)``, the first two as
+#: in :class:`~chorad.project.Footprint`, and ``top`` for a task that may
+#: run code not known yet (conflicting with every step of its role,
+#: sending on every channel).
+_Future = tuple[frozenset, frozenset, bool]
 
 
 _STORE_ONLY = frozenset((STORE,))
@@ -545,20 +545,20 @@ class _ExploringWorld(_World):
             # the next step is run on copies only if the future of some
             # task conflicts with this one's
             own = self._future(role, task)
-            if not own[3]:
-                others = [(u, f) for u, f in others if f[3] or _conflict(own, f)]
+            if not own[2]:
+                others = [(u, f) for u, f in others if f[2] or _conflict(own, f)]
             if others:
                 step = self._next_step(role, task)
-                others = [(u, f) for u, f in others if f[3] or _conflict(step, f)]
+                others = [(u, f) for u, f in others if f[2] or _conflict(step, f)]
             return READY, [(role, u) for u, _ in others]
         if task.state == WAIT_RECV:
             kind, op, peer = task.wait_key
             sender = self.executors.get(peer)
-            key = (kind, op, role)
+            channel = ("seq", kind, op, role)
             found = []
             for u in (sender._tasks.values() if sender is not None else ()):
                 future = self._future(peer, u)
-                if future[3] or key in future[2]:
+                if future[2] or channel in future[1]:
                     found.append((peer, u.tid))
             return WAIT_RECV, found
         if task.state == WAIT_JOIN:
@@ -577,7 +577,7 @@ class _ExploringWorld(_World):
         if hit is None:
             ex = self.executors[role]
             fp = union([_frame_future(f, ex) for f in task.frames])
-            hit = self._futures[key] = ((fp.reads, fp.writes, fp.sends, fp.scoped and self.matching),
+            hit = self._futures[key] = ((fp.reads, fp.writes, fp.scoped and self.matching),
                                         [f[2] if f[0] is _EVAL else f[0] for f in task.frames])
         return hit[0]
 
@@ -602,7 +602,7 @@ class _ExploringWorld(_World):
         if effect is None:
             event: tuple = (task.tid, "end")
         elif effect[0] == "send":
-            event = (task.tid, "send", effect[1].kind)
+            event = (task.tid, "send", effect[1].kind, effect[1].op, effect[1].to)
         elif effect[0] in ("recv", "call"):
             event = (task.tid, *effect)
         else:
@@ -617,7 +617,7 @@ class _ExploringWorld(_World):
         if writes:
             reads.add(STORE)
         if verb == "send":
-            writes.add(("seq", event[2]))
+            writes.add(("seq", *event[2:5]))
         elif verb == "recv":
             writes.add(("recv", *event[2:5]))
         elif verb == "spawn":
@@ -749,9 +749,10 @@ def explore(target: Target, config: SimConfig | None = None, *,
     changes, enables or disables what the set's tasks do next.
 
     The next step's footprint holds the store names it reads and writes,
-    the sequence counter of the kind it sent (which stands for the mailbox
-    key it sent on), the key it received on, the role's next tid for a
-    spawn, and ``getInput``'s script position; a service call, pure
+    the channel ``(kind, op, peer)`` it sent on, whose counter and the
+    mailbox key of ``peer`` it fills are one resource, the key it received
+    on, the role's next tid for a spawn, and ``getInput``'s script
+    position; a service call, pure
     whenever the reduction runs, touches only the names its arguments
     read.  With a manager, a ``match`` reads the whole store: a store
     write reads :data:`~chorad.project.STORE` and a match writes it, and

@@ -163,11 +163,25 @@ def test_sim_adapted_scenario(capsys):
     assert payload["appliedRules"] == [["", "s0/r1"]]
 
 
-def test_sim_unknown_scenario_or_run(capsys):
+def test_sim_unknown_scenario_or_run(tmp_path, capsys):
     assert main(["sim", "--scenario", "no-such"]) == 2
     assert "no-such" in capsys.readouterr().err
     assert main(["sim", "--scenario", "hello-world", "--adapted", "fr"]) == 2
     assert "has: it" in capsys.readouterr().err
+    f = tmp_path / "doubler.aioc"
+    f.write_text(INPUT_DOUBLER)
+    assert main(["sim", str(f), "--adapted", "it"]) == 2
+    assert "--adapted needs --scenario" in capsys.readouterr().err
+
+
+def test_sim_input_overrides_the_scenario_script(capsys):
+    # Without the override alice answers true; with it she declines, and
+    # bob's one scripted free day then runs out at the next round.
+    rc, payload = _sim_json(capsys, "--scenario", "appointment",
+                            "--input", 'alice=[false,"n"]')
+    assert rc == 1
+    assert payload["finalStates"]["alice"]["is_free"] is False
+    assert payload["error"] == "bob: 'getFreeDay' has no scripted replies left"
 
 
 def test_sim_file_with_scripted_inputs(tmp_path, capsys):

@@ -333,9 +333,9 @@ def test_every_executor_keeps_exactly_its_ready_tasks(build):
 
 
 @pytest.mark.parametrize("k, steps, trace_hash", [
-    (250, 1510, "e959a9d45ab441247e1bdb6c0e7c71a44809b983bbff5e7d924b184101c85172"),
-    (2000, 12010, "e9716aa69b9c39f721f5976ccab66f630e68a6e5048c498be124aac9be2b16c8"),
-])
+    (250, 1510, "648afaf4e915e7de51409f20a90ddac3aa3f99656962eb9f5c0f764a26c55082"),
+    (2000, 12010, "912b21bef6347a338e7fce3e146251565bcf89ad3f3181c883af73e14d1b1c40"),
+], ids=["250", "2000"])
 def test_wide_par_block_trace_hash_is_pinned(k, steps, trace_hash):
     r = simulate(_wide_par(k), SimConfig(seed=1))
     assert r.outcome == TERMINATED
@@ -443,12 +443,35 @@ def test_hello_world_trace_is_pinned():
 
 
 @pytest.mark.parametrize("adapted, trace_hash", [
-    (None, "4bd1d700a9a32f3687a26a61c1abfb624758d57725b4bf8c555dd0e874ca22b8"),
+    (None, "37062a0817a14134cf7aa5f6a5b3df909ce448af39eb64fed6cc7bebc2da8def"),
     ("free-week",
-     "61ccf7d4f9184edac223ecd83f3acbdc6c72193d7b657a01b2e37595bccb94df"),
+     "8bed5c3d3acafe76cf34cfd6cf33f3f67b37db26e37c0bdb7eb0544b803eea3a"),
 ], ids=["plain", "free-week"])
 def test_appointment_trace_hash_is_pinned(adapted, trace_hash):
     assert _run("appointment", adapted).trace_hash == trace_hash
+
+
+def test_messages_are_numbered_per_channel():
+    """A role numbers its messages per (kind, op, peer): sends of one
+    operation from parallel branches to two peers each carry number 1."""
+    r = simulate(parse_program("""
+        preamble { starter: a }
+        aioc {
+          { n: a( 1 ) -> b( x ) | n: a( 2 ) -> c( y ) }
+        }
+        """), SimConfig(collect_trace=True))
+    assert r.outcome == TERMINATED
+    sends = sorted(line.split(":", 2)[2] for line in r.trace if ":send:msg:" in line)
+    assert sends == ["send:msg:n:b:1", "send:msg:n:c:1"]
+
+
+def test_crossed_acks_on_one_channel_still_fail():
+    # duplicated-notify sends notify twice from a to b in parallel: one
+    # channel, so its numbers still tell crossed acks apart.
+    reports = [_run("duplicated-notify", seed=s) for s in range(50)]
+    assert {r.outcome for r in reports} == {TERMINATED, ERROR}
+    assert all("acknowledgement for 'notify' out of order" in r.error
+               for r in reports if r.outcome == ERROR)
 
 
 def test_different_seeds_change_the_schedule_not_the_outcome():
@@ -1251,7 +1274,7 @@ def _footprint_cases():
 @pytest.mark.parametrize("build", list(_footprint_cases()))
 def test_static_footprints_cover_the_steps_they_predict(monkeypatch, build):
     """Before every step ``explore`` takes, the acting task's future
-    holds what the step touches and the keys it sends on, and the step
+    holds what the step touches and the channels it sends on, and the step
     run on copies touches exactly what the step does.  Each step here
     runs on a logging copy of its role's store, also where stateful
     services keep the reduction off."""
@@ -1260,7 +1283,7 @@ def test_static_footprints_cover_the_steps_they_predict(monkeypatch, build):
 
     def advance(self, role, tid):
         task = self.executors[role]._tasks[tid]
-        reads, writes, sends, top = self._future(role, task)
+        reads, writes, top = self._future(role, task)
         predicted = self._next_step(role, task)
         ex = self.executors[role]
         store = ex.variables = sim._ReadLog(ex.variables)
@@ -1271,7 +1294,7 @@ def test_static_footprints_cover_the_steps_they_predict(monkeypatch, build):
             assert step == predicted, where
         if not top:
             assert step[0] <= reads and step[1] <= writes, where
-            assert {(m.kind, m.op, m.to) for m in outcome.outbound} <= sends, where
+            assert {("seq", m.kind, m.op, m.to) for m in outcome.outbound} <= writes, where
         steps.append(top)
         return outcome
 
@@ -1283,9 +1306,9 @@ def test_static_footprints_cover_the_steps_they_predict(monkeypatch, build):
     assert steps and not all(steps)
 
 
-# Three sends from a to b in parallel branches.  Each takes the next
-# number of a's message counter, and each ack the next of b's, so the
-# orders of the sends and of the acks are states of their own.
+# Three sends from a to b in parallel branches, each on a channel of its
+# own: a numbers its messages per (kind, op, peer), so each send and each
+# ack takes number 1 whatever the order, and no two of them conflict.
 _THREE_SENDS = """
 preamble { starter: a }
 aioc {
@@ -1296,10 +1319,10 @@ aioc {
 
 def test_the_reduction_expands_one_task_and_what_conflicts_with_it():
     # A persistent set of every ready task of a closed set of roles took
-    # 7 052 runs here.
+    # 7 052 runs here, and numbering messages per kind 36.
     r = explore(parse_program(_THREE_SENDS))
     assert r.complete and r.clean and r.deterministic
-    assert r.paths < 705
+    assert r.paths == 1
 
 
 # Nested `|` blocks: the smallest of 100 random such programs whose
@@ -1330,17 +1353,20 @@ def test_a_nested_par_program_explores_completely():
 
 
 # The seeds whose unreduced search completes within 4 000 runs.  Of the
-# 100, 58 complete within 50 000 and agree with the reduced search; the
+# 100, 60 complete within 50 000 and agree with the reduced search; the
 # others here would add a minute to the suite.
 _NESTED_PAR_REFERENCE_SEEDS = {
     4, 6, 11, 12, 15, 17, 20, 21, 22, 23, 24, 25, 26, 31, 35, 36, 38, 42, 49, 50,
-    54, 59, 60, 63, 64, 65, 66, 70, 72, 75, 77, 80, 81, 84, 85, 87, 91, 94, 95, 99}
+    51, 54, 57, 59, 60, 63, 64, 65, 66, 70, 72, 75, 77, 80, 81, 84, 85, 87, 91, 94,
+    95, 99}
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_nested_par_programs_explore_completely(seed):
+    # Numbering messages per kind, seed 14 took 11 412 runs.
     program = progen.random_nested_par_program(seed)
     r = _explores_to_the_global_final(program)
+    assert r.paths <= 20
     if seed in _NESTED_PAR_REFERENCE_SEEDS:
         ref = _unreduced(program)
         assert ref.complete and ref.paths <= 4_000
