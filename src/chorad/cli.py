@@ -163,6 +163,9 @@ def cmd_run(ns: argparse.Namespace) -> int:
 def cmd_sim(ns: argparse.Namespace) -> int:
     inputs: dict[str, list[Value]] = {}
     services_factory = manager_factory = None
+    if bool(ns.file) == bool(ns.scenario):
+        print("error: give either a FILE or --scenario NAME", file=sys.stderr)
+        return 2
     if ns.scenario:
         try:
             scenario = corpus_mod.scenario_by_name(ns.scenario)
@@ -182,9 +185,6 @@ def cmd_sim(ns: argparse.Namespace) -> int:
             manager_factory = scenario.manager_factory(*recipe.labels)
             if recipe.inputs is not None:
                 inputs = dict(recipe.inputs)
-    elif not ns.file:
-        print("error: give a FILE or --scenario NAME", file=sys.stderr)
-        return 2
     elif ns.adapted:
         print("error: --adapted needs --scenario", file=sys.stderr)
         return 2

@@ -401,7 +401,7 @@ def fork_join(text: str = "abcde") -> Scenario:
             s, i = args
             return s[i]
 
-        table.register("charAt", char_at, pure=True)
+        table.register("charAt", char_at)
         table.shifter("shiftChar")
         return {TEXT_ADDR: table}
 

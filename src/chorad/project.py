@@ -105,7 +105,10 @@ class Footprint(NamedTuple):
     ``("recv", kind, op, peer)`` for a mailbox key it receives on,
     :data:`STORE` for the whole store (a write of any name reads it, a
     scope's match with a manager writes it), :data:`TIDS` for the role's
-    next tid (a spawn) and :data:`INPUT` for its input script.  ``scoped``
+    next tid (a spawn), :data:`INPUT` for its input script,
+    ``("call", fn)`` for a call of the service function ``fn`` and
+    :data:`SERVICES` for the state that the service tables share with
+    every role.  ``scoped``
     says that it enters a scope, whose replacement code, if a rule
     matches, is not known in advance."""
 
@@ -117,6 +120,7 @@ class Footprint(NamedTuple):
 STORE = ("store",)
 TIDS = ("tid",)
 INPUT = ("input",)
+SERVICES = ("services",)
 EMPTY = Footprint()
 
 
@@ -133,11 +137,12 @@ def union(parts: Iterable[Footprint]) -> Footprint:
 
 
 def expr_footprint(e: Expr, calls: tuple) -> Footprint:
-    """The names ``e`` reads, and the input script if one of its ``calls``
-    reads it; any other call is a service's."""
-    reads = frozenset(("var", x.name) for x in walk(e) if type(x) is Var)
+    """The names ``e`` reads and the service functions it calls, and the
+    input script if one of its ``calls`` reads it."""
+    reads = {("var", x.name) for x in walk(e) if type(x) is Var}
+    reads.update(("call", c.function) for c in calls if c.function != INPUT_FUNCTION)
     inputs = any(c.function == INPUT_FUNCTION for c in calls)
-    return Footprint(reads, frozenset((INPUT,)) if inputs else frozenset())
+    return Footprint(frozenset(reads), frozenset((INPUT,)) if inputs else frozenset())
 
 
 def sent(kind: str, op: str, peer: str, acked: bool) -> Footprint:

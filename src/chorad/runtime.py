@@ -237,41 +237,22 @@ KIND_READY = "ready"
 KIND_START = "start"
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Message:
     """One message between roles, or between a role and the middleware.
 
     Immutable by convention: nothing sets a field of a message once it is
     made, so forked executors and worlds share their queued messages
-    instead of copying them.  A slotted class with a plain ``__init__``
-    rather than a frozen dataclass, since most steps build one; ``==``,
-    ``hash`` and ``repr`` read the six fields in order, as a dataclass's
-    would.
+    instead of copying them.  Not frozen, since most steps build one and a
+    frozen dataclass sets each field through ``object.__setattr__``.
     """
 
-    __slots__ = ("kind", "op", "frm", "to", "data", "seq")
-
-    def __init__(self, kind: str, op: str, frm: str, to: str, data: Any, seq: int):
-        self.kind = kind
-        self.op = op
-        self.frm = frm
-        self.to = to
-        self.data = data
-        self.seq = seq
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.op, self.frm, self.to, self.data, self.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Message:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"Message(kind={self.kind!r}, op={self.op!r}, frm={self.frm!r}, "
-                f"to={self.to!r}, data={self.data!r}, seq={self.seq!r})")
+    kind: str
+    op: str
+    frm: str
+    to: str
+    data: Any
+    seq: int
 
     def to_dict(self) -> dict[str, Any]:
         """The wire form; the sender is spelled ``from``."""

@@ -62,37 +62,36 @@ class FunctionTable:
     left and the named buffers.  A behaviour is called with the table it is
     called on, so a :meth:`fork` answers from its own copy of the state.
 
-    No behaviour keeps state of its own.  One registered as pure replies from
-    its arguments alone, so calls to it commute; scripts, buffers and timers
-    are not pure.
+    No behaviour keeps state of its own: a reply depends on its arguments
+    and the table's scripts and buffers only.  The behaviours that read or
+    write those, the scripted and buffer ones, are :attr:`stateful`.
     """
 
     def __init__(self) -> None:
         self._functions: dict[str, Callable[..., Value]] = {}
-        self._impure: set[str] = set()
+        self.stateful: set[str] = set()  # the names that read or write the state
         self._scripts: dict[str, tuple[Value, ...]] = {}
         self._buffers: dict[str, str] = {}
         self._lock = threading.Lock()
 
     # -- registration ------------------------------------------------------
 
-    def register(self, name: str, fn: Callable[[list[Value]], Value], *,
-                 pure: bool = False) -> "FunctionTable":
-        """Serve ``fn(args)`` as ``name``.  ``fn`` keeps no state of its own,
-        since a fork copies only the table's; ``pure`` says that its reply
-        depends on its arguments alone, not on the outside world."""
-        return self._serve(name, lambda table, args: fn(args), pure)
+    def register(self, name: str, fn: Callable[[list[Value]], Value]) -> "FunctionTable":
+        """Serve ``fn(args)`` as ``name``.  Its reply must depend on ``args``
+        alone: ``fn`` keeps no state of its own, since a fork copies only
+        the table's, and ``explore`` lets calls to it run in any order."""
+        return self._serve(name, lambda table, args: fn(args), False)
 
-    def _serve(self, name: str, fn: Callable[..., Value], pure: bool) -> "FunctionTable":
+    def _serve(self, name: str, fn: Callable[..., Value], stateful: bool) -> "FunctionTable":
         self._functions[name] = fn
-        if pure:
-            self._impure.discard(name)
+        if stateful:
+            self.stateful.add(name)
         else:
-            self._impure.add(name)
+            self.stateful.discard(name)
         return self
 
     def fixed(self, name: str, value: Value) -> "FunctionTable":
-        return self.register(name, lambda args: value, pure=True)
+        return self.register(name, lambda args: value)
 
     def scripted(self, name: str, values: Sequence[Value]) -> "FunctionTable":
         self._scripts[name] = tuple(values)
@@ -105,7 +104,7 @@ class FunctionTable:
                 table._scripts[name] = left[1:]
                 return left[0]
 
-        return self._serve(name, fn, False)
+        return self._serve(name, fn, True)
 
     def shifter(self, name: str = "shift") -> "FunctionTable":
         def fn(args: list[Value]) -> Value:
@@ -114,7 +113,7 @@ class FunctionTable:
                 raise ServiceError(f"'{name}' needs (text, offset)")
             return shift_text(args[0], args[1])
 
-        return self.register(name, fn, pure=True)
+        return self.register(name, fn)
 
     def prefixer(self, name: str, prefix: str) -> "FunctionTable":
         def fn(args: list[Value]) -> Value:
@@ -122,7 +121,7 @@ class FunctionTable:
                 raise ServiceError(f"'{name}' needs one argument")
             return prefix + render(args[0])
 
-        return self.register(name, fn, pure=True)
+        return self.register(name, fn)
 
     def adder(self, name: str = "add") -> "FunctionTable":
         def fn(args: list[Value]) -> Value:
@@ -131,7 +130,7 @@ class FunctionTable:
                 raise ServiceError(f"'{name}' needs two integers")
             return args[0] + args[1]
 
-        return self.register(name, fn, pure=True)
+        return self.register(name, fn)
 
     def buffers(self, get_name: str = "bufferGet",
                 set_name: str = "bufferSet") -> "FunctionTable":
@@ -149,13 +148,12 @@ class FunctionTable:
                 table._buffers[render(args[0])] = value
             return value
 
-        self._serve(get_name, get_fn, False)
-        return self._serve(set_name, set_fn, False)
+        self._serve(get_name, get_fn, True)
+        return self._serve(set_name, set_fn, True)
 
     def timers(self) -> "FunctionTable":
         # Measurement hooks from the performance scenarios; they carry no
-        # semantics here, so every spelling reports a constant.  A real
-        # timer reads the clock, so they are not pure.
+        # semantics here, so every spelling reports a constant.
         for name in TIMER_NAMES:
             self.register(name, lambda args: 0)
         return self
@@ -163,7 +161,7 @@ class FunctionTable:
     def fork(self) -> "FunctionTable":
         """A table with these behaviours and a copy of this one's state."""
         new = FunctionTable()
-        new._functions, new._impure = dict(self._functions), set(self._impure)
+        new._functions, new.stateful = dict(self._functions), set(self.stateful)
         with self._lock:
             new._scripts, new._buffers = dict(self._scripts), dict(self._buffers)
         return new
@@ -177,10 +175,6 @@ class FunctionTable:
 
     def names(self) -> list[str]:
         return sorted(self._functions)
-
-    def is_pure(self) -> bool:
-        """Whether every function here was registered as pure."""
-        return not self._impure
 
     def call(self, name: str, args: list[Value]) -> Value:
         try:

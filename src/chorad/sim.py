@@ -35,9 +35,9 @@ from typing import Callable
 
 from .adapt import AdaptationManager
 from .ast import Value, _Node
-from .project import (EMPTY, INPUT, STORE, TIDS, Footprint, ParP, ProjectedApp, ScopeCoord,
-                      ScopeFollow, SeqP, Target, _as_app, expr_footprint, received, sent,
-                      union)
+from .project import (EMPTY, INPUT, SERVICES, STORE, TIDS, Footprint, ParP, ProjectedApp,
+                      ScopeCoord, ScopeFollow, SeqP, Target, _as_app, expr_footprint,
+                      received, sent, union)
 from .runtime import (_EVAL, _LEAD, _RECV, _SEND, BARRIER_OP, INPUT_FUNCTION,
                       KIND_ACK, KIND_DONE, KIND_MSG, KIND_READY, KIND_START, READY,
                       WAIT_JOIN, WAIT_RECV, Message, RoleExecutor, StepOutcome, _Task,
@@ -392,9 +392,10 @@ _STORE_ONLY = frozenset((STORE,))
 
 def _conflict(a: _Footprint, b: _Footprint) -> bool:
     """Whether one step writes what the other touches; both are of one
-    role, since steps of different roles share no resource.  Two matches
-    both "write" :data:`~chorad.project.STORE`, yet only read the store,
-    so that alone is no conflict."""
+    role, as :meth:`_ExploringWorld._edges` brings in tasks of other roles
+    by :data:`~chorad.project.SERVICES` alone.  Two matches both "write"
+    :data:`~chorad.project.STORE`, yet only read the store, so that alone
+    is no conflict."""
     if a is None or b is None:
         return True
     if not (a[1].isdisjoint(b[0]) and b[1].isdisjoint(a[0])):
@@ -466,19 +467,23 @@ class _ExploringWorld(_World):
         # with a manager a match reads the whole store, and a scope's
         # replacement code is not known in advance
         self.matching = config.manager_factory is not None
+        # the calls of the stateful service functions, which share SERVICES
+        self._stateful = frozenset(("call", fn) for table in self.router.services.values()
+                                   for fn in table.stateful)
         self._futures: dict[tuple, tuple] = {}  # see _future; forks share it
 
     def options(self) -> list[int]:
         """A persistent set, as indices into :meth:`ready_entries`.  With
-        a ready task alone in its role, that is the task; otherwise it is
-        the ready tasks of the smallest closure (:meth:`_closure`) that
-        starts from one of them."""
+        a ready task alone in its role that calls no stateful service, that
+        is the task; otherwise it is the ready tasks of the smallest closure
+        (:meth:`_closure`) that starts from one of them."""
         i = 0
         for role in self.app.roles:
             ex = self.executors[role]
             n = len(ex._ready)
-            if n == 1 and len(ex._tasks) == 1:
-                return [i]  # no step of its role but its own
+            if n == 1 and len(ex._tasks) == 1 and not (
+                    self._stateful and self._shares(role, next(iter(ex._tasks.values())))):
+                return [i]  # no step of any role can touch what its own does
             i += n
         entries = best = self.ready_entries()
         edges: dict[tuple[str, int], tuple[str, list]] = {}
@@ -530,7 +535,9 @@ class _ExploringWorld(_World):
         ``role``, by the rule its state picks:
 
         * ready: every task of its role whose future (:meth:`_future`)
-          conflicts with its next step (:meth:`_next_step`);
+          conflicts with its next step (:meth:`_next_step`), and if that
+          step writes :data:`~chorad.project.SERVICES`, every task of
+          another role that may (:meth:`_shares`);
         * waiting to receive: every task whose future sends on the key it
           waits on;
         * waiting to join: its children, one of which is enough.
@@ -538,19 +545,21 @@ class _ExploringWorld(_World):
         ex = self.executors[role]
         task = ex._tasks[tid]
         if task.state == READY:
-            if len(ex._tasks) == 1:
-                return READY, []
             others = [(u.tid, self._future(role, u))
                       for u in ex._tasks.values() if u is not task]
             # the next step is run on copies only if the future of some
-            # task conflicts with this one's
+            # task conflicts with this one's, or this one's may be shared
             own = self._future(role, task)
             if not own[2]:
                 others = [(u, f) for u, f in others if f[2] or _conflict(own, f)]
-            if others:
+            found = []
+            if others or own[2] or SERVICES in own[1]:
                 step = self._next_step(role, task)
                 others = [(u, f) for u, f in others if f[2] or _conflict(step, f)]
-            return READY, [(role, u) for u, _ in others]
+                if step is not None and SERVICES in step[1]:
+                    found = [(r, u.tid) for r, x in self.executors.items() if r != role
+                             for u in x._tasks.values() if self._shares(r, u)]
+            return READY, [(role, u) for u, _ in others] + found
         if task.state == WAIT_RECV:
             kind, op, peer = task.wait_key
             sender = self.executors.get(peer)
@@ -567,19 +576,26 @@ class _ExploringWorld(_World):
 
     def _future(self, role: str, task: _Task) -> _Future:
         """What ``task`` may yet touch: the union, over its frames, of each
-        frame's code from its position on (:func:`_frame_future`).  A task
-        whose code enters a scope while a manager can replace it is
-        ``top``.  Kept by where each frame stands, for every world of the
-        search; the key holds the ids of code trees that the value keeps
-        alive."""
+        frame's code from its position on (:func:`_frame_future`), which
+        writes :data:`~chorad.project.SERVICES` if it calls a stateful
+        service.  A task whose code enters a scope while a manager can
+        replace it is ``top``.  Kept by where each frame stands, for every
+        world of the search; the key holds the ids of code trees that the
+        value keeps alive."""
         key = tuple(map(_frame_key, task.frames))
         hit = self._futures.get(key)
         if hit is None:
             ex = self.executors[role]
             fp = union([_frame_future(f, ex) for f in task.frames])
-            hit = self._futures[key] = ((fp.reads, fp.writes, fp.scoped and self.matching),
+            writes = fp.writes if fp.reads.isdisjoint(self._stateful) else fp.writes | {SERVICES}
+            hit = self._futures[key] = ((fp.reads, writes, fp.scoped and self.matching),
                                         [f[2] if f[0] is _EVAL else f[0] for f in task.frames])
         return hit[0]
+
+    def _shares(self, role: str, task: _Task) -> bool:
+        """Whether ``task`` may yet call a stateful service."""
+        future = self._future(role, task)
+        return future[2] or SERVICES in future[1]
 
     def _next_step(self, role: str, task: _Task) -> _Footprint:
         """The footprint of ``task``'s next step, found by running the step
@@ -625,6 +641,8 @@ class _ExploringWorld(_World):
         elif verb == "call":
             if event[2] == INPUT_FUNCTION:
                 writes.add(INPUT)
+            elif ("call", event[2]) in self._stateful:
+                writes.add(SERVICES)
         elif verb == "match":
             if self.matching:
                 writes.add(STORE)
@@ -722,7 +740,8 @@ def explore(target: Target, config: SimConfig | None = None, *,
     state space generation", 1990): starting from one ready task, it
     takes in
     - with a ready task, every task of the same role whose future may
-      conflict with the task's next step;
+      conflict with the task's next step, and if that step calls a
+      stateful service, every task of another role that may call one;
     - with a task waiting to receive, every task whose future sends on
       the key it waits on;
     - with a task waiting to join, one of its children;
@@ -734,11 +753,12 @@ def explore(target: Target, config: SimConfig | None = None, *,
     whose branches were spawned counts its join only, and code that
     enters a scope while a manager can replace it may do anything.
 
-    Why such a set is persistent: steps of different roles touch nothing
-    in common, since each role has its own store, counters and tids, a
-    mailbox key names its sender, so no two roles send on one key, and a
-    send and a receive on one key reach the same state in either order.
-    So a task outside the set can only take steps that commute with every
+    Why such a set is persistent: steps of different roles share only
+    :data:`~chorad.project.SERVICES`, the state of the service tables,
+    since each role has its own store, counters and tids, a mailbox key
+    names its sender, so no two roles send on one key, and a send and a
+    receive on one key reach the same state in either order.  So a task
+    outside the set can only take steps that commute with every
     next step in the set: none of its future conflicts with one, and any
     task it spawns runs code of its future.  A waiting task in the set
     stays blocked until a step of the set runs: whatever can send on its
@@ -751,13 +771,15 @@ def explore(target: Target, config: SimConfig | None = None, *,
     The next step's footprint holds the store names it reads and writes,
     the channel ``(kind, op, peer)`` it sent on, whose counter and the
     mailbox key of ``peer`` it fills are one resource, the key it received
-    on, the role's next tid for a spawn, and ``getInput``'s script
-    position; a service call, pure
-    whenever the reduction runs, touches only the names its arguments
-    read.  With a manager, a ``match`` reads the whole store: a store
+    on, the role's next tid for a spawn, ``getInput``'s script position,
+    and ``SERVICES`` for a call of a stateful service function, a
+    ``scripted`` or buffer one (:attr:`~chorad.services.FunctionTable.stateful`),
+    whatever its table: any two such calls conflict.  Any other service
+    call replies from its arguments alone, so it touches only the names
+    they read.  With a manager, a ``match`` reads the whole store: a store
     write reads :data:`~chorad.project.STORE` and a match writes it, and
-    two matches do not conflict.  Two steps conflict when they are of one
-    role and one writes what the other touches.
+    two matches do not conflict.  Two steps conflict when one writes what
+    the other touches and they are of one role, or both write ``SERVICES``.
 
     Why persistent sets and state matching are the whole reduction: the
     fingerprint holds the step count, so every step leads to a new state
@@ -768,10 +790,8 @@ def explore(target: Target, config: SimConfig | None = None, *,
     state, so expanding a state a second time would queue the same choices
     again; a state already expanded is therefore abandoned.
 
-    The reduction applies only when the config has no ``timeline`` (events
-    fire by step count) and every function of every service table is pure
-    (:meth:`~chorad.services.FunctionTable.register`): a stateful table is
-    shared by every role that calls it.  A failing step ends the run, so
+    The reduction applies only when the config has no ``timeline``, as
+    events fire by step count.  A failing step ends the run, so
     it conflicts with every step, which footprints do not say; so when a
     run ends in ``error`` or ``stepLimit`` the search restarts without the
     reduction, and the runs before the restart count toward ``paths`` and
@@ -806,9 +826,8 @@ def explore(target: Target, config: SimConfig | None = None, *,
     app, codes = _as_app(target), _Codes()
     world = _ExploringWorld(app, config, codes)
     built = world.router.fork(None)  # the tables and manager as built, for a restart
-    reduce = not config.timeline and all(t.is_pure() for t in built.services.values())
     try:
-        return _search(world, max_paths, reduce=reduce)
+        return _search(world, max_paths, reduce=not config.timeline)
     except _Restart as restart:
         return _search(_ExploringWorld(app, config, codes, built), max_paths,
                        reduce=False, paths=restart.paths)

@@ -172,6 +172,8 @@ def test_sim_unknown_scenario_or_run(tmp_path, capsys):
     f.write_text(INPUT_DOUBLER)
     assert main(["sim", str(f), "--adapted", "it"]) == 2
     assert "--adapted needs --scenario" in capsys.readouterr().err
+    assert main(["sim", str(f), "--scenario", "hello-world"]) == 2
+    assert "give either a FILE or --scenario NAME" in capsys.readouterr().err
 
 
 def test_sim_input_overrides_the_scenario_script(capsys):

@@ -107,17 +107,16 @@ def test_unknown_function_is_a_service_error():
 
 
 def test_only_stateless_behaviours_are_pure():
-    pure = FunctionTable().fixed("f", 1).shifter().prefixer("p", "x").adder()
-    assert pure.is_pure()
-    assert FunctionTable().shifter().is_pure() and FunctionTable().fixed("f", 1).is_pure()
-    for stateful in (FunctionTable().scripted("next", [1]), FunctionTable().buffers(),
-                     FunctionTable().timers(), FunctionTable().register("g", len)):
-        assert not stateful.is_pure()
-    # one impure function makes the whole table impure
+    """The stateful names are those of scripted and buffer behaviours."""
+    pure = FunctionTable().fixed("f", 1).shifter().prefixer("p", "x").adder().timers()
+    assert pure.register("g", len).stateful == set()
+    assert FunctionTable().scripted("next", [1]).stateful == {"next"}
+    assert FunctionTable().buffers().stateful == {"bufferGet", "bufferSet"}
     mixed = FunctionTable().fixed("f", 1).scripted("next", [1])
-    assert not mixed.is_pure()
-    # registering a name again replaces its purity with the behaviour
-    assert mixed.register("next", len, pure=True).is_pure()
+    assert mixed.fork().stateful == {"next"}
+    # registering a name again replaces its statefulness with the behaviour
+    assert mixed.register("next", len).stateful == set()
+    assert mixed.scripted("f", [2]).stateful == {"f"}
 
 
 def test_names_are_sorted():
