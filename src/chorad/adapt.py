@@ -32,10 +32,13 @@ A scope entry costs about the same however many rules are published:
   building its name store once; the index only prunes, so the first match
   is the one a linear scan finds;
 * a match reply carries the replacement once, as the rule's compiled code
-  per role (``"code"``, in the codec ``chorad compile`` writes), encoded at
-  publication and shared by every reply; every participant decodes its own
-  share and re-roots it at the scope it replaces
-  (:func:`~chorad.project.reroot_proc`).  Participants parse nothing.
+  per role (``"code"``, :class:`~chorad.project.ProcessCode` objects),
+  compiled at publication and shared by every reply; every participant
+  re-roots its own share at the scope it replaces
+  (:func:`~chorad.project.reroot_proc`).  A reply stays code inside the
+  process: it becomes wire data, in the codec ``chorad compile`` writes,
+  only when :func:`~chorad.net.encode_line` sends it.  Participants parse
+  nothing.
 
 The index is a discrimination network in the manner of Rete (Forgy, 1982),
 kept to equality tests.
@@ -56,7 +59,7 @@ from typing import Any, Protocol
 from .ast import Binary, Expr, Lit, Rule, Value, Var, pretty_print
 from .check import check_rule, has_errors
 from .parser import parse_behaviour, parse_rules
-from .project import ProcessCode, compile_rule_body, proc_to_data
+from .project import ProcessCode, compile_rule_body
 from .runtime import RoleError, eval_expr, render
 
 log = logging.getLogger("chorad.adapt")
@@ -172,6 +175,8 @@ class AdaptationServer:
     rendered literal of one ``name == literal`` conjunct of its condition;
     rules without one are kept on a scan list.  A request evaluates only the
     rules its own values select plus the scan list, in publication order.
+    Each rule's match reply is built at publication too, and holds its
+    compiled code itself, not a wire encoding of it.
     :meth:`publish` replaces the admitted rules whole, so readers need no lock.
     """
 
@@ -196,8 +201,7 @@ class AdaptationServer:
             violations.extend(check_rule(r))
         if has_errors(violations):
             return violations
-        compiled = [(r, {role: proc_to_data(c) for role, c in compile_rule(r).items()})
-                    for r in rules]
+        compiled = [(r, compile_rule(r)) for r in rules]
         with self._lock:
             admitted, index, scan = self._admitted
             index = {name: dict(by_text) for name, by_text in index.items()}

@@ -8,6 +8,12 @@ after writing; request/response callers read exactly one line back.
 Addresses are written ``socket://host:port`` (the bare ``host:port`` is
 accepted too).
 
+Process code stays :class:`~chorad.project.ProcessCode` objects inside a
+process, in match replies and scope directives alike; :func:`encode_line`
+is the one place where it becomes wire data (``proc_to_data``, the codec
+``chorad compile`` writes), so only a line that goes onto a socket pays
+for the encoding.
+
 Shipped process code nests no deeper than the parser's nesting limit
 allows (each expression ships as a flat list of its nodes), so every line
 is within what :mod:`json` encodes and decodes.  A line from outside that
@@ -22,6 +28,8 @@ import socketserver
 import threading
 from typing import Any, Callable
 
+from .project import proc_to_data
+
 DEFAULT_TIMEOUT = 5.0
 
 Handler = Callable[[dict], dict | None]
@@ -33,8 +41,10 @@ class NetError(OSError):
 
 
 def encode_line(obj: Any) -> bytes:
-    """``obj`` as one compact JSON line."""
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+    """``obj`` as one compact JSON line, each process code in it as the
+    data :func:`~chorad.project.proc_to_data` makes of it; any other value
+    JSON cannot hold raises ``TypeError``."""
+    return (json.dumps(obj, separators=(",", ":"), default=proc_to_data) + "\n").encode()
 
 
 def decode_line(line: str | bytes) -> Any:

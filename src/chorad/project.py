@@ -601,7 +601,7 @@ def proc_to_data(p: ProcessCode) -> dict:
     while todo:
         p, out = todo.pop()
         if not isinstance(p, ProcessCode) or type(p) not in _TAGS:
-            raise TypeError(f"not a ProcessCode node: {p!r}")
+            raise TypeError(f"not a ProcessCode node: a {type(p).__name__}")
         out["t"] = _TAGS[type(p)]
         for name, key, _, _ in _LAYOUT[type(p)]:
             out[key] = _value_to_data(getattr(p, name), todo)

@@ -53,8 +53,10 @@ Message-for-message protocol, common to every driver:
   completion notices are not themselves acknowledged.  A match reply
   carries the rule's code per role, compiled when the rule was published;
   each follower's directive carries only that follower's code, and every
-  participant decodes its share and re-roots it at the scope's node id, so
-  the runtime never parses or projects;
+  participant re-roots its share at the scope's node id, so the runtime
+  never parses or projects.  Within a process the code stays compiled
+  objects; only a share that arrived over a socket is wire data, and only
+  that is decoded;
 * before any of that, every non-starting role reports ready to the starter
   and waits for the go signal carrying the full role/address map.
 """
@@ -809,16 +811,18 @@ class RoleExecutor:
             raise RoleError(f"cannot execute {cls.__name__}", self.role)
         return None
 
-    def _replacement_share(self, data: Any, scope_id: NodeId) -> ProcessCode:
+    def _replacement_share(self, code: Any, scope_id: NodeId) -> ProcessCode:
         """This role's share of a replacement: its code as the rule server
         compiled it (None for a role the body does not mention), re-rooted
-        at the scope it replaces."""
-        if data is None:
+        at the scope it replaces.  Code that came over a socket is wire
+        data and is decoded here."""
+        if code is None:
             return Nop()
-        try:
-            code = proc_from_data(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RoleError(f"replacement code is malformed: {exc!r}", self.role) from exc
+        if not isinstance(code, ProcessCode):
+            try:
+                code = proc_from_data(code)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RoleError(f"replacement code is malformed: {exc!r}", self.role) from exc
         return reroot_proc(code, scope_id.path)
 
     def _absorb_includes(self, entries) -> None:

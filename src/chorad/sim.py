@@ -35,9 +35,9 @@ from typing import Callable
 
 from .adapt import AdaptationManager
 from .ast import Value, _Node
-from .project import (EMPTY, INPUT, SERVICES, STORE, TIDS, Footprint, ParP, ProjectedApp,
-                      ScopeCoord, ScopeFollow, SeqP, Target, _as_app, expr_footprint,
-                      received, sent, union)
+from .project import (EMPTY, INPUT, SERVICES, STORE, TIDS, Footprint, ParP, ProcessCode,
+                      ProjectedApp, ScopeCoord, ScopeFollow, SeqP, Target, _as_app,
+                      expr_footprint, received, sent, union)
 from .runtime import (_EVAL, _LEAD, _RECV, _SEND, BARRIER_OP, INPUT_FUNCTION,
                       KIND_ACK, KIND_DONE, KIND_MSG, KIND_READY, KIND_START, READY,
                       WAIT_JOIN, WAIT_RECV, Message, RoleExecutor, StepOutcome, _Task,
@@ -310,22 +310,33 @@ def _seeded_pick(seed: int) -> Callable[[int], int]:
     return pick
 
 
-def _exact(v: object) -> object:
-    """``v`` as a hashable key that keeps every distinction a step can see:
-    ``true`` apart from ``1``, a list apart from a tuple, a dict's order and
-    a message's every field."""
-    cls = type(v)
-    if cls is str or cls is int or v is None:
-        return v
-    if cls is bool:
-        return (bool, v)
-    if cls is Message:
-        return (Message, v.kind, v.op, v.frm, v.to, _exact(v.data), v.seq)
-    if cls is dict:
-        return (dict, *[(k, _exact(x)) for k, x in v.items()])
-    if cls is list or cls is tuple:
-        return (cls, *map(_exact, v))
-    raise TypeError(f"cannot fingerprint a {cls.__name__}")
+def _exact_with(key: Callable[[_Node], int] | None) -> Callable[[object], object]:
+    """The function that turns a value into a hashable key keeping every
+    distinction a step can see: ``true`` apart from ``1``, a list apart
+    from a tuple, a dict's order and a message's every field.  Process
+    code, which a match reply and a scope directive hold, is named by
+    ``key`` (:meth:`_Codes.key`); without one it cannot be fingerprinted."""
+
+    def exact(v: object) -> object:
+        cls = type(v)
+        if cls is str or cls is int or v is None:
+            return v
+        if cls is bool:
+            return (bool, v)
+        if cls is Message:
+            return (Message, v.kind, v.op, v.frm, v.to, exact(v.data), v.seq)
+        if cls is dict:
+            return (dict, *[(k, exact(x)) for k, x in v.items()])
+        if cls is list or cls is tuple:
+            return (cls, *map(exact, v))
+        if key is not None and isinstance(v, ProcessCode):
+            return (ProcessCode, key(v))
+        raise TypeError(f"cannot fingerprint a {cls.__name__}")
+
+    return exact
+
+
+_exact = _exact_with(None)
 
 
 def _items(d: dict) -> tuple:
@@ -343,6 +354,7 @@ class _Codes:
         self._by_id: dict[int, int] = {}
         self._by_shape: dict[_Node, int] = {}
         self._held: list[_Node] = []
+        self.exact = _exact_with(self.key)  # _exact, with code named by its key
 
     def key(self, node: _Node) -> int:
         k = self._by_id.get(id(node))
@@ -650,20 +662,20 @@ class _ExploringWorld(_World):
 
     def _frame(self, f: list) -> tuple:
         """A frame as exact data, each code tree in it as its key."""
-        key = self.codes.key
+        codes = self.codes
         if type(f[0]) is not str:  # a code node's frame: [node, pc, value, k]
-            return (key(f[0]), f[1], _exact(f[2]), f[3])
+            return (codes.key(f[0]), f[1], codes.exact(f[2]), f[3])
         if f[0] is _EVAL:  # [_EVAL, pc, expr, its calls, replies]
-            return (f[0], f[1], key(f[2]), _exact(f[4]))
+            return (f[0], f[1], codes.key(f[2]), _exact(f[4]))
         return tuple(map(_exact, f))
 
     def _role_state(self, role: str) -> tuple:
-        ex = self.executors[role]
-        tasks = tuple((t.tid, t.parent, t.state, _exact(t.resume_value),
+        ex, exact = self.executors[role], self.codes.exact
+        tasks = tuple((t.tid, t.parent, t.state, exact(t.resume_value),
                        t.resume_error, t.wait_key, t.join_remaining,
                        tuple(map(self._frame, t.frames)))
                       for t in ex._tasks.values())
-        mail = tuple((key, tuple(map(_exact, q)))
+        mail = tuple((key, tuple(map(exact, q)))
                      for key, q in sorted(ex._queues.items()))
         waiters = tuple((key, tuple(q)) for key, q in sorted(ex._waiters.items()) if q)
         return (_items(ex.variables), tasks, mail, waiters, _items(ex._seq),

@@ -15,6 +15,7 @@ from chorad.adapt import (
     rule_applies,
 )
 from chorad.ast import Lit
+from chorad.net import decode_line, encode_line
 from chorad.parser import ParseError, parse_rules
 from chorad.project import LocalAssign, proc_from_data
 from chorad.runtime import eval_expr
@@ -125,7 +126,9 @@ def test_first_published_applicable_rule_wins():
     got = server.match({"coordinator": "u", "involved": [], "props": {"k": 1},
                         "vars": {}}, {})
     assert got["rule"] == "s0/r1"
-    assert proc_from_data(got["code"]["u"]) == LocalAssign(var="x", expr=Lit("first"))
+    first = LocalAssign(var="x", expr=Lit("first"))
+    assert got["code"]["u"] == first
+    assert proc_from_data(decode_line(encode_line(got))["code"]["u"]) == first
 
 
 def test_match_skips_inapplicable_then_picks_next():
@@ -510,8 +513,12 @@ def test_a_match_reply_carries_each_roles_code():
     # the replacement ships once, as code: no printed body beside it
     assert sorted(got) == ["code", "includes", "matched", "rule"]
     assert sorted(got["code"]) == ["d", "u"]
-    assert proc_from_data(got["code"]["u"]) == SendTo(op="op", peer="d", expr=Lit(1))
-    assert proc_from_data(got["code"]["d"]) == RecvFrom(op="op", peer="u", var="r")
+    expected = {"u": SendTo(op="op", peer="d", expr=Lit(1)),
+                "d": RecvFrom(op="op", peer="u", var="r")}
+    wire = decode_line(encode_line(got))
+    for role, code in expected.items():
+        assert got["code"][role] == code
+        assert proc_from_data(wire["code"][role]) == code
 
 
 PUBLISHED_MID_RUN = """

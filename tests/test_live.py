@@ -22,7 +22,7 @@ from chorad.live import (
 from chorad.net import NetError, decode_line, encode_line, request, send_line, start_server
 from chorad.parser import parse_program
 from chorad.project import project
-from chorad.runtime import BARRIER_OP, KIND_READY, Message, RoleExecutor
+from chorad.runtime import BARRIER_OP, KIND_DIRECTIVE, KIND_READY, Message, RoleExecutor
 from chorad.services import FunctionTable, Router
 from chorad.sim import ERROR, SimConfig, simulate
 
@@ -87,6 +87,27 @@ def _corpus_runs():
 @pytest.mark.parametrize("name, adapted", list(_corpus_runs()))
 def test_run_all_matches_the_simulator(name, adapted):
     _assert_run_all_matches_simulate(name, adapted)
+
+
+def test_an_inprocess_adapted_run_decodes_no_code(monkeypatch):
+    """Match replies and directives hold compiled code inside one process,
+    so neither the simulator nor run_all decodes a replacement."""
+    from chorad import runtime
+
+    decoded = []
+    real = runtime.proc_from_data
+    monkeypatch.setattr(runtime, "proc_from_data",
+                        lambda d: decoded.append(d) or real(d))
+    sc = corpus.scenario_by_name("pipe-100")
+    factory = sc.manager_factory("boost-half")  # iterations 1..50
+    simulated = simulate(sc.app, SimConfig(manager_factory=factory))
+    assert simulated.ok and len(simulated.applied_rules) == 50
+    assert simulated.final_states["a"]["x"] == 150
+    assert decoded == []
+    live_report = run_all(sc.app, manager=factory())
+    assert live_report.ok
+    assert live_report.final_states == simulated.final_states
+    assert decoded == []
 
 
 ONE_CALL = """
@@ -322,6 +343,29 @@ def test_hello_world_against_networked_middleware():
         for srv in (mgr_srv, rule_srv):
             srv.shutdown()
             srv.server_close()
+
+
+def test_process_code_goes_onto_the_wire_as_its_data():
+    """encode_line writes process code exactly as proc_to_data spells it,
+    and still refuses any other value JSON cannot hold."""
+    from chorad.adapt import AdaptationServer
+    from chorad.project import proc_to_data
+
+    server = AdaptationServer()
+    assert not server.publish(SUM_RULE)
+    reply = server.match({"coordinator": "a", "involved": ["b"],
+                          "props": {"kind": "sum"}, "vars": {}}, {})
+    as_data = {role: proc_to_data(code) for role, code in reply["code"].items()}
+    assert encode_line({"kind": "matchResp", **reply}) == \
+        encode_line({"kind": "matchResp", **reply, "code": as_data})
+    directive = Message(KIND_DIRECTIVE, "_aux_directive_", "a", "b",
+                        {"adapt": True, "code": reply["code"]["b"]}, 1)
+    shipped = Message(KIND_DIRECTIVE, "_aux_directive_", "a", "b",
+                      {"adapt": True, "code": as_data["b"]}, 1)
+    assert encode_line(directive.to_dict()) == encode_line(shipped.to_dict())
+    for value in (object(), {1, 2}, reply["code"]["b"].items[-1].expr):
+        with pytest.raises(TypeError):
+            encode_line({"code": value})
 
 
 SUM_SCOPE = """

@@ -17,7 +17,7 @@ from chorad.check import check_program
 from chorad.parser import MAX_NESTING, ParseError, parse_behaviour, parse_program
 from chorad.project import (IfLocal, LocalAssign, ProjectedApp, SendTo, WhileLocal, _as_app,
                             proc_from_data, proc_to_data, project)
-from chorad.runtime import READY, Message, RoleExecutor
+from chorad.runtime import KIND_DIRECTIVE, READY, Message, RoleExecutor
 from chorad.sim import (
     DEADLOCK,
     ERROR,
@@ -768,6 +768,32 @@ def test_the_fingerprint_reads_where_each_task_stands():
     code = app.per_role["a"]
     assert codes.key(proc_from_data(proc_to_data(code))) == codes.key(code)
     assert codes.key(code.items[-1]) != codes.key(code)
+
+
+_SCOPED = """
+preamble { starter: a }
+aioc {
+  scope @a { hi: a( 1 ) -> b( y ) } prop { N.k = "v" }
+}
+"""
+
+
+def test_the_fingerprint_names_the_code_a_queued_directive_carries():
+    app, codes = project(parse_program(_SCOPED)), sim._Codes()
+    follow = app.per_role["b"]
+
+    def queued(code):
+        world = sim._ExploringWorld(app, SimConfig(hash_trace=False), codes)
+        world.executors["b"].deliver(Message(KIND_DIRECTIVE, follow.directive_op, "a", "b",
+                                             {"adapt": True, "code": code}, 0))
+        return world.fingerprint()
+
+    code = follow.default_p
+    # equal code, even as another tree, fingerprints equal; other code does not
+    assert queued(proc_from_data(proc_to_data(code))) == queued(code)
+    assert queued(replace(code, var="z")) != queued(code)
+    with pytest.raises(TypeError):
+        queued(object())
 
 
 def _differential_cases():
