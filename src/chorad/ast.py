@@ -7,19 +7,17 @@ came from for diagnostics.  ``==`` and ``hash`` walk a tree without
 recursion, so trees of any depth compare; projection's process code is
 built on the same base and compares the same way.
 
-Node ids are paths of positions from the behaviour root: the statements of
-a ``;`` or ``|`` chain are numbered by their position in the chain, ``skip``
-items counted, and the branches or body of an ``if``, ``while`` or
-``scope`` by their field.  An id is therefore as deep as the node is
-syntactically nested, however long the program.  Ids are stable across
-reparses of identical source and seed the deterministic names of the
-auxiliary operations inserted by projection, so every participant of a
-deployment derives the same names independently.
+Node ids are paths of positions from the behaviour root, which the parser
+gives each node as it builds it (see :class:`NodeId`), so an id is as deep
+as the node is syntactically nested, however long the program.  Ids are
+stable across reparses of identical source and seed the deterministic
+names of the auxiliary operations inserted by projection, so every
+participant of a deployment derives the same names independently.
 
 One table, ``_COMPARED``, says what each compared field of a node class
 holds: a child of the class's own family (expression, behaviour or process
 code), a tuple of such children, an expression, a role or a plain value.
-Equality, hashing, numbering, the one walker ``walk`` and projection's
+Equality, hashing, re-rooting, the one walker ``walk`` and projection's
 codec all read it.  ``walk`` and ``chain_items`` work without recursion, so
 long programs and wide blocks stay clear of the recursion limit.
 """
@@ -36,12 +34,18 @@ Role = str
 
 @dataclass(frozen=True)
 class NodeId:
-    """Path of positions from the behaviour root, as :func:`assign_ids`
-    gives them: positions in a chain count the ``skip`` items that the
-    normal form drops, so a node's id follows its place in the source.
+    """Path of positions from the behaviour root, as the parser gives them.
 
-    Lexicographic order of paths is source pre-order.  ``str()`` renders
-    the path digits joined by underscores, the exact form embedded in
+    Item i of a ``;`` or ``|`` chain at ``base`` gets ``base.child(i)``,
+    ``skip`` items counted, so a node's id follows its place in the source;
+    a braced item that holds a chain of the same kind continues the count.
+    A parsed chain is in normal form (see :func:`join_chain`), its interior
+    Seq/Par nodes at ``base``.  Other nodes number their children by field:
+    If then=0 else=1, While body=0, Scope body=0; If, While and Scope stay
+    when their bodies are ``Skip``, as a guard evaluation is an observable
+    event and a scope with an empty body an adaptation point.  Paths in
+    lexicographic order are in source pre-order.  ``str()`` renders the
+    path digits joined by underscores, the exact form embedded in
     auxiliary operation names.
     """
 
@@ -312,48 +316,13 @@ class Rule:
 # =========================================================================
 
 
-def assign_ids(b: Behaviour, base: NodeId = NodeId()) -> Behaviour:
-    """Return ``b`` numbered by position and in normal form: the one pass
-    that rebuilds a parsed tree.
-
-    Item i of a ``;`` or ``|`` chain at ``base`` gets ``base.child(i)``,
-    ``skip`` items counted.  Then the chain drops its skips, splices in an
-    item that came back as a chain of its own kind, and nests the rest to
-    the right, every interior Seq/Par node keeping ``base``; a chain of
-    skips alone becomes one ``Skip``.  Any other node's children are
-    numbered by field: If then=0 else=1, While body=0, Scope body=0, and
-    If, While and Scope stay even when their bodies come back as ``Skip``:
-    a guard evaluation is still an observable event and a scope with an
-    empty default body is still an adaptation point.  A path is thus as
-    long as the node's syntactic nesting, and paths in lexicographic order
-    are in source pre-order.
-    """
-    cls = type(b)
-    if cls is Seq or cls is Par:
-        items: list[Behaviour] = []
-        for i, x in enumerate(chain_items(b)):
-            x = assign_ids(x, base.child(i))
-            if type(x) is cls:
-                items += chain_items(x)
-            elif type(x) is not Skip:
-                items.append(x)
-        if not items:
-            return Skip(nid=base, line=b.line, col=b.col)
-        return join_chain(cls, items, nid=base)
-    children: dict[str, Behaviour] = {}
-    for name, kind in _COMPARED[cls]:
-        if kind == 3:
-            children[name] = assign_ids(getattr(b, name), base.child(len(children)))
-    return replace(b, nid=base, **children)
-
-
 def reroot_ids(b: Behaviour, prefix: tuple[int, ...]) -> Behaviour:
     """Prefix every node id in ``b`` with ``prefix``.
 
     Used when a rule body replaces a scope: re-rooting the body at the scope's
     id makes every role derive identical auxiliary names for it.  Chains come
-    back nested to the right, each sharing its root's id, as ``assign_ids``
-    leaves them.
+    back nested to the right, each sharing its root's id, as the parser
+    builds them.
     """
     cls = type(b)
     if cls is Seq or cls is Par:
@@ -409,10 +378,20 @@ def chain_items(b: Behaviour) -> list[Behaviour]:
 
 
 def join_chain(cls: type, items: list[Behaviour], nid: NodeId = NodeId()) -> Behaviour:
-    """``items`` joined by ``cls`` (Seq or Par) and nested to the right, the
-    normal form; every interior node gets ``nid``."""
-    out = items[-1]
-    for item in reversed(items[:-1]):
+    """``items`` joined by ``cls`` (Seq or Par) in normal form: skips
+    dropped, an item that is a ``cls`` chain spliced in, and the rest nested
+    to the right, every interior node at ``nid``; skips alone are one
+    ``Skip`` at ``nid`` where the first of them is."""
+    kept: list[Behaviour] = []
+    for x in items:
+        if type(x) is cls:
+            kept += chain_items(x)
+        elif type(x) is not Skip:
+            kept.append(x)
+    if not kept:
+        return Skip(nid=nid, line=items[0].line, col=items[0].col)
+    out = kept[-1]
+    for item in reversed(kept[:-1]):
         out = cls(item, out, nid=nid, line=item.line, col=item.col)
     return out
 
@@ -476,7 +455,7 @@ def pretty_print(b: Behaviour, indent: int = 0) -> str:
     """Render ``b`` as canonical source.
 
     The output reparses to ``b``, ids aside, when ``b`` is in normal form,
-    as every parsed tree is (see :func:`assign_ids`): the printer flattens
+    as every parsed tree is (see :class:`NodeId`): the printer flattens
     Seq/Par chains into ``;``/``|`` lists and the parser nests them to the
     right.
     """
@@ -486,44 +465,34 @@ def pretty_print(b: Behaviour, indent: int = 0) -> str:
     if isinstance(b, Assign):
         return f"{pad}{b.var}@{b.role} = {pretty_print_expr(b.expr)}"
     if isinstance(b, Interaction):
-        return (
-            f"{pad}{b.op}: {b.sender}( {pretty_print_expr(b.expr)} )"
-            f" -> {b.receiver}( {b.var} )"
-        )
+        return (f"{pad}{b.op}: {b.sender}( {pretty_print_expr(b.expr)} )"
+                f" -> {b.receiver}( {b.var} )")
     if isinstance(b, Seq):
         return ";\n".join(pretty_print(x, indent) for x in chain_items(b))
-    if isinstance(b, Par):
-        parts = []
-        for x in chain_items(b):
-            if isinstance(x, Seq):  # `;` binds looser than `|`: brace the chain
-                inner = pretty_print(x, indent + 2)
-                parts.append(f"{pad}{{\n{inner}\n{pad}}}")
-            else:
-                parts.append(pretty_print(x, indent))
-        return f"\n{pad}|\n".join(parts)
+    if isinstance(b, Par):  # `;` binds looser than `|`: a `;` chain is braced
+        return f"\n{pad}|\n".join(pad + _block(x, indent) if isinstance(x, Seq)
+                                   else pretty_print(x, indent) for x in chain_items(b))
     if isinstance(b, If):
-        out = (
-            f"{pad}if( {pretty_print_expr(b.guard)} )@{b.evaluator} {{\n"
-            f"{pretty_print(b.then_branch, indent + 2)}\n{pad}}}"
-        )
+        out = (f"{pad}if( {pretty_print_expr(b.guard)} )@{b.evaluator} "
+               + _block(b.then_branch, indent))
         if not isinstance(b.else_branch, Skip):
-            out += f" else {{\n{pretty_print(b.else_branch, indent + 2)}\n{pad}}}"
+            out += f" else {_block(b.else_branch, indent)}"
         return out
     if isinstance(b, While):
-        return (
-            f"{pad}while( {pretty_print_expr(b.guard)} )@{b.evaluator} {{\n"
-            f"{pretty_print(b.body, indent + 2)}\n{pad}}}"
-        )
+        return (f"{pad}while( {pretty_print_expr(b.guard)} )@{b.evaluator} "
+                + _block(b.body, indent))
     if isinstance(b, Scope):
-        out = (
-            f"{pad}scope @{b.coordinator} {{\n"
-            f"{pretty_print(b.body, indent + 2)}\n{pad}}}"
-        )
+        out = f"{pad}scope @{b.coordinator} {_block(b.body, indent)}"
         if b.props:
             props = ", ".join(f"N.{k} = {render_literal(v)}" for k, v in b.props.items())
             out += f" prop {{ {props} }}"
         return out
     raise TypeError(f"not a behaviour node: {b!r}")
+
+
+def _block(body: Behaviour, indent: int) -> str:
+    """``body`` in braces, a statement at ``indent`` opening them."""
+    return f"{{\n{pretty_print(body, indent + 2)}\n{' ' * indent}}}"
 
 
 def pretty_print_program(p: Program) -> str:

@@ -52,12 +52,18 @@ def _split_kv(text: str, what: str) -> tuple[str, str]:
     return key, value
 
 
-def _load_program(path: str):
+def _read_source(path: str) -> str:
+    """The text of a source file, a leading byte order mark dropped; exit 2
+    if it cannot be read or is not UTF-8."""
     try:
-        source = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _load_program(path: str):
+    source = _read_source(path)
     try:
         return parse_program(source)
     except ParseError as exc:
@@ -228,23 +234,17 @@ def cmd_manager(ns: argparse.Namespace) -> int:
 
 def cmd_server(ns: argparse.Namespace) -> int:
     manager = _manager_ref(ns.manager)
+    source = _read_source(ns.rules) if ns.rules else None
     try:
         server, rules = serve_rule_server(ns.at, ns.id, manager)
     except NetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if ns.rules:
-        try:
-            source = Path(ns.rules).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot read {ns.rules}: {exc}", file=sys.stderr)
-            return 2
+    if source is not None:
         try:
             violations = rules.publish(source)
         except ParseError as exc:
-            for d in exc.diagnostics:
-                print(d.render(ns.rules), file=sys.stderr)
-            return 1
+            violations = exc.diagnostics
         for v in violations:
             print(v.render(ns.rules), file=sys.stderr)
         if has_errors(violations):
@@ -285,14 +285,7 @@ def cmd_env(ns: argparse.Namespace) -> int:
 
 
 def cmd_publish(ns: argparse.Namespace) -> int:
-    if ns.file == "-":
-        source = sys.stdin.read()
-    else:
-        try:
-            source = Path(ns.file).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot read {ns.file}: {exc}", file=sys.stderr)
-            return 2
+    source = sys.stdin.read() if ns.file == "-" else _read_source(ns.file)
     try:
         reply = request(ns.server, {"kind": "publish", "rules": source})
     except NetError as exc:

@@ -3,18 +3,25 @@
 The grammar is LL(2): statements starting with an identifier are
 disambiguated by the following token (``@`` begins an assignment, ``:`` an
 interaction).  ``;`` binds looser than ``|``, so ``a; b | c`` sequences ``a``
-before the parallel composition; braces group explicitly.  Each parsed body
-then goes through :func:`chorad.ast.assign_ids` alone, which numbers its
-nodes and brings it to normal form in one rebuild.  The parser does not
-number as it goes: a statement's id depends on tokens after it (``b`` in
-``a@a = 1; { b@a = 2; c@a = 3 }`` is ``1``, but ``1_0_0`` once ``| d@b = 4``
-follows), which would take lookahead over whole blocks.
+before the parallel composition; braces group explicitly.
+
+Behaviour nodes are built once, numbered and in normal form (see
+:class:`chorad.ast.NodeId`).  A chain item's id depends on tokens after it:
+``b`` in ``a@a = 1; { b@a = 2; c@a = 3 }`` is ``1``, the block's chain
+continuing the outer one, but ``1_0_0`` once ``| d@b = 4`` follows the
+block.  So the parser looks ahead through a table of the ``{``, ``}``,
+``;`` and ``|`` tokens, each ``{`` with where it closes: the first ``;``,
+``|`` or ``}`` after a token at its brace depth is a bisection and a jump
+per nested block away.  Expressions hold none of these tokens, so a lookup
+or two tells whether a block holds a ``;`` chain, a ``|`` chain or one
+statement, and whether a ``|`` follows an item of a ``;`` chain.
 
 The scanner builds no object per token.  One ``findall`` splits the input
 into ``(skipped, token)`` pairs, whitespace and comments being skipped, and
-the parser reads three parallel arrays made from them at C level: token
-texts, start offsets and kinds.  Ints are converted and strings unescaped
-when the parser consumes them, and a line and column are worked out from an
+the parser reads token texts and start offsets made from them at C level.
+A token's kind is read off its text when asked for (``str.isidentifier``,
+``str.isdecimal``, a leading quote), ints are converted and strings
+unescaped when consumed, and a line and column are worked out from an
 offset, by bisection over the newline offsets, only when a node or a
 diagnostic is built.
 
@@ -27,9 +34,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
-from operator import getitem, itemgetter
-from string import ascii_letters
+from itertools import accumulate, compress, count
+from operator import add, itemgetter, sub
 
 from .ast import (
     Assign,
@@ -43,6 +49,7 @@ from .ast import (
     Include,
     Interaction,
     Lit,
+    NodeId,
     Par,
     Preamble,
     Program,
@@ -54,7 +61,6 @@ from .ast import (
     Value,
     Var,
     While,
-    assign_ids,
     join_chain,
 )
 
@@ -66,16 +72,18 @@ AUX_PREFIX = "_aux_"
 MAX_NESTING = 100
 
 #: Statements that open a nesting level, and the method that parses each.
-_NESTED = {"{": "braced", "if": "if_stmt", "while": "while_stmt", "scope": "scope_stmt"}
+_NESTED = {"{": "block", "if": "if_stmt", "while": "while_stmt", "scope": "scope_stmt"}
 
 _TIGHTEST = max(PRECEDENCE.values())
+
+_STRUCTURE = frozenset("{};|")  # the tokens of the lookahead table
 
 #: One scan step: the skipped text before a token, then the token.  The
 #: empty alternative matches only where no token starts: at the end of input
 #: or at a bad character, so the first empty token is where scanning stops.
 _SCAN_RE = re.compile(
     r"""
-    ((?:\s+|//[^\n]*)*)
+    (\s*(?://[^\n]*\s*)*)
     ( "(?:\\["\\]|[^"\\])*"
     | \d+
     | [A-Za-z_][A-Za-z0-9_]*
@@ -92,11 +100,6 @@ _LOOSE_STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"')
 _VALID_PREFIX_RE = re.compile(r'"(?:\\["\\]|[^"\\])*')
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _NEWLINE_RE = re.compile("\n")
-
-#: Token kind by first character; any other token the scanner accepts is an
-#: int, which starts with a digit of any script.
-_KIND_OF = {"": "eof", '"': "string", **dict.fromkeys(ascii_letters + "_", "ident"),
-            **dict.fromkeys("{}()[];|@=:,.<>+-*/!", "op")}
 
 
 @dataclass(frozen=True)
@@ -137,28 +140,35 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # constructs open around the current token
         pairs = _SCAN_RE.findall(text)
-        self.texts = list(map(itemgetter(1), pairs))
-        # running ends of skipped parts and tokens; a token starts where its
-        # skipped part ends
-        self.starts = list(accumulate(map(len, chain.from_iterable(pairs))))[::2]
+        texts = self.texts = list(map(itemgetter(1), pairs))
+        # a token starts its length before the running end of the pairs
+        lengths = list(map(len, texts))
+        ends = accumulate(map(add, map(len, map(itemgetter(0), pairs)), lengths))
+        self.starts = list(map(sub, ends, lengths))
         self.newlines = list(map(re.Match.start, _NEWLINE_RE.finditer(text)))
-        self.end = self.texts.index("")  # the eof token, unless a bad character
+        self.end = texts.index("")  # the eof token, unless a bad character
         if self.starts[self.end] < len(text):
             raise self.error(_scan_error(text, self.starts[self.end]), self.end)
         # one more eof, so that peek(1) at the end stays in range
-        self.texts.append("")
+        texts.append("")
         self.starts.append(len(text))
-        firsts = map(getitem, self.texts, repeat(slice(0, 1)))
-        self.kinds = list(map(_KIND_OF.get, firsts, repeat("int")))
+        # the lookahead table: the indices of the `{ } ; |` tokens, one more
+        # at the end of input, and where each `{` is closed (at the end if not)
+        self.marks = list(compress(count(), map(_STRUCTURE.__contains__, texts)))
+        self.marks.append(self.end)
+        self.close = [len(self.marks) - 2] * len(self.marks)
+        opened = []
+        for k, t in enumerate(self.marks):
+            if texts[t] == "{":
+                opened.append(k)
+            elif texts[t] == "}" and opened:
+                self.close[opened.pop()] = k
 
     # ---- token plumbing ------------------------------------------------
 
     def peek(self, ahead: int = 0) -> str:
         """Text of a coming token; only the end of input has empty text."""
         return self.texts[self.pos + ahead]
-
-    def kind(self, ahead: int = 0) -> str:
-        return self.kinds[self.pos + ahead]
 
     def next(self) -> int:
         """Consume the current token and return its index."""
@@ -177,9 +187,7 @@ class _Parser:
     def value(self, i: int) -> Value:
         """The value of int or string token ``i``."""
         text = self.texts[i]
-        if self.kinds[i] == "int":
-            return int(text)
-        return _ESCAPE_RE.sub(r"\1", text[1:-1])
+        return _ESCAPE_RE.sub(r"\1", text[1:-1]) if text[0] == '"' else int(text)
 
     def found(self) -> str:
         t = self.peek()
@@ -191,17 +199,21 @@ class _Parser:
         return _Abort()
 
     def expect_op(self, op: str) -> int:
-        if self.texts[self.pos] == op:
-            return self.next()
+        i = self.pos
+        if self.texts[i] == op:  # not the end of input: op is not empty
+            self.pos = i + 1
+            return i
         raise self.error(f"expected '{op}', found {self.found()}")
 
     def expect_ident(self, what: str = "identifier") -> str:
-        if self.kinds[self.pos] == "ident":
-            return self.texts[self.next()]
+        t = self.texts[self.pos]
+        if t.isidentifier():
+            self.pos += 1
+            return t
         raise self.error(f"expected {what}, found {self.found()}")
 
     def expect_string(self, what: str) -> str:
-        if self.kinds[self.pos] == "string":
+        if self.peek().startswith('"'):
             return self.value(self.next())
         raise self.error(f"expected a quoted {what}")
 
@@ -210,9 +222,6 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.error(f"nesting deeper than {MAX_NESTING} levels", at)
-
-    def at_keyword(self, word: str) -> bool:
-        return self.texts[self.pos] == word
 
     def expect_keyword(self, word: str) -> int:
         if self.texts[self.pos] != word:
@@ -223,14 +232,11 @@ class _Parser:
 
     def program(self) -> Program:
         includes = []
-        while self.at_keyword("include"):
+        while self.peek() == "include":
             includes.append(self.include())
         preamble = self.preamble()
         self.expect_keyword("aioc")
-        body = self.braced()
-        if self.peek():
-            raise self.error(f"unexpected input after program: {self.peek()!r}")
-        return Program(tuple(includes), preamble, assign_ids(body))
+        return Program(tuple(includes), preamble, self.block(NodeId()))
 
     def include(self) -> Include:
         start = self.expect_keyword("include")
@@ -241,7 +247,7 @@ class _Parser:
         self.expect_keyword("from")
         address = self.expect_string("service address")
         protocol = None
-        if self.at_keyword("with"):
+        if self.peek() == "with":
             self.next()
             protocol = self.expect_ident("protocol name")
         return Include(tuple(names), address, protocol, **self.where(start))
@@ -252,14 +258,14 @@ class _Parser:
         starter: str | None = None
         locations: dict[str, str] = {}
         while self.peek() != "}":
-            if self.at_keyword("starter"):
+            if self.peek() == "starter":
                 at = self.next()
                 self.expect_op(":")
                 name = self.expect_ident("starter role")
                 if starter is not None:
                     raise self.error("duplicate starter declaration", at)
                 starter = name
-            elif self.at_keyword("location"):
+            elif self.peek() == "location":
                 self.next()
                 self.expect_op("@")
                 role = self.expect_ident("role name")
@@ -278,58 +284,101 @@ class _Parser:
 
     # ---- behaviours ----------------------------------------------------
 
-    def braced(self) -> Behaviour:
+    def sep_after(self, i: int) -> int:
+        """The first ``;``, ``|`` or ``}`` at or after token ``i`` and at its
+        brace depth; the end of input if there is none."""
+        k = bisect_left(self.marks, i)
+        while self.texts[self.marks[k]] == "{":
+            k = self.close[k] + 1
+        return self.marks[k]
+
+    def chain_kind(self, i: int) -> type | None:
+        """What the block content at token ``i`` is: a ``;`` chain (a ``;``
+        that is not trailing follows its first ``|`` chain), a ``|`` chain,
+        or ``None``, one statement; a statement that is a block is what its
+        content is.  Blocks deeper than the limit do not parse anyway."""
+        texts = self.texts
+        for i in range(i, i + MAX_NESTING + 1):
+            s = first = self.sep_after(i)
+            while texts[s] == "|":
+                s = self.sep_after(s + 1)
+            if texts[s] == ";" and texts[s + 1] != "}":
+                return Seq
+            if texts[first] == "|":
+                return Par
+            if texts[i] != "{":
+                return None
+        return None
+
+    def block(self, base: NodeId) -> Behaviour:
         """Behaviour inside braces; empty (or comment-only) blocks mean skip."""
         self.expect_op("{")
-        body = Skip(**self.where(self.pos)) if self.peek() == "}" else self.seq_chain()
+        empty = self.peek() == "}"
+        body = Skip(nid=base, **self.where(self.pos)) if empty else self.content(base)
         self.expect_op("}")
         return body
 
-    def seq_chain(self) -> Behaviour:
-        # iterative on purpose: long programs are sequential programs
-        items = [self.par_chain()]
-        while self.peek() == ";":
+    def content(self, base: NodeId) -> Behaviour:
+        """The statement or chain here, numbered at ``base``, and a trailing
+        ``;`` after it (``chain_kind`` saw the ``}`` that follows)."""
+        cls = self.chain_kind(self.pos)
+        body = join_chain(cls, self.chain(cls, base, []), base) if cls else self.unit(base)
+        if self.peek() == ";":
             self.next()
-            # tolerate a trailing ';' before the closing brace
-            if self.peek() == "}":
-                break
-            items.append(self.par_chain())
-        return join_chain(Seq, items)
+        return body
 
-    def par_chain(self) -> Behaviour:
-        # iterative too: a `|` block may have many branches
-        items = [self.unit()]
-        while self.peek() == "|":
+    def chain(self, cls: type, base: NodeId, out: list[Behaviour]) -> list[Behaviour]:
+        """The items of a ``;`` or ``|`` chain at ``base`` appended to
+        ``out``, item i numbered ``base.child(i)``; a block of the same kind
+        gives its items.  Iterative, as programs are long ``;`` chains and
+        ``|`` blocks wide; a nesting level takes at most six frames, so
+        ``MAX_NESTING`` levels fit the default recursion limit."""
+        texts = self.texts
+        sep = ";" if cls is Seq else "|"
+        while True:
+            nid = base.child(len(out))
+            if cls is Seq and texts[self.sep_after(self.pos)] == "|":
+                out.append(join_chain(Par, self.chain(Par, nid, []), nid))
+            elif texts[self.pos] == "{" and self.chain_kind(self.pos + 1) is cls:
+                self.enter(self.next())
+                self.chain(cls, base, out)
+                self.expect_op("}")
+                self.depth -= 1
+            else:
+                out.append(self.unit(nid))
+            if texts[self.pos] == ";" and texts[self.pos + 1] == "}":
+                self.next()  # tolerate a trailing ';' before the closing brace
+                return out
+            if texts[self.pos] != sep:
+                return out
             self.next()
-            items.append(self.unit())
-        return join_chain(Par, items)
 
-    def unit(self) -> Behaviour:
+    def unit(self, base: NodeId) -> Behaviour:
         t = self.peek()
         if t in _NESTED:
             self.enter(self.pos)
-            b = getattr(self, _NESTED[t])()
+            b = getattr(self, _NESTED[t])(base)
             self.depth -= 1
             return b
-        if self.kind() != "ident":
+        if not t.isidentifier():
             raise self.error(f"expected a statement, found {self.found()}")
         if t == "skip":
-            return Skip(**self.where(self.next()))
+            return Skip(nid=base, **self.where(self.next()))
         nxt = self.peek(1)
         if nxt == "@":
-            return self.assign_stmt()
+            return self.assign_stmt(base)
         if nxt == ":":
-            return self.interaction_stmt()
+            return self.interaction_stmt(base)
         raise self.error(f"expected '@' or ':' after '{t}'", self.pos + 1)
 
-    def assign_stmt(self) -> Assign:
+    def assign_stmt(self, base: NodeId) -> Assign:
         at = self.next()
         self.expect_op("@")
         role = self.expect_ident("role name")
         self.expect_op("=")
-        return Assign(self.texts[at], role, self.expr(), **self.where(at))
+        return Assign(self.texts[at], role, self.expr(), nid=base, **self.where(at))
 
-    def interaction_stmt(self) -> Interaction:
+    def interaction_stmt(self, base: NodeId) -> Interaction:
         at = self.next()
         op = self.texts[at]
         if op.startswith(AUX_PREFIX):
@@ -346,42 +395,41 @@ class _Parser:
         var = self.expect_ident("target variable")
         self.expect_op(")")
         if sender == receiver:
-            raise self.error(
-                f"interaction '{op}' has identical sender and receiver '{sender}'",
-                receiver_at,
-            )
-        return Interaction(op, sender, expr, receiver, var, **self.where(at))
+            raise self.error(f"interaction '{op}' has identical sender and receiver '{sender}'",
+                             receiver_at)
+        return Interaction(op, sender, expr, receiver, var, nid=base, **self.where(at))
 
-    def guarded(self, keyword: str) -> tuple[Expr, str, Behaviour]:
+    def guarded(self, keyword: str) -> tuple[Expr, str]:
         self.expect_keyword(keyword)
         self.expect_op("(")
         guard = self.expr()
         self.expect_op(")")
         self.expect_op("@")
-        role = self.expect_ident("evaluator role")
-        return guard, role, self.braced()
+        return guard, self.expect_ident("evaluator role")
 
-    def if_stmt(self) -> If:
+    def if_stmt(self, base: NodeId) -> If:
         at = self.pos
-        guard, role, then_b = self.guarded("if")
-        else_b: Behaviour = Skip(**self.where(at))
-        if self.at_keyword("else"):
+        guard, role = self.guarded("if")
+        then_b = self.block(base.child(0))
+        if self.peek() == "else":
             self.next()
-            else_b = self.braced()
-        return If(guard, role, then_b, else_b, **self.where(at))
+            else_b = self.block(base.child(1))
+        else:
+            else_b = Skip(nid=base.child(1), **self.where(at))
+        return If(guard, role, then_b, else_b, nid=base, **self.where(at))
 
-    def while_stmt(self) -> While:
+    def while_stmt(self, base: NodeId) -> While:
         at = self.pos
-        guard, role, body = self.guarded("while")
-        return While(guard, role, body, **self.where(at))
+        guard, role = self.guarded("while")
+        return While(guard, role, self.block(base.child(0)), nid=base, **self.where(at))
 
-    def scope_stmt(self) -> Scope:
+    def scope_stmt(self, base: NodeId) -> Scope:
         at = self.expect_keyword("scope")
         self.expect_op("@")
         role = self.expect_ident("coordinator role")
-        body = self.braced()
+        body = self.block(base.child(0))
         props: dict[str, Value] = {}
-        if self.at_keyword("prop"):
+        if self.peek() == "prop":
             self.next()
             self.expect_op("{")
             while True:
@@ -395,18 +443,17 @@ class _Parser:
                 if key in props:
                     raise self.error(f"duplicate property 'N.{key}'", ns_at)
                 props[key] = value
-                if self.peek() == ",":
-                    self.next()
-                    continue
-                break
+                if self.peek() != ",":
+                    break
+                self.next()
             self.expect_op("}")
-        return Scope(role, body, props, **self.where(at))
+        return Scope(role, body, props, nid=base, **self.where(at))
 
     def literal(self) -> Value:
-        t, kind = self.peek(), self.kind()
-        if kind == "string" or kind == "int":
+        t = self.peek()
+        if t.startswith('"') or t.isdecimal():
             return self.value(self.next())
-        if t == "-" and self.kind(1) == "int":
+        if t == "-" and self.peek(1).isdecimal():
             self.next()
             return -self.value(self.next())  # type: ignore[operator]
         if t == "true" or t == "false":
@@ -432,6 +479,8 @@ class _Parser:
             max_level = level - 1 if level == COMPARISON else level
 
     def unary_expr(self, ns: bool) -> Expr:
+        if self.texts[self.pos] != "!":
+            return self.primary(ns)
         bangs = []
         while self.peek() == "!":
             bangs.append(self.next())
@@ -444,13 +493,10 @@ class _Parser:
 
     def primary(self, ns: bool) -> Expr:
         at = self.pos
-        t, kind = self.texts[at], self.kinds[at]
-        if kind == "string" or kind == "int":
-            self.next()
-            return Lit(self.value(at), **self.where(at))
-        if t == "-" and self.kind(1) == "int":
-            self.next()
-            return Lit(-self.value(self.next()), **self.where(at))  # type: ignore[operator]
+        t = self.texts[at]
+        if t.startswith('"') or t.isdecimal() or t == "true" or t == "false" \
+                or (t == "-" and self.peek(1).isdecimal()):
+            return Lit(self.literal(), **self.where(at))
         if t == "(":
             self.enter(at)
             self.next()
@@ -458,10 +504,8 @@ class _Parser:
             self.expect_op(")")
             self.depth -= 1
             return inner
-        if kind == "ident":
+        if t.isidentifier():
             self.next()
-            if t == "true" or t == "false":
-                return Lit(t == "true", **self.where(at))
             nxt = self.peek()
             if nxt == ".":
                 if not ns:
@@ -496,56 +540,47 @@ class _Parser:
         at = self.expect_keyword("rule")
         self.expect_op("{")
         includes = []
-        while self.at_keyword("include"):
+        while self.peek() == "include":
             includes.append(self.include())
         self.expect_keyword("on")
         self.expect_op("{")
         condition = self.expr(ns=True)
         self.expect_op("}")
         self.expect_keyword("do")
-        body = self.braced()
+        body = self.block(NodeId())
         self.expect_op("}")
-        return Rule(tuple(includes), condition, assign_ids(body), **self.where(at))
+        return Rule(tuple(includes), condition, body, **self.where(at))
 
 
-def _run(text: str, entry):
+def _run(text: str, entry, what: str):
+    """``entry`` applied to a parser of ``text``, which it must read to the end."""
     diags: list[Diagnostic] = []
     try:
-        return entry(_Parser(text, diags))
+        p = _Parser(text, diags)
+        out = entry(p)
+        if p.peek():
+            raise p.error(f"unexpected input after {what}: {p.peek()!r}")
+        return out
     except _Abort:
         raise ParseError(diags) from None
 
 
 def parse_program(text: str) -> Program:
     """Parse a full program; the body comes back numbered and in normal form
-    (see :func:`chorad.ast.assign_ids`)."""
-    return _run(text, _Parser.program)
+    (see :class:`chorad.ast.NodeId`)."""
+    return _run(text, _Parser.program, "program")
 
 
 def parse_rules(text: str) -> list[Rule]:
     """Parse a rule file: zero or more ``rule { ... }`` entries."""
-    return _run(text, _Parser.rules)
+    return _run(text, _Parser.rules, "rules")
 
 
 def parse_behaviour(text: str) -> Behaviour:
     """Parse a bare behaviour (used for rule bodies shipped over the wire)."""
-
-    def entry(p: _Parser) -> Behaviour:
-        b = p.seq_chain() if p.peek() else Skip()
-        if p.peek():
-            raise p.error(f"unexpected input after behaviour: {p.peek()!r}")
-        return assign_ids(b)
-
-    return _run(text, entry)
+    return _run(text, lambda p: p.content(NodeId()) if p.peek() else Skip(), "behaviour")
 
 
 def parse_expr(text: str, allow_namespaces: bool = False) -> Expr:
     """Parse a standalone expression (namespaces opt-in for rule conditions)."""
-
-    def entry(p: _Parser) -> Expr:
-        e = p.expr(allow_namespaces)
-        if p.peek():
-            raise p.error(f"unexpected input after expression: {p.peek()!r}")
-        return e
-
-    return _run(text, entry)
+    return _run(text, lambda p: p.expr(allow_namespaces), "expression")

@@ -73,6 +73,37 @@ def test_check_rejects_unparseable_source(tmp_path, capsys):
     assert "syntax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"], ["compile"], ["run", "--no-prompt"], ["sim"],
+    ["server", "--at", "socket://localhost:0", "--rules"],
+    ["publish", "--server", "socket://localhost:9"],
+])
+def test_a_source_that_is_not_utf8_is_an_error_not_a_traceback(argv, tmp_path, capsys):
+    f = tmp_path / "latin1.aioc"
+    f.write_bytes('preamble { starter: a } aioc { x@a = "café" }'.encode("latin-1"))
+    assert main(argv + [str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {f}: ") and "utf-8" in err
+    assert "Traceback" not in err
+
+
+def test_a_leading_byte_order_mark_is_not_part_of_the_source(tmp_path, capsys):
+    sc = corpus.scenario_by_name("hello-world")
+    prog = tmp_path / "bom.aioc"
+    prog.write_text("\ufeff" + sc.source, encoding="utf-8")
+    assert main(["check", str(prog)]) == 0
+    assert capsys.readouterr().err == ""
+    rules = tmp_path / "bom.rules"
+    rules.write_text("\ufeff" + sc.rules["italian"], encoding="utf-8")
+    server, served = serve_rule_server("socket://localhost:0")
+    try:
+        assert main(["publish", "--server", server.address, str(rules)]) == 0
+        assert len(served.rules()) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_compile_writes_manifest_and_role_files(hello_file, tmp_path, capsys):
     out = tmp_path / "build"
     assert main(["compile", str(hello_file), "-o", str(out)]) == 0

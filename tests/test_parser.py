@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import fields
+from functools import lru_cache
 
 import pytest
 
@@ -327,6 +328,69 @@ def test_front_end_output_is_pinned():
     ) == "07d1c090a9997bb75658a2dccaac38a8ba2ec86d6b6787f5d34a69a2dc58117d"
     chain = parse_program(_scope_chain(1000))
     assert parse_program(pretty_print_program(chain)) == chain
+
+
+# Every small body built from three leaves, braces, ``;``, ``|``, trailing
+# ``;`` and the guarded statements: a leaf or a wrapper costs one, so size 4
+# reaches chains of four leaves, blocks nested three deep and every mix of
+# skips and spliced chains in between.
+_LEAVES = ("skip", "x@a = 1", "{}")
+_WRAPPERS = ("{{ {} }}", "if(true)@a {{ {} }}", "while(true)@a {{ {} }}", "scope @a {{ {} }}")
+
+
+@lru_cache(None)
+def _chains(size: int) -> tuple[str, ...]:
+    """Chains of the given size, ``;`` and ``|`` in every mix."""
+    out = []
+    for first in range(1, size + 1):
+        for head in _units(first):
+            if first == size:
+                out.append(head)
+                continue
+            for rest in _chains(size - first):
+                out += [f"{head}; {rest}", f"{head} | {rest}"]
+    return tuple(out)
+
+
+@lru_cache(None)
+def _units(size: int) -> tuple[str, ...]:
+    if size == 1:
+        return _LEAVES
+    inner = _chains(size - 1)
+    out = [w.format(b + end) for w in _WRAPPERS for b in inner for end in ("", ";")]
+    for k in range(1, size - 1):
+        out += [f"if(true)@a {{ {b} }} else {{ {c} }}"
+                for b in _chains(k) for c in _chains(size - 1 - k)]
+    return tuple(out)
+
+
+def test_numbering_of_small_chain_shapes_is_pinned():
+    h = hashlib.sha256()
+    for size in range(1, 5):
+        for text in _chains(size):
+            b = parse_behaviour(text)
+            _pin_behaviour(h, b)
+            h.update(pretty_print(b).encode())
+            if size < 4:  # the same numbering under a program and a rule
+                prog = parse_program(f"preamble {{ starter: a }}\naioc {{\n  {text}\n}}")
+                _pin_behaviour(h, prog.body)
+                (rule,) = parse_rules(f"rule {{ on {{ true }} do {{ {text} }} }}")
+                _pin_behaviour(h, rule.body)
+    assert len(_chains(4)) == 14712
+    assert h.hexdigest() == "17774656c82193fe309dc9cba6d303c1b748506e8063143b279cacf971ac4b1d"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a@a = 1; { b@a = 2; c@a = 3 }",
+     [("Seq", ""), ("Assign", "0"), ("Seq", ""), ("Assign", "1"), ("Assign", "2")]),
+    ("a@a = 1; { b@a = 2; c@a = 3 } | d@b = 4",
+     [("Seq", ""), ("Assign", "0"), ("Par", "1"), ("Seq", "1_0"),
+      ("Assign", "1_0_0"), ("Assign", "1_0_1"), ("Assign", "1_1")]),
+    ("if(true)@a { x@a=1 }; skip; { skip; y@a = 2 }",
+     [("Seq", ""), ("If", "0"), ("Assign", "0_0"), ("Skip", "0_1"), ("Assign", "3")]),
+])
+def test_explicit_ids_of_chain_items(text, expected):
+    assert [(type(x).__name__, str(x.nid)) for x in walk(parse_behaviour(text))] == expected
 
 
 @pytest.mark.parametrize("parse, text, expected", [
