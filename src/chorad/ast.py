@@ -39,8 +39,10 @@ class NodeId:
     Item i of a ``;`` or ``|`` chain at ``base`` gets ``base.child(i)``,
     ``skip`` items counted, so a node's id follows its place in the source;
     a braced item that holds a chain of the same kind continues the count.
-    A parsed chain is in normal form (see :func:`join_chain`), its interior
-    Seq/Par nodes at ``base``.  Other nodes number their children by field:
+    A parsed chain is in normal form: its skips dropped, an item that is a
+    chain of its own kind spliced in, the rest nested to the right with
+    every interior Seq/Par node at ``base``, and a chain of skips alone one
+    ``Skip`` at ``base``.  Other nodes number their children by field:
     If then=0 else=1, While body=0, Scope body=0; If, While and Scope stay
     when their bodies are ``Skip``, as a guard evaluation is an observable
     event and a scope with an empty body an adaptation point.  Paths in
@@ -378,20 +380,10 @@ def chain_items(b: Behaviour) -> list[Behaviour]:
 
 
 def join_chain(cls: type, items: list[Behaviour], nid: NodeId = NodeId()) -> Behaviour:
-    """``items`` joined by ``cls`` (Seq or Par) in normal form: skips
-    dropped, an item that is a ``cls`` chain spliced in, and the rest nested
-    to the right, every interior node at ``nid``; skips alone are one
-    ``Skip`` at ``nid`` where the first of them is."""
-    kept: list[Behaviour] = []
-    for x in items:
-        if type(x) is cls:
-            kept += chain_items(x)
-        elif type(x) is not Skip:
-            kept.append(x)
-    if not kept:
-        return Skip(nid=nid, line=items[0].line, col=items[0].col)
-    out = kept[-1]
-    for item in reversed(kept[:-1]):
+    """``items`` joined by ``cls`` (Seq or Par) and nested to the right, the
+    normal form; every interior node gets ``nid``."""
+    out = items[-1]
+    for item in reversed(items[:-1]):
         out = cls(item, out, nid=nid, line=item.line, col=item.col)
     return out
 
@@ -465,34 +457,44 @@ def pretty_print(b: Behaviour, indent: int = 0) -> str:
     if isinstance(b, Assign):
         return f"{pad}{b.var}@{b.role} = {pretty_print_expr(b.expr)}"
     if isinstance(b, Interaction):
-        return (f"{pad}{b.op}: {b.sender}( {pretty_print_expr(b.expr)} )"
-                f" -> {b.receiver}( {b.var} )")
+        return (
+            f"{pad}{b.op}: {b.sender}( {pretty_print_expr(b.expr)} )"
+            f" -> {b.receiver}( {b.var} )"
+        )
     if isinstance(b, Seq):
         return ";\n".join(pretty_print(x, indent) for x in chain_items(b))
-    if isinstance(b, Par):  # `;` binds looser than `|`: a `;` chain is braced
-        return f"\n{pad}|\n".join(pad + _block(x, indent) if isinstance(x, Seq)
-                                   else pretty_print(x, indent) for x in chain_items(b))
+    if isinstance(b, Par):
+        parts = []
+        for x in chain_items(b):
+            if isinstance(x, Seq):  # `;` binds looser than `|`: brace the chain
+                inner = pretty_print(x, indent + 2)
+                parts.append(f"{pad}{{\n{inner}\n{pad}}}")
+            else:
+                parts.append(pretty_print(x, indent))
+        return f"\n{pad}|\n".join(parts)
     if isinstance(b, If):
-        out = (f"{pad}if( {pretty_print_expr(b.guard)} )@{b.evaluator} "
-               + _block(b.then_branch, indent))
+        out = (
+            f"{pad}if( {pretty_print_expr(b.guard)} )@{b.evaluator} {{\n"
+            f"{pretty_print(b.then_branch, indent + 2)}\n{pad}}}"
+        )
         if not isinstance(b.else_branch, Skip):
-            out += f" else {_block(b.else_branch, indent)}"
+            out += f" else {{\n{pretty_print(b.else_branch, indent + 2)}\n{pad}}}"
         return out
     if isinstance(b, While):
-        return (f"{pad}while( {pretty_print_expr(b.guard)} )@{b.evaluator} "
-                + _block(b.body, indent))
+        return (
+            f"{pad}while( {pretty_print_expr(b.guard)} )@{b.evaluator} {{\n"
+            f"{pretty_print(b.body, indent + 2)}\n{pad}}}"
+        )
     if isinstance(b, Scope):
-        out = f"{pad}scope @{b.coordinator} {_block(b.body, indent)}"
+        out = (
+            f"{pad}scope @{b.coordinator} {{\n"
+            f"{pretty_print(b.body, indent + 2)}\n{pad}}}"
+        )
         if b.props:
             props = ", ".join(f"N.{k} = {render_literal(v)}" for k, v in b.props.items())
             out += f" prop {{ {props} }}"
         return out
     raise TypeError(f"not a behaviour node: {b!r}")
-
-
-def _block(body: Behaviour, indent: int) -> str:
-    """``body`` in braces, a statement at ``indent`` opening them."""
-    return f"{{\n{pretty_print(body, indent + 2)}\n{' ' * indent}}}"
 
 
 def pretty_print_program(p: Program) -> str:

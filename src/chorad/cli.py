@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .adapt import AdaptationManager
+from .adapt import AdaptationManager, AdaptationServer
 from .ast import Value, pretty_print_program
 from .check import check_program, has_errors
 from .parser import ParseError, parse_program
@@ -234,21 +234,21 @@ def cmd_manager(ns: argparse.Namespace) -> int:
 
 def cmd_server(ns: argparse.Namespace) -> int:
     manager = _manager_ref(ns.manager)
-    source = _read_source(ns.rules) if ns.rules else None
-    try:
-        server, rules = serve_rule_server(ns.at, ns.id, manager)
-    except NetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if source is not None:
+    rules = AdaptationServer(ns.id)
+    if ns.rules:  # published before the server binds or registers
         try:
-            violations = rules.publish(source)
+            violations = rules.publish(_read_source(ns.rules))
         except ParseError as exc:
             violations = exc.diagnostics
         for v in violations:
             print(v.render(ns.rules), file=sys.stderr)
         if has_errors(violations):
             return 1
+    try:
+        server, _ = serve_rule_server(ns.at, manager_address=manager, rules=rules)
+    except NetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"rule server '{ns.id}' listening at {server.address}")
     return _serve_until_interrupt(server)
 

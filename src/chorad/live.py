@@ -334,12 +334,16 @@ def serve_manager(address: str,
 
 def serve_rule_server(address: str, server_id: str = "s0",
                       manager_address: str | None = None,
+                      rules: AdaptationServer | None = None,
                       ) -> tuple[JsonLineServer, AdaptationServer]:
-    rules = AdaptationServer(server_id)
+    """Serve ``rules``, a new empty server named ``server_id`` if not
+    given, and register it with the manager at ``manager_address``."""
+    if rules is None:
+        rules = AdaptationServer(server_id)
     server = start_server(address, make_rule_server_handler(rules))
     if manager_address:
         request(manager_address,
-                {"kind": "register", "server": server_id,
+                {"kind": "register", "server": rules.server_id,
                  "address": server.address})
     return server, rules
 

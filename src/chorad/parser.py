@@ -14,7 +14,9 @@ block.  So the parser looks ahead through a table of the ``{``, ``}``,
 ``|`` or ``}`` after a token at its brace depth is a bisection and a jump
 per nested block away.  Expressions hold none of these tokens, so a lookup
 or two tells whether a block holds a ``;`` chain, a ``|`` chain or one
-statement, and whether a ``|`` follows an item of a ``;`` chain.
+statement (an answer kept per block, so blocks in blocks are looked through
+once), and whether a ``|`` follows an item of a ``;`` chain.  A chain drops
+its skips and splices its own kind as it collects its items.
 
 The scanner builds no object per token.  One ``findall`` splits the input
 into ``(skipped, token)`` pairs, whitespace and comments being skipped, and
@@ -61,6 +63,7 @@ from .ast import (
     Value,
     Var,
     While,
+    chain_items,
     join_chain,
 )
 
@@ -163,6 +166,7 @@ class _Parser:
                 opened.append(k)
             elif texts[t] == "}" and opened:
                 self.close[opened.pop()] = k
+        self.kinds: dict[int, type | None] = {}  # chain_kind's answers
 
     # ---- token plumbing ------------------------------------------------
 
@@ -296,19 +300,24 @@ class _Parser:
         """What the block content at token ``i`` is: a ``;`` chain (a ``;``
         that is not trailing follows its first ``|`` chain), a ``|`` chain,
         or ``None``, one statement; a statement that is a block is what its
-        content is.  Blocks deeper than the limit do not parse anyway."""
+        content is, and is remembered as such, so that no block is looked
+        through twice.  Blocks deeper than the limit do not parse anyway."""
+        if i in self.kinds:
+            return self.kinds[i]
         texts = self.texts
-        for i in range(i, i + MAX_NESTING + 1):
-            s = first = self.sep_after(i)
+        kind = None
+        for j in range(i, i + MAX_NESTING + 1):
+            s = first = self.sep_after(j)
             while texts[s] == "|":
                 s = self.sep_after(s + 1)
             if texts[s] == ";" and texts[s + 1] != "}":
-                return Seq
-            if texts[first] == "|":
-                return Par
-            if texts[i] != "{":
-                return None
-        return None
+                kind = Seq
+            elif texts[first] == "|":
+                kind = Par
+            if kind or texts[j] != "{":
+                break
+        self.kinds.update(dict.fromkeys(range(i, j + 1), kind))
+        return kind
 
     def block(self, base: NodeId) -> Behaviour:
         """Behaviour inside braces; empty (or comment-only) blocks mean skip."""
@@ -322,35 +331,54 @@ class _Parser:
         """The statement or chain here, numbered at ``base``, and a trailing
         ``;`` after it (``chain_kind`` saw the ``}`` that follows)."""
         cls = self.chain_kind(self.pos)
-        body = join_chain(cls, self.chain(cls, base, []), base) if cls else self.unit(base)
+        body = self.joined(cls, base) if cls else self.unit(base)
         if self.peek() == ";":
             self.next()
         return body
 
-    def chain(self, cls: type, base: NodeId, out: list[Behaviour]) -> list[Behaviour]:
-        """The items of a ``;`` or ``|`` chain at ``base`` appended to
-        ``out``, item i numbered ``base.child(i)``; a block of the same kind
-        gives its items.  Iterative, as programs are long ``;`` chains and
-        ``|`` blocks wide; a nesting level takes at most six frames, so
+    def joined(self, cls: type, base: NodeId) -> Behaviour:
+        """The ``;`` or ``|`` chain here at ``base``, in normal form (see
+        :class:`chorad.ast.NodeId`)."""
+        at = self.pos
+        items: list[Behaviour] = []
+        self.chain(cls, base, items, 0)
+        if items:
+            return join_chain(cls, items, base)
+        while self.texts[at] == "{":  # skips alone: the first is a `skip` or a `{}`
+            at += 1
+        return Skip(nid=base, **self.where(at))
+
+    def chain(self, cls: type, base: NodeId, out: list[Behaviour], n: int) -> int:
+        """Parse the items of a ``;`` or ``|`` chain at ``base``, item n on
+        numbered ``base.child(n)``, and return the next free n.  ``out``
+        gets them in normal form: skips dropped, an item that is a ``cls``
+        chain spliced in, and the items of a braced ``cls`` chain numbered
+        in place.  Iterative, as programs are long ``;`` chains and ``|``
+        blocks wide; a nesting level takes at most six frames, so
         ``MAX_NESTING`` levels fit the default recursion limit."""
         texts = self.texts
         sep = ";" if cls is Seq else "|"
         while True:
-            nid = base.child(len(out))
             if cls is Seq and texts[self.sep_after(self.pos)] == "|":
-                out.append(join_chain(Par, self.chain(Par, nid, []), nid))
+                x = self.joined(Par, base.child(n))
             elif texts[self.pos] == "{" and self.chain_kind(self.pos + 1) is cls:
                 self.enter(self.next())
-                self.chain(cls, base, out)
+                n = self.chain(cls, base, out, n) - 1
                 self.expect_op("}")
                 self.depth -= 1
+                x = None
             else:
-                out.append(self.unit(nid))
+                x = self.unit(base.child(n))
+            n += 1
+            if type(x) is cls:
+                out += chain_items(x)
+            elif x is not None and type(x) is not Skip:
+                out.append(x)
             if texts[self.pos] == ";" and texts[self.pos + 1] == "}":
                 self.next()  # tolerate a trailing ';' before the closing brace
-                return out
+                return n
             if texts[self.pos] != sep:
-                return out
+                return n
             self.next()
 
     def unit(self, base: NodeId) -> Behaviour:
@@ -395,8 +423,10 @@ class _Parser:
         var = self.expect_ident("target variable")
         self.expect_op(")")
         if sender == receiver:
-            raise self.error(f"interaction '{op}' has identical sender and receiver '{sender}'",
-                             receiver_at)
+            raise self.error(
+                f"interaction '{op}' has identical sender and receiver '{sender}'",
+                receiver_at,
+            )
         return Interaction(op, sender, expr, receiver, var, nid=base, **self.where(at))
 
     def guarded(self, keyword: str) -> tuple[Expr, str]:
@@ -443,9 +473,10 @@ class _Parser:
                 if key in props:
                     raise self.error(f"duplicate property 'N.{key}'", ns_at)
                 props[key] = value
-                if self.peek() != ",":
-                    break
-                self.next()
+                if self.peek() == ",":
+                    self.next()
+                    continue
+                break
             self.expect_op("}")
         return Scope(role, body, props, nid=base, **self.where(at))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -85,6 +86,23 @@ def test_a_source_that_is_not_utf8_is_an_error_not_a_traceback(argv, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {f}: ") and "utf-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["rule {", "rule { on { true } do { x@a = f( 1 ) } }"])
+def test_a_rule_server_whose_rules_fail_neither_serves_nor_registers(text, tmp_path, capsys):
+    bad = tmp_path / "bad.rules"
+    bad.write_text(text)
+    mgr_srv, manager = serve_manager("socket://localhost:0")
+    serving = {t.name for t in threading.enumerate()}
+    try:
+        assert main(["server", "--at", "socket://localhost:0", "--manager",
+                     mgr_srv.address, "--rules", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"{bad}:1:")
+        assert manager.servers() == []
+        assert {t.name for t in threading.enumerate()} <= serving
+    finally:
+        mgr_srv.shutdown()
+        mgr_srv.server_close()
 
 
 def test_a_leading_byte_order_mark_is_not_part_of_the_source(tmp_path, capsys):

@@ -23,13 +23,16 @@ from chorad.ast import (
     Unary,
     Var,
     While,
+    chain_items,
     pretty_print,
     pretty_print_program,
     walk,
 )
 from chorad.parser import (
+    MAX_NESTING,
     Diagnostic,
     ParseError,
+    _Parser,
     parse_behaviour,
     parse_expr,
     parse_program,
@@ -391,6 +394,26 @@ def test_numbering_of_small_chain_shapes_is_pinned():
 ])
 def test_explicit_ids_of_chain_items(text, expected):
     assert [(type(x).__name__, str(x.nid)) for x in walk(parse_behaviour(text))] == expected
+
+
+@pytest.mark.parametrize("tail", ["", "; y@b = 0"])
+def test_the_lookahead_walks_a_deep_wide_chain_once(tail, monkeypatch):
+    """A ``|`` chain of width 200 in 100 braces costs lookups in proportion
+    to width plus depth, not to their product."""
+    calls = 0
+    sep_after = _Parser.sep_after
+
+    def counted(self, i):
+        nonlocal calls
+        calls += 1
+        return sep_after(self, i)
+
+    monkeypatch.setattr(_Parser, "sep_after", counted)
+    width = 200
+    chain = " | ".join(f"x{k}@a = {k}" for k in range(width)) + tail
+    b = parse_behaviour("{ " * MAX_NESTING + chain + " }" * MAX_NESTING)
+    assert len(chain_items(b)) == (2 if tail else width)
+    assert calls <= 2 * (width + MAX_NESTING) + 10
 
 
 @pytest.mark.parametrize("parse, text, expected", [

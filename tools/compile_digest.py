@@ -14,8 +14,7 @@ input's name goes into the hash before its data, and a projection error
 goes in as its message.  Node ids name every auxiliary operation and scope,
 so two checkouts that number or project any node differently print
 different digests.  ``--root`` runs the ``src`` and ``tests`` of another
-checkout; with ``--verbose`` one line per input goes to stderr.  Standard
-library only.
+checkout.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="the checkout whose src and tests to run (default: this one)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="also print each input's own digest to stderr")
     ns = parser.parse_args(argv)
     sys.path[:0] = [str(ns.root / "src"), str(ns.root / "tests")]
     import progen
@@ -67,10 +64,7 @@ def main(argv: list[str] | None = None) -> int:
                         for rule in parse_rules(text)]
         except ProjectionError as exc:
             data = {"error": str(exc)}
-        blob = f"{name}\n{json.dumps(data, sort_keys=True)}\n".encode()
-        total.update(blob)
-        if ns.verbose:
-            print(name, hashlib.sha256(blob).hexdigest(), file=sys.stderr)
+        total.update(f"{name}\n{json.dumps(data, sort_keys=True)}\n".encode())
     print(total.hexdigest())
     return 0
 
