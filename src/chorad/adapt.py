@@ -23,7 +23,9 @@ A scope entry costs about the same however many rules are published:
 
 * publishing checks a batch, compiles every rule's body to per-role process
   code at the body's own node ids, and only then admits the batch, so a bad
-  rule leaves the server and its rule numbering untouched;
+  rule leaves the server and its rule numbering untouched; bodies with
+  equal printed text compile once per server, and an admitted rule carries
+  its body's role set;
 * each rule is indexed on one top-level conjunct ``name == literal`` of its
   condition, keyed by the name and the literal's rendered text (``==``
   compares rendered text across unlike types); rules without one go on a
@@ -35,10 +37,10 @@ A scope entry costs about the same however many rules are published:
   per role (``"code"``, :class:`~chorad.project.ProcessCode` objects),
   compiled at publication and shared by every reply; every participant
   re-roots its own share at the scope it replaces
-  (:func:`~chorad.project.reroot_proc`).  A reply stays code inside the
-  process: it becomes wire data, in the codec ``chorad compile`` writes,
-  only when :func:`~chorad.net.encode_line` sends it.  Participants parse
-  nothing.
+  (:func:`~chorad.project.reroot_proc`) once per scope, in a bounded memo.
+  A reply stays code inside the process: it becomes wire data, in the codec
+  ``chorad compile`` writes, only when :func:`~chorad.net.encode_line`
+  sends it.  Participants parse nothing.
 
 The index is a discrimination network in the manner of Rete (Forgy, 1982),
 kept to equality tests.
@@ -56,7 +58,7 @@ import threading
 from collections import deque
 from typing import Any, Protocol
 
-from .ast import Binary, Expr, Lit, Rule, Value, Var, pretty_print
+from .ast import Binary, Expr, Lit, Rule, Value, Var, pretty_print, roles_of
 from .check import check_rule, has_errors
 from .parser import parse_behaviour, parse_rules
 from .project import ProcessCode, compile_rule_body
@@ -66,6 +68,9 @@ log = logging.getLogger("chorad.adapt")
 
 #: How many of its latest decisions a manager keeps in ``match_log``.
 MATCH_LOG_SIZE = 4096
+
+#: How many distinct bodies a server's compile memo holds before it starts over.
+_BODY_MEMO_SIZE = 1024
 
 
 class Environment:
@@ -133,7 +138,7 @@ def _scope_roles(request: dict[str, Any]) -> set[str]:
 
 def rule_applies(rule: Rule, request: dict[str, Any],
                  env: dict[str, Value]) -> bool:
-    return rule.roles <= _scope_roles(request) and \
+    return frozenset(roles_of(rule.body)) <= _scope_roles(request) and \
         _holds(rule.condition, _request_names(request, env))
 
 
@@ -176,16 +181,21 @@ class AdaptationServer:
     rules without one are kept on a scan list.  A request evaluates only the
     rules its own values select plus the scan list, in publication order.
     Each rule's match reply is built at publication too, and holds its
-    compiled code itself, not a wire encoding of it.
+    compiled code itself, not a wire encoding of it: one code dict per
+    printed body, kept in a memo that forks share, and whose keys are the
+    role set the admitted rule carries.
     :meth:`publish` replaces the admitted rules whole, so readers need no lock.
     """
 
     def __init__(self, server_id: str = "s0"):
         self.server_id = server_id
-        # (rules, index, scan): (rule id, rule, match reply) in publication
-        # order; name -> rendered literal -> positions in rules, ascending;
-        # positions of the rules without an index key
+        # (rules, index, scan): (rule id, rule, match reply, body roles) in
+        # publication order; name -> rendered literal -> positions in rules,
+        # ascending; positions of the rules without an index key
         self._admitted: tuple[tuple, dict, tuple] = ((), {}, ())
+        # printed body -> (its code per role, those roles); forks share it and
+        # take no lock for it, as a lost or doubled entry costs only a compile
+        self._bodies: dict[str, tuple[dict[str, ProcessCode], frozenset[str]]] = {}
         self._lock = threading.Lock()
 
     def publish(self, source: str):
@@ -201,11 +211,21 @@ class AdaptationServer:
             violations.extend(check_rule(r))
         if has_errors(violations):
             return violations
-        compiled = [(r, compile_rule(r)) for r in rules]
+        bodies, compiled = self._bodies, []
+        for r in rules:
+            text = pretty_print(r.body)
+            entry = bodies.get(text)
+            if entry is None:
+                code = compile_rule(r)
+                entry = code, frozenset(code)
+                if len(bodies) >= _BODY_MEMO_SIZE:
+                    bodies.clear()
+                bodies[text] = entry
+            compiled.append((r, *entry))
         with self._lock:
             admitted, index, scan = self._admitted
             index = {name: dict(by_text) for name, by_text in index.items()}
-            for r, code in compiled:
+            for r, code, roles in compiled:
                 pos, key = len(admitted), index_key(r.condition)
                 if key is None:
                     scan += (pos,)
@@ -216,17 +236,18 @@ class AdaptationServer:
                 admitted += ((rule_id, r, {"matched": True, "rule": rule_id, "code": code,
                                            "includes": [[fn, inc.address, inc.protocol]
                                                         for inc in r.includes
-                                                        for fn in inc.functions]}),)
+                                                        for fn in inc.functions]},
+                              roles),)
             self._admitted = admitted, index, scan
         return violations
 
     def rules(self) -> list[tuple[str, Rule]]:
-        return [(rule_id, rule) for rule_id, rule, _ in self._admitted[0]]
+        return [(rule_id, rule) for rule_id, rule, *_ in self._admitted[0]]
 
     def fork(self) -> "AdaptationServer":
         """A server that holds these rules and runs on alone."""
         new = AdaptationServer(self.server_id)
-        new._admitted = self._admitted
+        new._admitted, new._bodies = self._admitted, self._bodies
         return new
 
     def match(self, request: dict[str, Any],
@@ -240,8 +261,8 @@ class AdaptationServer:
             hits for name, by_text in index.items() if name in names
             and (hits := by_text.get(render(names[name])))]
         for pos in heapq.merge(*candidates):
-            _, rule, reply = rules[pos]
-            if rule.roles <= allowed and _holds(rule.condition, names):
+            _, rule, reply, roles = rules[pos]
+            if roles <= allowed and _holds(rule.condition, names):
                 return reply
         return None
 
@@ -264,7 +285,8 @@ class AdaptationManager:
     An unreachable server is skipped with a warning — adaptation degrades
     to the remaining servers rather than wedging running scopes.
     ``match_log`` holds the last ``MATCH_LOG_SIZE`` decisions as
-    ``(scope, rule id or None)``, so a long-lived manager stays bounded.
+    ``(scope, rule id or None)``, so a long-lived manager stays bounded;
+    ``decisions`` counts all of them.
     """
 
     def __init__(self, env: Environment | None = None):
@@ -272,15 +294,17 @@ class AdaptationManager:
         self._servers: list[ServerHandle] = []
         self._lock = threading.Lock()
         self.match_log: deque[tuple[str, str | None]] = deque(maxlen=MATCH_LOG_SIZE)
+        self.decisions = 0
 
     def fork(self) -> "AdaptationManager":
         """A manager with a fork of each server (a handle that cannot fork,
         such as a remote server, is shared) and copies of the environment
-        and the match log."""
+        and the match log with its count."""
         new = AdaptationManager(self.env.fork())
         with self._lock:
             new._servers = [s.fork() if hasattr(s, "fork") else s for s in self._servers]
             new.match_log = self.match_log.copy()
+            new.decisions = self.decisions
         return new
 
     def register(self, handle: ServerHandle) -> None:
@@ -294,7 +318,7 @@ class AdaptationManager:
             return list(self._servers)
 
     def handle_match(self, request: dict[str, Any]) -> dict[str, Any]:
-        snapshot = self.env.snapshot()
+        snapshot, response = self.env.snapshot(), None
         for handle in self.servers():
             try:
                 response = handle.match(request, snapshot)
@@ -303,10 +327,9 @@ class AdaptationManager:
                             handle.server_id, exc)
                 continue
             if response is not None:
-                with self._lock:
-                    self.match_log.append(
-                        (str(request.get("scope")), response.get("rule")))
-                return response
+                break
         with self._lock:
-            self.match_log.append((str(request.get("scope")), None))
-        return {"matched": False}
+            self.match_log.append((str(request.get("scope")),
+                                   response.get("rule") if response else None))
+            self.decisions += 1
+        return response or {"matched": False}

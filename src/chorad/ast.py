@@ -25,7 +25,6 @@ long programs and wide blocks stay clear of the recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 from typing import Union
 
 Value = Union[int, bool, str]
@@ -306,11 +305,6 @@ class Rule:
     body: Behaviour
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
-
-    @cached_property
-    def roles(self) -> frozenset[Role]:
-        """``roles_of(body)``, computed once: rule matching tests it per scope."""
-        return frozenset(roles_of(self.body))
 
 
 # =========================================================================

@@ -106,6 +106,9 @@ from .project import (
 
 BARRIER_OP = "_aux_barrier"
 
+#: How many re-rooted replacements an executor keeps before it starts over.
+_REROOT_MEMO_SIZE = 64
+
 
 class RoleError(Exception):
     """Runtime failure local to one role (unbound variable, bad operand...)."""
@@ -393,6 +396,8 @@ class RoleExecutor:
         self._queues: dict[MailKey, deque[Message]] = {}
         self._waiters: dict[MailKey, deque[int]] = {}
         self._seq: dict[tuple[str, str, str], int] = {}  # (kind, op, to) -> last seq
+        # (id(code), scope path) -> (code, code re-rooted there); forks share it
+        self._reroots: dict[tuple[int, tuple[int, ...]], tuple[ProcessCode, ProcessCode]] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -815,7 +820,9 @@ class RoleExecutor:
         """This role's share of a replacement: its code as the rule server
         compiled it (None for a role the body does not mention), re-rooted
         at the scope it replaces.  Code that came over a socket is wire
-        data and is decoded here."""
+        data and is decoded here.  The server's code objects are re-rooted
+        once per scope path and kept in a memo that starts over when it
+        holds ``_REROOT_MEMO_SIZE`` entries."""
         if code is None:
             return Nop()
         if not isinstance(code, ProcessCode):
@@ -823,7 +830,16 @@ class RoleExecutor:
                 code = proc_from_data(code)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RoleError(f"replacement code is malformed: {exc!r}", self.role) from exc
-        return reroot_proc(code, scope_id.path)
+            return reroot_proc(code, scope_id.path)
+        key = id(code), scope_id.path
+        hit = self._reroots.get(key)
+        if hit is not None and hit[0] is code:
+            return hit[1]
+        share = reroot_proc(code, scope_id.path)
+        if len(self._reroots) >= _REROOT_MEMO_SIZE:
+            self._reroots.clear()
+        self._reroots[key] = code, share
+        return share
 
     def _absorb_includes(self, entries) -> None:
         for entry in entries or ():

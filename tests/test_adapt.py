@@ -96,9 +96,15 @@ def test_condition_sees_coordinator_variables():
 
 
 def test_rule_with_foreign_role_never_applies():
-    r = _rule('rule { on { true } do { op: u( 1 ) -> stranger( x ) } }')
+    text = 'rule { on { true } do { op: u( 1 ) -> stranger( x ) } }'
     request = {"coordinator": "u", "involved": ["d"], "props": {}, "vars": {}}
-    assert not rule_applies(r, request, {})
+    assert not rule_applies(_rule(text), request, {})
+    # a server skips it for the next rule that applies, as a linear scan does
+    server = AdaptationServer()
+    assert not server.publish(text + '\nrule { on { true } do { op: u( 1 ) -> d( x ) } }')
+    for involved, want in ((["d"], "s0/r2"), (["d", "stranger"], "s0/r1")):
+        asked = {**request, "involved": involved}
+        assert _matched(server, asked, {}) == want == _linear(server, asked, {})
 
 
 def test_rule_over_scope_participants_applies():
@@ -289,6 +295,22 @@ def test_match_log_keeps_only_the_latest_decisions():
     assert mgr.match_log[-2] == ("9998", None)
 
 
+def test_the_decision_count_goes_on_past_the_match_log():
+    from chorad.adapt import MATCH_LOG_SIZE
+
+    server = AdaptationServer()
+    server.publish('rule { on { N.k == 1 } do { x@u = 1 } }')
+    mgr = AdaptationManager()
+    mgr.register(server)
+    for i in range(5_000):
+        mgr.handle_match({**_request(), "scope": str(i), "props": {"k": i % 2}})
+    assert len(mgr.match_log) == MATCH_LOG_SIZE == 4096
+    assert mgr.decisions == 5_000
+    fork = mgr.fork()
+    fork.handle_match(_request())
+    assert (fork.decisions, mgr.decisions) == (5_001, 5_000)
+
+
 # ---------------------------------------------------------------------
 # Index: the first match is the one a linear scan finds
 # ---------------------------------------------------------------------
@@ -453,6 +475,44 @@ def test_publishing_compiles_the_whole_batch_before_admitting_any(monkeypatch):
     assert _matched(server, _req(vars={"x": 1}), {}) == "s0/r1"
 
 
+def test_equal_bodies_compile_once_per_server(monkeypatch):
+    import chorad.adapt as adapt
+    from chorad.ast import pretty_print
+    from chorad.corpus import pipe_boost_rules
+
+    real, compiled = adapt.compile_rule, []
+
+    def counting(rule):
+        compiled.append(pretty_print(rule.body))
+        return real(rule)
+
+    def ask(i):
+        return _req(vars={"i": i}, involved=("b",)) | {"coordinator": "a"}
+
+    monkeypatch.setattr(adapt, "compile_rule", counting)
+    server = AdaptationServer()
+    assert not server.publish(pipe_boost_rules(range(1, 51)))
+    assert len(compiled) == 1
+    replies = [server.match(ask(k), {}) for k in range(1, 51)]
+    assert [r["rule"] for r in replies] == [f"s0/r{k}" for k in range(1, 51)]
+    assert all(r["code"] is replies[0]["code"] for r in replies)
+    assert sorted(replies[0]["code"]) == ["a", "b"]
+    # a later batch with the same body compiles nothing, on the server or a fork
+    assert not server.publish(pipe_boost_rules(range(51, 61)))
+    fork = server.fork()
+    assert not fork.publish(pipe_boost_rules(range(61, 71)))
+    assert len(compiled) == 1
+    hit = fork.match(ask(65), {})
+    assert hit["rule"] == "s0/r65" and hit["code"] is replies[0]["code"]
+    # a batch with one new body compiles exactly that body
+    assert not server.publish(pipe_boost_rules([71])
+                              + '\nrule { on { i == 72 } do { y@b = 7 } }')
+    assert compiled[1:] == ["y@b = 7"]
+    # another server compiles its own
+    assert not AdaptationServer().publish(pipe_boost_rules([1]))
+    assert len(compiled) == 3
+
+
 def test_matches_read_whole_batches_while_other_threads_publish():
     """``publish`` replaces the admitted rules whole, so a match that takes
     no lock never sees an index entry before its rule, and publishers lose
@@ -578,3 +638,59 @@ def test_rules_published_mid_run_are_found_as_a_linear_scan_finds_them(monkeypat
     assert [rule for _scope, rule in report.applied_rules] == ["s0/r3", "s0/r4", "s0/r4"]
     assert report.final_states["b"]["result"] == 5 + 10 + 100 + 100
     assert len(answers) == 8 and all(got == want for got, want in answers)
+
+
+def _mid_run_stores():
+    from chorad.parser import parse_program
+    from chorad.project import project
+    from chorad.sim import SimConfig, simulate
+
+    def manager():
+        server = AdaptationServer()
+        server.publish(_replacing("true", 3))
+        mgr = AdaptationManager()
+        mgr.register(server)
+        return mgr
+
+    report = simulate(project(parse_program(PUBLISHED_MID_RUN)),
+                      SimConfig(seed=3, manager_factory=manager))
+    assert report.ok, report.error
+    assert len(report.applied_rules) == 8
+    return report.final_states
+
+
+def test_each_participant_re_roots_a_replacement_once_per_scope(monkeypatch):
+    import chorad.runtime as runtime
+    from chorad.project import Nop, reroot_proc
+
+    real, calls = runtime.reroot_proc, []
+
+    def counting(code, prefix):
+        calls.append(prefix)
+        return real(code, prefix)
+
+    monkeypatch.setattr(runtime, "reroot_proc", counting)
+    stores = _mid_run_stores()
+    assert len(calls) == 2  # one per participant, not one per scope entry
+    monkeypatch.setattr(runtime.RoleExecutor, "_replacement_share",
+                        lambda self, code, scope_id: Nop() if code is None
+                        else reroot_proc(code, scope_id.path))
+    assert _mid_run_stores() == stores
+    assert stores["b"]["result"] == 8 * 3
+
+
+def test_the_re_root_memo_stays_bounded():
+    import chorad.runtime as runtime
+    from chorad.ast import NodeId
+    from chorad.parser import parse_behaviour
+    from chorad.project import Nop, compile_rule_body, reroot_proc
+
+    executor = runtime.RoleExecutor("a", Nop(), starter="a", roles=["a"])
+    scope = NodeId((2, 0))
+    for i in range(1_000):
+        code = compile_rule_body(parse_behaviour(f"scope @a {{ x@a = {i} }}"))["a"]
+        share = executor._replacement_share(code, scope)
+        assert share == reroot_proc(code, scope.path) != code
+        assert executor._replacement_share(code, scope) is share
+        assert len(executor._reroots) <= runtime._REROOT_MEMO_SIZE
+    assert executor.fork()._reroots is executor._reroots
