@@ -23,7 +23,9 @@ A scope entry costs about the same however many rules are published:
 
 * publishing checks a batch, compiles every rule's body to per-role process
   code at the body's own node ids, and only then admits the batch, so a bad
-  rule leaves the server and its rule numbering untouched; bodies with
+  rule leaves the server and its rule numbering untouched; a source text is
+  parsed, checked and its bodies printed once per process, in a bounded memo
+  that every server reads, while compiling stays per server: bodies with
   equal printed text compile once per server, and an admitted rule carries
   its body's role set;
 * each rule is indexed on one top-level conjunct ``name == literal`` of its
@@ -59,7 +61,7 @@ from collections import deque
 from typing import Any, Protocol
 
 from .ast import Binary, Expr, Lit, Rule, Value, Var, pretty_print, roles_of
-from .check import check_rule, has_errors
+from .check import Violation, check_rule, has_errors
 from .parser import parse_behaviour, parse_rules
 from .project import ProcessCode, compile_rule_body
 from .runtime import RoleError, eval_expr, render
@@ -71,6 +73,15 @@ MATCH_LOG_SIZE = 4096
 
 #: How many distinct bodies a server's compile memo holds before it starts over.
 _BODY_MEMO_SIZE = 1024
+
+#: How many distinct sources the publication memo holds before it starts over.
+_BATCH_MEMO_SIZE = 256
+
+# source text -> (its rules, their check violations, each body's printed
+# text), shared by every server in the process; rules and violations are
+# frozen, and the memo takes no lock, as a lost or doubled entry costs only
+# a parse.  A source that does not parse is never stored.
+_batches: dict[str, tuple[tuple[Rule, ...], tuple[Violation, ...], tuple[str, ...]]] = {}
 
 
 class Environment:
@@ -176,6 +187,8 @@ def index_key(condition: Expr) -> tuple[str, str] | None:
 class AdaptationServer:
     """Holds published rules and answers match requests against them.
 
+    A source text is parsed, checked and printed once per process (a memo
+    all servers share); each server compiles the printed bodies itself.
     Each rule is compiled at publication and indexed on the name and the
     rendered literal of one ``name == literal`` conjunct of its condition;
     rules without one are kept on a scan list.  A request evaluates only the
@@ -202,18 +215,26 @@ class AdaptationServer:
         """Parse, check and compile a batch of rules, then admit it; the
         batch is all-or-nothing.
 
-        Returns the check violations (empty when the batch was admitted;
-        warnings alone do not block).  Syntax problems raise ``ParseError``.
+        Parsing, checking and printing the bodies happen once per source
+        text in the process; compiling the printed bodies happens once per
+        server, and rule ids are this server's own.
+        Returns a new list of the check violations (empty when the batch was
+        admitted; warnings alone do not block).  Syntax problems raise
+        ``ParseError`` on every publication of the source.
         """
-        rules = parse_rules(source)
-        violations = []
-        for r in rules:
-            violations.extend(check_rule(r))
+        batch = _batches.get(source)
+        if batch is None:
+            rules = tuple(parse_rules(source))
+            batch = (rules, tuple(v for r in rules for v in check_rule(r)),
+                     tuple(pretty_print(r.body) for r in rules))
+            if len(_batches) >= _BATCH_MEMO_SIZE:
+                _batches.clear()
+            _batches[source] = batch
+        rules, violations, texts = batch
         if has_errors(violations):
-            return violations
+            return list(violations)
         bodies, compiled = self._bodies, []
-        for r in rules:
-            text = pretty_print(r.body)
+        for r, text in zip(rules, texts):
             entry = bodies.get(text)
             if entry is None:
                 code = compile_rule(r)
@@ -239,7 +260,7 @@ class AdaptationServer:
                                                         for fn in inc.functions]},
                               roles),)
             self._admitted = admitted, index, scan
-        return violations
+        return list(violations)
 
     def rules(self) -> list[tuple[str, Rule]]:
         return [(rule_id, rule) for rule_id, rule, *_ in self._admitted[0]]

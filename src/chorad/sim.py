@@ -35,6 +35,7 @@ from typing import Callable
 
 from .adapt import AdaptationManager
 from .ast import Value, _Node
+from .parser import ParseError
 from .project import (EMPTY, INPUT, SERVICES, STORE, TIDS, Footprint, ParP, ProcessCode,
                       ProjectedApp, ScopeCoord, ScopeFollow, SeqP, Target, _as_app,
                       expr_footprint, received, sent, union)
@@ -189,7 +190,10 @@ class _World:
                 handle = next((h for h in manager.servers() if h.server_id == ev.server), None)
                 if handle is None:
                     raise ValueError(f"timeline publish: no server '{ev.server}' registered")
-                violations = handle.publish(ev.source)  # type: ignore[attr-defined]
+                try:
+                    violations = handle.publish(ev.source)  # type: ignore[attr-defined]
+                except ParseError as exc:
+                    raise ValueError(f"timeline publish rejected: {exc}") from exc
                 bad = [v for v in violations if v.severity == "error"]
                 if bad:
                     raise ValueError(f"timeline publish rejected: {bad[0].message}")

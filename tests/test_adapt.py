@@ -513,6 +513,85 @@ def test_equal_bodies_compile_once_per_server(monkeypatch):
     assert len(compiled) == 3
 
 
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_servers_share_a_sources_parse_and_check_but_compile_and_number_their_own(
+        monkeypatch):
+    import chorad.adapt as adapt
+
+    monkeypatch.setattr(adapt, "_batches", {})
+    calls = []
+    for name in ("parse_rules", "check_rule", "compile_rule"):
+        _counting(monkeypatch, adapt, name, calls)
+    source = ('rule { on { x == 1 } do { r@u = 1 } }\n'
+              'rule { on { x == 2 } do { step: a( 1 ) -> u( r ) } }')
+    first, second = AdaptationServer(), AdaptationServer()
+    assert not first.publish('rule { on { x == 0 } do { r@u = 0 } }')
+    calls.clear()
+    assert not first.publish(source)
+    assert not second.publish(source)
+    assert calls.count("parse_rules") == 1 and calls.count("check_rule") == 2
+    assert calls.count("compile_rule") == 4  # each server compiles its own bodies
+    assert [rid for rid, _ in first.rules()] == ["s0/r1", "s0/r2", "s0/r3"]
+    assert [rid for rid, _ in second.rules()] == ["s0/r1", "s0/r2"]
+    assert all(a is b for (_, a), (_, b) in zip(first.rules()[1:], second.rules()))
+    assert _matched(first, _req(vars={"x": 2}, involved=("a",)), {}) == "s0/r3"
+    assert _matched(second, _req(vars={"x": 2}, involved=("a",)), {}) == "s0/r2"
+    assert second.match(_req(vars={"x": 1}), {})["code"]["u"] == \
+        LocalAssign(var="r", expr=Lit(1))
+
+
+def test_the_publication_memo_stays_bounded(monkeypatch):
+    import chorad.adapt as adapt
+
+    monkeypatch.setattr(adapt, "_batches", {})
+    server, cap = AdaptationServer(), adapt._BATCH_MEMO_SIZE
+    for k in range(cap + 10):
+        assert not server.publish(f"rule {{ on {{ i == {k} }} do {{ x@u = {k} }} }}")
+        assert 0 < len(adapt._batches) <= cap
+    assert len(server.rules()) == cap + 10
+    assert _matched(server, _req(vars={"i": cap + 9}), {}) == f"s0/r{cap + 10}"
+
+
+def test_a_source_that_does_not_parse_raises_on_every_publish_and_is_never_stored(
+        monkeypatch):
+    import chorad.adapt as adapt
+
+    monkeypatch.setattr(adapt, "_batches", {})
+    calls = []
+    _counting(monkeypatch, adapt, "parse_rules", calls)
+    servers = AdaptationServer(), AdaptationServer()
+    for server in servers + servers:
+        with pytest.raises(ParseError):
+            server.publish('rule { on { x == } do { r@u = 1 } }')
+    assert len(calls) == 4 and adapt._batches == {}
+    assert all(server.rules() == [] for server in servers)
+
+
+def test_a_rejected_batch_returns_equal_violations_as_a_new_list_each_time(monkeypatch):
+    import chorad.adapt as adapt
+
+    monkeypatch.setattr(adapt, "_batches", {})
+    source = ('rule { on { x == 1 } do { r@u = 1 } }\n'
+              'rule { on { true } do { a@p = 1; b@q = 2 } }')  # disconnected body
+    server = AdaptationServer()
+    first = server.publish(source)
+    first.append("changed by a caller")
+    again, other = server.publish(source), AdaptationServer().publish(source)
+    assert again and again == other == first[:-1]
+    assert again is not other
+    assert server.publish(source) == again
+    assert server.rules() == [] and server.match(_req(vars={"x": 1}), {}) is None
+
+
 def test_matches_read_whole_batches_while_other_threads_publish():
     """``publish`` replaces the admitted rules whole, so a match that takes
     no lock never sees an index entry before its rule, and publishers lose

@@ -1153,7 +1153,9 @@ def test_env_event_after_the_scope_is_too_late():
     (TimelineEvent(at_step=0, kind="publish", server="s9",
                    source="rule { on { true } do { skip } }"),
      "timeline publish: no server 's9' registered"),
-], ids=["unknown-kind", "rejected-rule", "unknown-server"])
+    (TimelineEvent(at_step=0, kind="publish", server="s0", source="rule {"),
+     "timeline publish rejected: <input>:1:7: syntax: expected 'on'"),
+], ids=["unknown-kind", "rejected-rule", "unknown-server", "syntax-error"])
 def test_a_bad_timeline_event_stops_the_simulation(event, error):
     sc = corpus.scenario_by_name("hello-world")
     with pytest.raises(ValueError) as info:
